@@ -16,8 +16,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from .datasets import (
     DataError,
     Dataset,
@@ -32,6 +30,7 @@ from .generators import generate_datagen, generate_df
 from .pruning import evaluate_protocol
 from .solvers import AnnealConfig, SolverConfig
 from .splitting import (
+    _observed,
     best_categorical_split_exhaustive,
     best_categorical_split_greedy,
     best_categorical_split_qubo,
@@ -204,9 +203,7 @@ def _column_stats(data: Dataset, name: str):
     column = data.schema_for(name)
     if column.kind != "categorical":
         raise DataError(f"column {name!r} is not categorical")
-    codes = data.column(name)
-    observed = np.unique(codes)
-    local = np.searchsorted(observed, codes)
+    observed, local = _observed(data.column(name))
     aggs, node = aggregate_categories(local, data.response, len(observed))
     return column, observed, aggs, node
 
@@ -271,7 +268,7 @@ def cmd_compare(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file of flag defaults")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are identical for any value)")
+                        help="reserved: execution is sequential, so results are identical for any value")
     parser.add_argument("--seed", type=int, default=0, help="global seed")
 
 

@@ -10,25 +10,38 @@ reporting.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .datasets import DataError, Dataset, SplitSpecification, partition
-from .tree import GrowConfig, RegressionTree, TreeNode, grow
+from .tree import GrowConfig, RegressionTree, TreeNode, grow, prune_to_leaf, route_rows
 
 
 @dataclass(frozen=True)
 class PruneStep:
     """One rung of the ladder: the complexity parameter at which the tree
-    shrank to this shape, plus the newly collapsed node ids (an antichain)."""
+    shrank to this shape, plus the newly collapsed node ids.
+
+    ``base`` is the unpruned tree and ``history`` the ``collapsed`` tuples of
+    the whole ladder, both shared by all its steps, so a ladder holds no
+    step trees; ``tree`` builds this step's one on demand.
+    """
 
     alpha: float
-    tree: RegressionTree
     leaves: int
     train_risk: float
-    collapsed: tuple = ()
+    collapsed: tuple
+    base: RegressionTree = field(repr=False, compare=False)
+    history: list = field(repr=False, compare=False)
+    index: int = field(repr=False, compare=False)
+
+    @property
+    def tree(self) -> RegressionTree:
+        """The base tree with every node collapsed up to this step made a leaf."""
+        return prune_to_leaf(self.base, chain.from_iterable(self.history[: self.index + 1]))
 
 
 class _Work:
@@ -102,8 +115,8 @@ def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
     across datasets. All co-minimal weakest links collapse simultaneously,
     including any cascade that re-attains the same alpha, which keeps the
     alpha sequence strictly increasing after the initial zero step. A
-    lazy-deletion heap serves the current minimum g; step trees share all
-    untouched subtrees with their predecessor.
+    lazy-deletion heap serves the current minimum g. Step trees are not
+    built here: ``PruneStep.tree`` builds one when it is read.
     """
     n_train = n_train if n_train is not None else tree.n_train
     work = _Work(tree, n_train)
@@ -111,7 +124,7 @@ def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
     heap = [(g, t) for t, g in g_now.items()]
     heapq.heapify(heap)
     steps = []
-    current_root = tree.root
+    history = []
 
     def peek():
         while heap:
@@ -141,31 +154,16 @@ def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
         return newly
 
     def emit(alpha: float, newly):
-        nonlocal current_root
-        if newly:
-            targets = set(newly)
-            dirty = set()
-            for t in newly:
-                up = work.parent[t]
-                while up is not None and up not in dirty:
-                    dirty.add(up)
-                    up = work.parent[up]
-
-            def rebuild(node: TreeNode) -> TreeNode:
-                if node.id in targets:
-                    return replace(node, rule=None, left=None, right=None)
-                if node.is_leaf or node.id not in dirty:
-                    return node
-                return replace(node, left=rebuild(node.left), right=rebuild(node.right))
-
-            current_root = rebuild(current_root)
+        history.append(tuple(sorted(newly)))
         steps.append(
             PruneStep(
                 alpha,
-                replace(tree, root=current_root),
                 work.total_leaves(),
                 work.train_risk(),
-                tuple(sorted(newly)),
+                history[-1],
+                tree,
+                history,
+                len(steps),
             )
         )
 
@@ -219,57 +217,38 @@ def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarra
     if data.response is None or data.n_rows == 0:
         raise DataError("evaluation needs a non-empty dataset with responses")
     base = steps[0].tree
-    routing = routing or base.config.routing
 
-    # Route once through the widest tree, recording the index set and the
-    # training prediction at every node.
-    rows_by_node: dict = {}
-    prediction_of: dict = {}
-    depth_of: dict = {}
+    # Route once through the widest tree, recording the rows reaching every
+    # node, their training prediction and the node's depth.
+    reached: dict = {}
+    depth_of = {base.root.id: 0}
     preds = np.empty(data.n_rows, dtype=np.float64)
-    stack = [(base.root, np.arange(data.n_rows), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        rows_by_node[node.id] = idx
-        prediction_of[node.id] = node.prediction
-        depth_of[node.id] = depth
+    for node, idx in route_rows(base, data, routing):
+        reached[node.id] = (node.prediction, idx)
         if node.is_leaf:
             preds[idx] = node.prediction
-            continue
-        mask = _left_mask(base, node, data, idx, routing)
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
+        else:
+            depth_of[node.left.id] = depth_of[node.right.id] = depth_of[node.id] + 1
 
     y = data.response
     se = float(np.sum((y - preds) ** 2))
     out = [se / data.n_rows]
     for step in steps[1:]:
-        for t in sorted(step.collapsed, key=lambda i: -depth_of[i]):
-            idx = rows_by_node[t]
-            if len(idx):
-                new_pred = prediction_of[t]
-                old = preds[idx]
-                se += float(np.sum((y[idx] - new_pred) ** 2 - (y[idx] - old) ** 2))
-                preds[idx] = new_pred
+        # Deepest first, so a node collapsing in the same step as one of its
+        # descendants has the last word on their shared rows.
+        hit = [t for t in step.collapsed if t in reached]
+        for t in sorted(hit, key=depth_of.__getitem__, reverse=True):
+            new_pred, idx = reached[t]
+            old = preds[idx]
+            se += float(np.sum((y[idx] - new_pred) ** 2 - (y[idx] - old) ** 2))
+            preds[idx] = new_pred
         out.append(se / data.n_rows)
     return np.asarray(out)
 
 
-def _left_mask(tree: RegressionTree, node: TreeNode, data: Dataset, idx, routing):
-    rule = node.rule
-    values = data.column(rule.variable)[idx]
-    if rule.kind == "threshold":
-        return values < rule.threshold
-    col = data.schema_for(rule.variable)
-    codes = {lab: i for i, lab in enumerate(col.categories)}
-    left_codes = [codes[lab] for lab in rule.left_categories if lab in codes]
-    mask = np.isin(values, np.asarray(left_codes, dtype=np.int64))
-    if routing == "majority":
-        right_codes = [codes[lab] for lab in rule.right_categories if lab in codes]
-        known = mask | np.isin(values, np.asarray(right_codes, dtype=np.int64))
-        if node.left.n >= node.right.n:
-            mask = mask | ~known
-    return mask
+def _select(rows) -> int:
+    """Index of the minimal validation MSE; ties go to fewer leaves, then the earlier step."""
+    return min(range(len(rows)), key=lambda i: (rows[i].validation_mse, rows[i].leaves))
 
 
 def select_subtree(steps, validation: Dataset) -> SelectionReport:
@@ -283,13 +262,7 @@ def select_subtree(steps, validation: Dataset) -> SelectionReport:
         StepEvaluation(i, s.alpha, s.leaves, s.train_risk, float(val_mse[i]))
         for i, s in enumerate(steps)
     )
-    best = 0
-    for i, row in enumerate(rows):
-        if row.validation_mse < rows[best].validation_mse or (
-            row.validation_mse == rows[best].validation_mse and row.leaves < rows[best].leaves
-        ):
-            best = i
-    return SelectionReport(best, rows)
+    return SelectionReport(_select(rows), rows)
 
 
 @dataclass(frozen=True)
@@ -345,21 +318,17 @@ def evaluate_protocol(
         StepEvaluation(i, s.alpha, s.leaves, s.train_risk, float(val_mse[i]), float(test_mse[i]))
         for i, s in enumerate(steps)
     )
-    chosen = 0
-    for i, row in enumerate(rows):
-        if row.validation_mse < rows[chosen].validation_mse or (
-            row.validation_mse == rows[chosen].validation_mse
-            and row.leaves < rows[chosen].leaves
-        ):
-            chosen = i
+    chosen = _select(rows)
     test_best = int(np.argmin([r.test_mse for r in rows]))
+    root = len(steps) - 1
+    trees = {i: steps[i].tree for i in (root, chosen, test_best, 0)}
 
     def report_row(tree_type: str, i: int) -> ProtocolRow:
         step = steps[i]
         return ProtocolRow(
             tree_type,
             step.leaves,
-            step.tree.depth(),
+            trees[i].depth(),
             step.alpha,
             step.train_risk,
             rows[i].validation_mse,
@@ -367,9 +336,9 @@ def evaluate_protocol(
         )
 
     out_rows = (
-        report_row("root", len(steps) - 1),
+        report_row("root", root),
         report_row("validation_best", chosen),
         report_row("test_best", test_best),
         report_row("max", 0),
     )
-    return ProtocolReport(cfg.categorical_method, out_rows, chosen, len(steps), steps[chosen].tree)
+    return ProtocolReport(cfg.categorical_method, out_rows, chosen, len(steps), trees[chosen])

@@ -104,11 +104,44 @@ def preorder(node: TreeNode):
             stack.append(cur.left)
 
 
-def _rule_mask(rule: SplitRule, column: ColumnSchema, values: np.ndarray) -> np.ndarray:
-    if rule.kind == "threshold":
-        return values < rule.threshold
-    left_codes = [column.categories.index(lab) for lab in rule.left_categories]
-    return np.isin(values, np.asarray(left_codes, dtype=np.int64))
+def _left_masker(schema: tuple, data: Dataset):
+    """Vectorized rule test for rows of ``data`` against a model ``schema``.
+
+    The dataset may have its own category code order: its labels are mapped
+    to its codes once here, and any label outside the model schema is
+    rejected. The returned ``left_mask(rule, idx, unseen_left)`` tells which
+    rows ``idx`` go left; labels absent from both sides of a subset rule go
+    left only when ``unseen_left`` is set.
+    """
+    model = {c.name: c for c in schema}
+    for name in model:
+        if name not in data.columns:
+            raise DataError(f"dataset is missing column {name!r}")
+    code_maps = {}
+    for col in data.schema:
+        model_col = model.get(col.name)
+        if model_col is None or col.kind != "categorical":
+            continue
+        unknown = set(col.categories) - set(model_col.categories)
+        if unknown:
+            raise DataError(f"column {col.name!r}: unknown categories {sorted(unknown)!r}")
+        code_maps[col.name] = {lab: i for i, lab in enumerate(col.categories)}
+
+    def lookup(variable: str, labels: tuple) -> np.ndarray:
+        codes = code_maps[variable]
+        table = np.zeros(len(codes), dtype=bool)
+        table[[codes[lab] for lab in labels if lab in codes]] = True
+        return table
+
+    def left_mask(rule: SplitRule, idx: np.ndarray, unseen_left: bool = False) -> np.ndarray:
+        values = data.column(rule.variable)[idx]
+        if rule.kind == "threshold":
+            return values < rule.threshold
+        if unseen_left:
+            return ~lookup(rule.variable, rule.right_categories)[values]
+        return lookup(rule.variable, rule.left_categories)[values]
+
+    return left_mask
 
 
 def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
@@ -124,7 +157,7 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
         raise DataError("cannot grow a tree without response values")
     response = data.response
     root_sse = NodeStats.from_values(response).sse()
-    columns = {c.name: c for c in data.schema}
+    left_mask = _left_masker(data.schema, data)
     counter = [0]
 
     def build(indices: np.ndarray, depth: int) -> TreeNode:
@@ -152,14 +185,20 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
         if candidate is None:
             return TreeNode(node_id, stats.n, prediction, sse)
 
-        rule = candidate.rule
-        mask = _rule_mask(rule, columns[rule.variable], data.column(rule.variable)[indices])
+        mask = left_mask(candidate.rule, indices)
         left = build(indices[mask], depth + 1)
         right = build(indices[~mask], depth + 1)
-        return TreeNode(node_id, stats.n, prediction, sse, rule, left, right)
+        return TreeNode(node_id, stats.n, prediction, sse, candidate.rule, left, right)
 
     root = build(np.arange(data.n_rows), 0)
     return RegressionTree(root, data.schema, cfg, data.n_rows, data.response_name)
+
+
+def _routing(tree: RegressionTree, routing: Optional[str]) -> str:
+    routing = routing or tree.config.routing
+    if routing not in ROUTINGS:
+        raise ValueError(f"unknown routing {routing!r}")
+    return routing
 
 
 def _route_row(node: TreeNode, value, routing: str) -> TreeNode:
@@ -176,7 +215,7 @@ def _route_row(node: TreeNode, value, routing: str) -> TreeNode:
 
 def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> float:
     """Predict one row given as a column -> value mapping."""
-    routing = routing or tree.config.routing
+    routing = _routing(tree, routing)
     for col in tree.schema:
         if col.name not in row:
             raise DataError(f"row is missing column {col.name!r}")
@@ -188,57 +227,37 @@ def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> f
     return node.prediction
 
 
+def route_rows(tree: RegressionTree, data: Dataset, routing: Optional[str] = None):
+    """Yield ``(node, row indices)`` for every node that rows of ``data`` reach.
+
+    The vectorized form of the routing ``predict`` applies one row at a time.
+    Parents come before their children; subtrees no row reaches are skipped.
+    """
+    routing = _routing(tree, routing)
+    left_mask = _left_masker(tree.schema, data)
+    stack = [(tree.root, np.arange(data.n_rows))]
+    while stack:
+        node, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        yield node, idx
+        if not node.is_leaf:
+            unseen_left = routing == "majority" and node.left.n >= node.right.n
+            mask = left_mask(node.rule, idx, unseen_left)
+            stack.append((node.right, idx[~mask]))
+            stack.append((node.left, idx[mask]))
+
+
 def predict_many(tree: RegressionTree, data: Dataset, routing: Optional[str] = None) -> np.ndarray:
     """Vectorized prediction for a whole dataset.
 
     The dataset may have its own category code order; labels are re-mapped
     against the model schema, and any label outside it is rejected.
     """
-    routing = routing or tree.config.routing
-    label_maps = {}
-    for col in data.schema:
-        model_col = None
-        for c in tree.schema:
-            if c.name == col.name:
-                model_col = c
-                break
-        if model_col is None:
-            continue
-        if col.kind == "categorical":
-            unknown = set(col.categories) - set(model_col.categories)
-            if unknown:
-                raise DataError(
-                    f"column {col.name!r}: unknown categories {sorted(unknown)!r}"
-                )
-            label_maps[col.name] = {lab: i for i, lab in enumerate(col.categories)}
-    for col in tree.schema:
-        if col.name not in data.columns:
-            raise DataError(f"dataset is missing column {col.name!r}")
-
     preds = np.empty(data.n_rows, dtype=np.float64)
-    stack = [(tree.root, np.arange(data.n_rows))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
+    for node, idx in route_rows(tree, data, routing):
         if node.is_leaf:
             preds[idx] = node.prediction
-            continue
-        rule = node.rule
-        values = data.column(rule.variable)[idx]
-        if rule.kind == "threshold":
-            left_mask = values < rule.threshold
-        else:
-            codes = label_maps[rule.variable]
-            left_codes = [codes[lab] for lab in rule.left_categories if lab in codes]
-            left_mask = np.isin(values, np.asarray(left_codes, dtype=np.int64))
-            if routing == "majority":
-                right_codes = [codes[lab] for lab in rule.right_categories if lab in codes]
-                known = left_mask | np.isin(values, np.asarray(right_codes, dtype=np.int64))
-                if node.left.n >= node.right.n:
-                    left_mask = left_mask | ~known
-        stack.append((node.left, idx[left_mask]))
-        stack.append((node.right, idx[~left_mask]))
     return preds
 
 

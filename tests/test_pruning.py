@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qubotree import (
+    DataError,
     GrowConfig,
     SplitSpecification,
     evaluate_mse,
@@ -128,6 +131,47 @@ def test_repruning_from_any_step_gives_suffix():
         assert a.alpha == pytest.approx(b.alpha, rel=1e-9)
         assert a.leaves == b.leaves
         assert tree_to_dict(a.tree)["nodes"] == tree_to_dict(b.tree)["nodes"]
+
+
+def test_step_trees_equal_eager_ladder():
+    # Reference: the eager ladder, which collapsed each step's ids in the
+    # previous step's tree.
+    _, tree = _random_tree(106, n=400)
+    steps = prune_sequence(tree)
+    current = tree.root
+    for step in steps:
+        targets = set(step.collapsed)
+
+        def rebuild(node):
+            if node.id in targets:
+                return replace(node, rule=None, left=None, right=None)
+            if node.is_leaf:
+                return node
+            return replace(node, left=rebuild(node.left), right=rebuild(node.right))
+
+        current = rebuild(current)
+        assert step.tree == replace(tree, root=current)
+        assert step.tree.leaf_count() == step.leaves
+
+
+def test_ladder_rejects_labels_foreign_to_the_model():
+    data, tree = _random_tree(3, n=400)
+    steps = prune_sequence(tree)
+    col = data.schema_for("Brand")
+    codes = data.column("Brand").copy()
+    codes[:50] = len(col.categories)
+    schema = tuple(
+        replace(c, categories=c.categories + ("ZZZ",)) if c.name == "Brand" else c
+        for c in data.schema
+    )
+    columns = {**data.columns, "Brand": codes}
+    foreign = Dataset(schema, columns, data.response.copy(), data.response_name)
+    with pytest.raises(DataError, match="ZZZ"):
+        evaluate_mse(tree, foreign)
+    with pytest.raises(DataError, match="ZZZ"):
+        ladder_mse(steps, foreign)
+    with pytest.raises(DataError, match="ZZZ"):
+        select_subtree(steps, foreign)
 
 
 def test_ladder_mse_equals_per_step_evaluation():

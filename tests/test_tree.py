@@ -10,6 +10,7 @@ from qubotree import (
     GrowConfig,
     describe,
     evaluate_mse,
+    generate_df,
     grow,
     load_model,
     predict,
@@ -17,7 +18,7 @@ from qubotree import (
     save_model,
 )
 from qubotree.splitting import SplitRule
-from qubotree.tree import TreeNode, RegressionTree, tree_from_dict, tree_to_dict
+from qubotree.tree import TreeNode, RegressionTree, prune_to_leaf, tree_from_dict, tree_to_dict
 
 
 def _dataset(columns, response):
@@ -255,6 +256,15 @@ def test_predict_many_matches_predict():
         assert np.allclose(batch, single, rtol=0, atol=0)
 
 
+def test_unknown_routing_rejected_by_both_entry_points():
+    data = _routing_fixture()
+    tree = grow(data, GrowConfig(max_depth=3, min_split=2, min_bucket=1, cp=0.0))
+    with pytest.raises(ValueError, match="bogus"):
+        predict(tree, data.row(0), routing="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        predict_many(tree, data, routing="bogus")
+
+
 def test_predict_many_remaps_foreign_category_codes():
     data = _dataset([("c", "categorical", ["a", "a", "b", "b"])], [0.0, 0.0, 8.0, 8.0])
     tree = grow(data, FULL)
@@ -330,3 +340,40 @@ def test_leaf_internal_count_invariant():
     leaves = sum(1 for n in nodes if n.is_leaf)
     internals = len(nodes) - leaves
     assert leaves == internals + 1
+
+
+def _nodes_by_id(tree):
+    return {node.id: node for node in _walk(tree.root)}
+
+
+def test_prune_to_leaf():
+    tree = grow(generate_df(300, 5), GrowConfig.max_tree())
+    nodes = _nodes_by_id(tree)
+    sibling = {}
+    for node in nodes.values():
+        if not node.is_leaf:
+            sibling[node.left.id], sibling[node.right.id] = node.right, node.left
+    # An internal node with an internal left child and an internal sibling.
+    outer = next(
+        n for n in _walk(tree.root)
+        if n.id in sibling and not n.is_leaf and not n.left.is_leaf
+        and not sibling[n.id].is_leaf
+    )
+    inner = outer.left
+
+    pruned = prune_to_leaf(tree, [inner.id, outer.id])
+    assert pruned == prune_to_leaf(tree, [outer.id])
+    kept = _nodes_by_id(pruned)
+    assert inner.id not in kept
+    leaf = kept[outer.id]
+    assert leaf.is_leaf
+    assert (leaf.n, leaf.prediction, leaf.sse) == (outer.n, outer.prediction, outer.sse)
+    for node_id, node in kept.items():
+        if node_id != outer.id:
+            assert node.rule == nodes[node_id].rule
+    assert kept[sibling[outer.id].id] is sibling[outer.id]
+    assert pruned.leaf_count() == tree.leaf_count() - sum(
+        1 for n in _walk(outer) if n.is_leaf
+    ) + 1
+
+    assert prune_to_leaf(tree, ()) == tree
