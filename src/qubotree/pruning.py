@@ -214,6 +214,8 @@ def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarra
     re-predicts the rows under its newly collapsed nodes. Equals per-step
     re-evaluation exactly, at a fraction of the cost.
     """
+    if not steps:
+        raise ValueError("empty prune sequence")
     if data.response is None or data.n_rows == 0:
         raise DataError("evaluation needs a non-empty dataset with responses")
     base = steps[0].tree

@@ -16,8 +16,10 @@ import numpy as np
 
 from .datasets import ColumnSchema, Dataset
 from .dinkelbach import DinkelbachConfig, IterationTrace, dinkelbach_split
-from .solvers import SolverConfig
+from .solvers import SolverConfig, assignment_chunks
 from .stats import aggregate_categories, build_v_matrix
+
+EXHAUSTIVE_MAX_CATEGORIES = 22
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,13 @@ def _observed(codes: np.ndarray):
     observed = np.unique(codes)
     local = np.searchsorted(observed, codes)
     return observed, local
+
+
+def _two_child_sse(nl, sl, ql, n, s, q):
+    """Summed SSE of both children from left-child sums and node totals ``n, s, q``."""
+    sse_l = np.maximum(ql - sl * sl / nl, 0.0)
+    sse_r = np.maximum((q - ql) - (s - sl) ** 2 / (n - nl), 0.0)
+    return sse_l + sse_r
 
 
 def _subset_candidate(
@@ -98,36 +107,22 @@ def best_categorical_split_exhaustive(
     """
     observed, local = _observed(np.asarray(codes, dtype=np.int64))
     m = len(observed)
-    if not 2 <= m <= 22:
-        raise ValueError(f"{column.name}: exhaustive search supports 2..22 categories, got {m}")
+    if not 2 <= m <= EXHAUSTIVE_MAX_CATEGORIES:
+        raise ValueError(
+            f"{column.name}: exhaustive search takes 2..{EXHAUSTIVE_MAX_CATEGORIES} categories, got {m}"
+        )
     aggs, node = aggregate_categories(local, y, m)
     counts = np.array([a.n for a in aggs], dtype=np.float64)
     sums = np.array([a.sum for a in aggs])
     sums_sq = np.array([a.sum_sq for a in aggs])
 
-    # All assignments with the first bit set, visited in lexicographic order
-    # (chunked to bound memory) so the first minimum is the lex tie-break.
     best_cost = np.inf
     best_bits = None
-    total = 1 << (m - 1)
-    for start in range(0, total, 1 << 16):
-        patterns = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
-        bits = np.zeros((len(patterns), m), dtype=np.float64)
-        bits[:, 0] = 1.0
-        for j in range(1, m):
-            bits[:, j] = (patterns >> (m - 1 - j)) & 1
-        keep = bits.sum(axis=1) < m  # drop the all-ones (trivial) assignment
-        bits = bits[keep]
-        if not len(bits):
-            continue
-        nl = bits @ counts
-        nr = node.n - nl
-        sl = bits @ sums
-        ql = bits @ sums_sq
-        sse_l = np.maximum(ql - sl * sl / nl, 0.0)
-        sse_r = np.maximum((node.sum_sq - ql) - (node.sum - sl) ** 2 / nr, 0.0)
-        costs = sse_l + sse_r
-        i = int(np.argmin(costs))
+    for bits in assignment_chunks(m):
+        costs = _two_child_sse(
+            bits @ counts, bits @ sums, bits @ sums_sq, node.n, node.sum, node.sum_sq
+        )
+        i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_bits = bits[i].astype(bool)
@@ -149,13 +144,8 @@ def best_categorical_split_greedy(
     sums = np.array([a.sum for a in aggs])[order]
     sums_sq = np.array([a.sum_sq for a in aggs])[order]
 
-    nl = np.cumsum(counts)[:-1]
-    sl = np.cumsum(sums)[:-1]
-    ql = np.cumsum(sums_sq)[:-1]
-    nr = node.n - nl
-    sse_l = np.maximum(ql - sl * sl / nl, 0.0)
-    sse_r = np.maximum((node.sum_sq - ql) - (node.sum - sl) ** 2 / nr, 0.0)
-    costs = sse_l + sse_r
+    nl, sl, ql = (np.cumsum(x)[:-1] for x in (counts, sums, sums_sq))
+    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
     best = int(np.argmin(costs))
     left_mask = np.zeros(m, dtype=bool)
     left_mask[order[: best + 1]] = True
@@ -164,8 +154,11 @@ def best_categorical_split_greedy(
 
 def best_numeric_split(
     y: np.ndarray, x: np.ndarray, variable: str, min_bucket: int = 1
-) -> SplitCandidate:
-    """Threshold scan over midpoints between consecutive distinct values."""
+) -> Optional[SplitCandidate]:
+    """Threshold scan over midpoints between consecutive distinct values.
+
+    Returns None when no threshold leaves ``min_bucket`` rows on each side.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
@@ -178,19 +171,17 @@ def best_numeric_split(
     lo, hi = min_bucket - 1, n - min_bucket
     cuts = cuts[(cuts >= lo) & (cuts < hi)]
     if len(cuts) == 0:
-        raise ValueError(f"{variable}: no threshold satisfies the bucket minimum")
+        return None
 
     sl = np.cumsum(ys)
     ql = np.cumsum(ys * ys)
     nl = (cuts + 1).astype(np.float64)
-    nr = n - nl
-    sse_l = np.maximum(ql[cuts] - sl[cuts] ** 2 / nl, 0.0)
-    sse_r = np.maximum((ql[-1] - ql[cuts]) - (sl[-1] - sl[cuts]) ** 2 / nr, 0.0)
-    costs = sse_l + sse_r
+    costs = _two_child_sse(nl, sl[cuts], ql[cuts], n, sl[-1], ql[-1])
     best = int(np.argmin(costs))  # first minimum = smallest threshold
     threshold = 0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])
     rule = SplitRule(variable, "threshold", threshold=float(threshold))
-    return SplitCandidate(rule, float(costs[best]), int(nl[best]), int(nr[best]))
+    n_left = int(nl[best])
+    return SplitCandidate(rule, float(costs[best]), n_left, n - n_left)
 
 
 def best_split(
@@ -203,28 +194,33 @@ def best_split(
 ) -> Optional[SplitCandidate]:
     """Minimum-cost candidate across all eligible variables.
 
-    Ties break toward the earlier schema column. Categorical candidates that
-    leave a child below ``min_bucket`` are dropped rather than re-searched,
-    identically for every method, so method comparisons stay aligned.
+    Ties break toward the earlier schema column. Constant columns, and for
+    ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES`` levels, are
+    skipped. Categorical candidates that leave a child below ``min_bucket``
+    are dropped rather than re-searched, identically for every method, so
+    method comparisons stay aligned.
     """
     y = data.response[indices]
     best: Optional[SplitCandidate] = None
     for column in data.schema:
         values = data.column(column.name)[indices]
-        try:
-            if column.kind == "categorical":
-                if method == "greedy":
-                    cand = best_categorical_split_greedy(y, values, column)
-                elif method == "exhaustive":
-                    cand = best_categorical_split_exhaustive(y, values, column)
-                else:
-                    cand = best_categorical_split_qubo(y, values, column, solver_cfg, dk_cfg)
-                if cand.n_left < min_bucket or cand.n_right < min_bucket:
-                    continue
-            else:
-                cand = best_numeric_split(y, values, column.name, min_bucket)
-        except ValueError:
+        if values.min() == values.max():
             continue
+        if column.kind == "categorical":
+            if method == "greedy":
+                cand = best_categorical_split_greedy(y, values, column)
+            elif method == "exhaustive":
+                if len(np.unique(values)) > EXHAUSTIVE_MAX_CATEGORIES:
+                    continue
+                cand = best_categorical_split_exhaustive(y, values, column)
+            else:
+                cand = best_categorical_split_qubo(y, values, column, solver_cfg, dk_cfg)
+            if cand.n_left < min_bucket or cand.n_right < min_bucket:
+                continue
+        else:
+            cand = best_numeric_split(y, values, column.name, min_bucket)
+            if cand is None:
+                continue
         if best is None or cand.cost < best.cost:
             best = cand
     return best

@@ -113,14 +113,14 @@ def _left_masker(schema: tuple, data: Dataset):
     rows ``idx`` go left; labels absent from both sides of a subset rule go
     left only when ``unseen_left`` is set.
     """
-    model = {c.name: c for c in schema}
-    for name in model:
-        if name not in data.columns:
-            raise DataError(f"dataset is missing column {name!r}")
     code_maps = {}
-    for col in data.schema:
-        model_col = model.get(col.name)
-        if model_col is None or col.kind != "categorical":
+    for model_col in schema:
+        if model_col.name not in data.columns:
+            raise DataError(f"dataset is missing column {model_col.name!r}")
+        col = data.schema_for(model_col.name)
+        if (col.kind == "categorical") != (model_col.kind == "categorical"):
+            raise DataError(f"column {col.name!r}: {col.kind} here, {model_col.kind} in the model")
+        if col.kind != "categorical":
             continue
         unknown = set(col.categories) - set(model_col.categories)
         if unknown:

@@ -174,6 +174,12 @@ def test_ladder_rejects_labels_foreign_to_the_model():
         select_subtree(steps, foreign)
 
 
+def test_empty_ladder_rejected(worked_dataset):
+    for call in (ladder_mse, select_subtree):
+        with pytest.raises(ValueError, match="empty prune sequence"):
+            call([], worked_dataset)
+
+
 def test_ladder_mse_equals_per_step_evaluation():
     data, tree = _random_tree(105, n=250)
     steps = prune_sequence(tree)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qubotree import (
     solve_exhaustive,
 )
 from qubotree.dinkelbach import lambda_upper_bound
+from qubotree.solvers import CHUNK_ROWS, assignment_chunks
 
 from conftest import random_category_instance
 
@@ -80,36 +83,27 @@ def test_exhaustive_matches_naive_brute_force():
         assert 0 < sum(out.q) < m
 
 
-def test_exhaustive_incremental_tracks_full_recomputation():
-    # Replay the Gray walk and compare the incremental objective against a
-    # fresh evaluation at every anchor; also the optimum on an ill-scaled
-    # (1e9 responses) instance must match brute force.
+def test_exhaustive_matches_brute_force_at_1e9_scale():
+    # Ill-scaled instance (1e9 responses): the optimum must match brute force.
     rng = np.random.default_rng(21)
     counts = rng.integers(1, 10, size=12)
     codes = np.repeat(np.arange(12), counts)
     y = rng.normal(0, 1e9, size=len(codes))
     aggs, node = aggregate_categories(codes, y, 12)
     problem = build_qubo(build_v_matrix(aggs), aggs, node, lambda_upper_bound(node))
-    h = problem.h
-
-    q = np.zeros(12, dtype=np.float64)
-    q[0] = 1.0
-    g = h[:, 0].copy()
-    f = float(h[0, 0])
-    for k in range(1, 1 << 11):
-        j = (k & -k).bit_length()
-        sign = 1.0 - 2.0 * q[j]
-        f += sign * 2.0 * g[j] + h[j, j]
-        g += sign * h[:, j]
-        q[j] = 1.0 - q[j]
-        if k % 64 == 0:
-            exact = float(q @ h @ q)
-            assert abs(f - exact) <= 1e-8 * max(1.0, abs(exact), float(np.abs(h).max()))
-            f = exact
 
     out = solve_exhaustive(problem)
     best_f, _ = _brute_force(problem)
-    assert abs(out.objective - best_f) <= 1e-8 * max(1.0, float(np.abs(h).max()))
+    assert abs(out.objective - best_f) <= 1e-8 * max(1.0, float(np.abs(problem.h).max()))
+
+
+def test_assignment_chunks_lex_order():
+    rows = np.concatenate(list(assignment_chunks(4)))
+    expected = [q for q in itertools.product((0, 1), repeat=4) if q[0] == 1 and q != (1, 1, 1, 1)]
+    assert [tuple(int(b) for b in r) for r in rows] == expected
+    sizes = [len(c) for c in assignment_chunks(12)]
+    assert len(sizes) > 1 and max(sizes) <= CHUNK_ROWS
+    assert sum(sizes) == (1 << 11) - 1
 
 
 def test_exhaustive_rejects_large_m():

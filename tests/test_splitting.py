@@ -4,12 +4,18 @@ import pytest
 from qubotree import (
     ColumnSchema,
     Dataset,
+    aggregate_categories,
+    build_qubo,
+    build_v_matrix,
     best_categorical_split_exhaustive,
     best_categorical_split_greedy,
     best_categorical_split_qubo,
     best_numeric_split,
     best_split,
+    solve_exhaustive,
 )
+from qubotree import splitting
+from qubotree.dinkelbach import lambda_upper_bound
 
 from conftest import brute_force_best, direct_split_cost, random_category_instance
 
@@ -177,6 +183,9 @@ def test_numeric_split_min_bucket():
     y = np.arange(10.0) ** 2
     cand = best_numeric_split(y, x, "x", min_bucket=4)
     assert min(cand.n_left, cand.n_right) >= 4
+    # Only the cut 4|5 between distinct values exists; it leaves 4 rows left.
+    x = np.array([0.0] * 4 + [1.0] * 6)
+    assert best_numeric_split(y, x, "x", min_bucket=5) is None
 
 
 def _dataset(columns, response):
@@ -225,3 +234,48 @@ def test_best_split_min_bucket_drops_categorical():
     )
     assert best_split(data, np.arange(4), min_bucket=2) is None
     assert best_split(data, np.arange(4), min_bucket=1) is not None
+
+
+def test_optimum_in_second_enumeration_chunk():
+    # At M=18 the optimum (1, 1, 0, ..., 0) is row 2^16 of the lex order,
+    # so it lies past the first enumeration chunk.
+    rng = np.random.default_rng(60)
+    m = 18
+    means = np.concatenate([[100.0, 100.0], rng.uniform(0.0, 5.0, size=m - 2)])
+    codes = np.repeat(np.arange(m), 3)
+    y = means[codes] + rng.normal(0.0, 0.5, size=len(codes))
+    aggs, node = aggregate_categories(codes, y, m)
+    problem = build_qubo(build_v_matrix(aggs), aggs, node, lambda_upper_bound(node))
+    assert solve_exhaustive(problem).q == (1, 1) + (0,) * (m - 2)
+
+    column = ColumnSchema("c", "categorical", tuple(f"L{i:02d}" for i in range(m)))
+    for cand in (
+        best_categorical_split_exhaustive(y, codes, column),
+        best_categorical_split_qubo(y, codes, column),
+    ):
+        assert cand.rule.right_categories == ("L00", "L01")
+
+
+def test_best_split_skips_constant_and_oversized_columns():
+    many = [f"L{i:02d}" for i in range(splitting.EXHAUSTIVE_MAX_CATEGORIES + 1)]
+    n = len(many)
+    data = _dataset(
+        [
+            ("flat", "numeric", [1.0] * n),
+            ("wide", "categorical", many),
+            ("x", "numeric", list(range(n))),
+        ],
+        [float(i % 2) for i in range(n)],
+    )
+    assert best_split(data, np.arange(n), method="exhaustive").rule.variable == "x"
+    assert best_split(data, np.arange(n), method="greedy").rule.variable == "wide"
+
+
+def test_best_split_propagates_splitter_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("splitter bug")
+
+    monkeypatch.setattr(splitting, "best_numeric_split", broken)
+    data = _dataset([("x", "numeric", [0.0, 1.0, 2.0])], [0.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="splitter bug"):
+        best_split(data, np.arange(3))

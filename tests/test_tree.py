@@ -12,9 +12,11 @@ from qubotree import (
     evaluate_mse,
     generate_df,
     grow,
+    ladder_mse,
     load_model,
     predict,
     predict_many,
+    prune_sequence,
     save_model,
 )
 from qubotree.splitting import SplitRule
@@ -276,6 +278,17 @@ def test_predict_many_remaps_foreign_category_codes():
     foreign = _dataset([("c", "categorical", ["zzz"])], [0.0])
     with pytest.raises(DataError):
         predict_many(tree, foreign)
+
+
+def test_column_kind_mismatch_names_the_column():
+    data = _dataset([("c", "categorical", ["a", "a", "b", "b"])], [0.0, 0.0, 8.0, 8.0])
+    tree = grow(data, FULL)
+    numeric = _dataset([("c", "numeric", [0.0, 1.0])], [0.0, 8.0])
+    for call in (predict_many, evaluate_mse):
+        with pytest.raises(DataError, match="'c'"):
+            call(tree, numeric)
+    with pytest.raises(DataError, match="'c'"):
+        ladder_mse(prune_sequence(tree), numeric)
 
 
 def test_evaluate_mse_root_tree_is_variance(worked_dataset):
