@@ -138,10 +138,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _grow_config(args)
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
     started = time.monotonic()
-    tree = grow(data, _grow_config(args))
+    tree = grow(data, cfg)
     _log(f"trained in {time.monotonic() - started:.3f}s")
     save_model(tree, args.out)
     mse = evaluate_mse(tree, data)
@@ -182,12 +183,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    cfg = _grow_config(args)
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
     fractions = tuple(float(f) for f in args.fractions.split(","))
     spec = SplitSpecification(fractions, args.seed)
     started = time.monotonic()
-    report = evaluate_protocol(data, spec, _grow_config(args))
+    report = evaluate_protocol(data, spec, cfg)
     _log(f"protocol in {time.monotonic() - started:.3f}s ({report.steps_count} ladder steps)")
     header = ["tree_type", "method", "leaves", "depth", "alpha", "train_mse", "validation_mse", "test_mse"]
     rows = [
@@ -209,11 +211,11 @@ def _column_stats(data: Dataset, name: str):
 
 
 def cmd_trace(args) -> int:
+    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
     column, observed, aggs, node = _column_stats(data, args.column)
     v = build_v_matrix(aggs)
-    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     _, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, DinkelbachConfig(mode=args.init))
     rows = trace.rows()
     if args.format == "json":
@@ -233,6 +235,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
     column, observed, aggs, node = _column_stats(data, args.column)
@@ -240,7 +243,6 @@ def cmd_compare(args) -> int:
     y = data.response
     codes = data.column(args.column)
 
-    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     rows = []
     started = time.monotonic()
     cand = best_categorical_split_qubo(y, codes, column, solver_cfg, DinkelbachConfig(mode=args.init))

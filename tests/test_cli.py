@@ -288,3 +288,17 @@ def test_threads_validation(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code != 0
+
+
+@pytest.mark.parametrize("command", ["train", "protocol", "trace", "compare"])
+def test_exact_threshold_above_cap_fails_before_loading(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--schema", SCHEMA,
+            "--exact-threshold", "31", "--out", str(out)]
+    if command in ("trace", "compare"):
+        argv += ["--column", "Brand"]
+    code, _, err = _run(argv, capsys)
+    # The data file does not exist: the threshold is checked before any loading.
+    assert code == 2
+    assert "error: exact_threshold must be <= 30, got 31" in err
+    assert not out.exists()

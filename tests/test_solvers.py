@@ -15,7 +15,8 @@ from qubotree import (
     solve_exhaustive,
 )
 from qubotree.dinkelbach import lambda_upper_bound
-from qubotree.solvers import CHUNK_ROWS, assignment_chunks
+from qubotree.rng import Rng, derive_seed
+from qubotree.solvers import CHUNK_ROWS, EXACT_MAX_CATEGORIES, SolveOutcome, assignment_chunks
 
 from conftest import random_category_instance
 
@@ -107,8 +108,15 @@ def test_assignment_chunks_lex_order():
 
 
 def test_exhaustive_rejects_large_m():
+    m = EXACT_MAX_CATEGORIES + 1
     with pytest.raises(ValueError):
-        solve_exhaustive(QuboProblem(31, np.zeros((31, 31)), 0.0))
+        solve_exhaustive(QuboProblem(m, np.zeros((m, m)), 0.0))
+
+
+def test_exact_threshold_capped_at_exhaustive_limit():
+    assert SolverConfig(exact_threshold=EXACT_MAX_CATEGORIES).exact_threshold == EXACT_MAX_CATEGORIES
+    with pytest.raises(ValueError, match="exact_threshold"):
+        SolverConfig(exact_threshold=EXACT_MAX_CATEGORIES + 1)
 
 
 def test_anneal_matches_exhaustive_on_worked_node(worked_node):
@@ -176,3 +184,136 @@ def test_anneal_config_validation():
         AnnealConfig(t_init=1.0, t_final=2.0)
     with pytest.raises(ValueError):
         AnnealConfig(sweeps=0)
+    for bad in (0.0, -5.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t_init"):
+            AnnealConfig(t_init=bad)
+        with pytest.raises(ValueError, match="t_final"):
+            AnnealConfig(t_final=bad)
+    with pytest.raises(ValueError, match="t_final"):
+        AnnealConfig(t_init=5.0, t_final=0.0)
+    AnnealConfig(t_init=2.0)
+    AnnealConfig(t_final=1e-3)
+
+
+def _flip_delta(h, g, q, j):
+    sign = 1.0 - 2.0 * q[j]
+    return sign * 2.0 * g[j] + h[j, j]
+
+
+def _apply_flip(h, g, q, j):
+    if q[j] == 0:
+        g += h[:, j]
+        q[j] = 1
+    else:
+        g -= h[:, j]
+        q[j] = 0
+
+
+def _reference_anneal(p, cfg):
+    """The restarts run one after another, one proposal at a time: the reference
+    the batched ``solve_anneal`` must reproduce exactly."""
+    m = p.m
+    h = p.h
+    sweeps = cfg.sweeps if cfg.sweeps is not None else 200 * m
+    scale = float(np.max(np.abs(h)))
+    t0 = cfg.t_init if cfg.t_init is not None else max(scale, 1e-12)
+    t1 = cfg.t_final if cfg.t_final is not None else 1e-3 * t0
+    temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
+
+    best_q = None
+    best_f = np.inf
+    evaluations = 0
+    for restart in range(cfg.restarts):
+        rng = Rng(derive_seed(cfg.seed, 0xA11E, restart))
+        q = (rng.uniform01(m) < 0.5).astype(np.int8)
+        if q.min() == q.max():
+            q[int(rng.integers(m, 1)[0])] ^= 1
+        g = h @ q.astype(np.float64)
+        f = float(q @ h @ q)
+        seen_q = q.copy() if q.min() != q.max() else None
+        seen_f = f if seen_q is not None else np.inf
+
+        flips = rng.integers(m, sweeps)
+        accepts = rng.uniform01(sweeps)
+        for k in range(sweeps):
+            j = int(flips[k])
+            delta = _flip_delta(h, g, q, j)
+            if delta <= 0.0 or accepts[k] < np.exp(-delta / temps[k]):
+                f += delta
+                _apply_flip(h, g, q, j)
+                if q.min() != q.max() and f < seen_f:
+                    seen_f = f
+                    seen_q = q.copy()
+        evaluations += sweeps
+
+        if q.min() == q.max():
+            deltas = [_flip_delta(h, g, q, j) for j in range(m)]
+            _apply_flip(h, g, q, int(np.argmin(deltas)))
+            evaluations += m
+        while True:  # steepest non-trivial descent
+            best_j, best_delta = -1, 0.0
+            for j in range(m):
+                target = q.copy()
+                target[j] ^= 1
+                if target.min() == target.max():
+                    continue
+                delta = _flip_delta(h, g, q, j)
+                if delta < best_delta:
+                    best_j, best_delta = j, delta
+            evaluations += m
+            if best_j < 0:
+                break
+            _apply_flip(h, g, q, best_j)
+
+        for cand in (q, seen_q):
+            if cand is None:
+                continue
+            exact = float(cand @ h @ cand)
+            if exact < best_f or (exact == best_f and (best_q is None or tuple(cand) < tuple(best_q))):
+                best_f = exact
+                best_q = cand.copy()
+    return SolveOutcome(tuple(int(b) for b in best_q), best_f, "annealing", evaluations)
+
+
+def _two_group_problem(rng, m, offset=0.0, lam_scale=1.0):
+    """M categories whose means fall in two groups, like a high-cardinality column."""
+    codes = rng.integers(m, size=40 * m)
+    y = offset + (np.arange(m) % 2 * 3000.0)[codes] + rng.normal(0.0, 2000.0, size=len(codes))
+    aggs, node = aggregate_categories(codes, y, m)
+    return build_qubo(build_v_matrix(aggs), aggs, node, lam_scale * lambda_upper_bound(node))
+
+
+def _small_problem(rng, offset=0.0, lam_scale=1.0, integer=False):
+    codes, y, m = random_category_instance(rng, max_m=14, max_n=150)
+    if integer:  # exact float ties between a split and its mirror image
+        y = np.round(y / 100.0)
+    aggs, node = aggregate_categories(codes, y + offset, m)
+    return build_qubo(build_v_matrix(aggs), aggs, node, lam_scale * lambda_upper_bound(node))
+
+
+def test_batched_anneal_equals_sequential_restarts():
+    rng = np.random.default_rng(26)
+    cases = []
+    for i in range(24):
+        cases.append((_small_problem(rng, integer=i % 3 == 0), AnnealConfig(seed=i)))
+    # A hot random walk can end worse than a state it passed, or level with a
+    # different one: these cases reach the incumbent tracking and tie-breaks.
+    hot = dict(sweeps=50, restarts=1, t_init=1e12, t_final=1e11)
+    for i in range(60):
+        problem = _small_problem(rng, lam_scale=float(rng.uniform(0.3, 1.0)), integer=i % 2 == 0)
+        cases.append((problem, AnnealConfig(seed=400 + i, **hot)))
+    for i, sweeps in enumerate((1, 7, 300)):
+        for restarts in (1, 8):
+            problem = _small_problem(rng)
+            cases.append((problem, AnnealConfig(seed=100 + i, restarts=restarts, sweeps=sweeps)))
+    for seed in range(4):  # every state level: only the tie-breaks decide
+        cases.append((QuboProblem(6, np.zeros((6, 6)), 0.0), AnnealConfig(seed=seed, sweeps=20, restarts=2)))
+    cases.append((_small_problem(rng, offset=1e9), AnnealConfig(seed=200, sweeps=500)))
+    cases.append((_small_problem(rng, lam_scale=0.3), AnnealConfig(seed=201, sweeps=500)))
+    cases.append((_small_problem(rng), AnnealConfig(seed=202, sweeps=400, t_init=50.0, t_final=0.5)))
+    cases.append((_small_problem(rng), AnnealConfig(seed=203, sweeps=400, t_init=1e9, t_final=1e8)))
+    cases.append((_two_group_problem(rng, 40), AnnealConfig(seed=300)))
+    cases.append((_two_group_problem(rng, 40, offset=1e9), AnnealConfig(seed=301, restarts=1)))
+    cases.append((_two_group_problem(rng, 40, lam_scale=0.5), AnnealConfig(seed=302, sweeps=2000)))
+    for problem, cfg in cases:
+        assert solve_anneal(problem, cfg) == _reference_anneal(problem, cfg), cfg
