@@ -30,7 +30,7 @@ from .generators import generate_datagen, generate_df
 from .pruning import evaluate_protocol
 from .solvers import AnnealConfig, SolverConfig
 from .splitting import (
-    _observed,
+    EXHAUSTIVE_MAX_CATEGORIES,
     best_categorical_split_exhaustive,
     best_categorical_split_greedy,
     best_categorical_split_qubo,
@@ -205,16 +205,17 @@ def _column_stats(data: Dataset, name: str):
     column = data.schema_for(name)
     if column.kind != "categorical":
         raise DataError(f"column {name!r} is not categorical")
-    observed, local = _observed(data.column(name))
-    aggs, node = aggregate_categories(local, data.response, len(observed))
-    return column, observed, aggs, node
+    aggs, node = aggregate_categories(data.column(name), data.response, len(column.categories))
+    if len(aggs) < 2:
+        raise DataError(f"{name}: need at least two observed categories")
+    return column, aggs, node
 
 
 def cmd_trace(args) -> int:
     solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
-    column, observed, aggs, node = _column_stats(data, args.column)
+    column, aggs, node = _column_stats(data, args.column)
     v = build_v_matrix(aggs)
     _, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, DinkelbachConfig(mode=args.init))
     rows = trace.rows()
@@ -229,7 +230,7 @@ def cmd_trace(args) -> int:
     else:
         header = ["iteration", "lambda_initial", "binary_vector", "score", "lambda_final"]
         _write_rows(args.out, header, [[r[k] for k in header] for r in rows])
-    labels = ",".join(column.categories[int(i)] for i in observed)
+    labels = ",".join(column.categories[i] for i in aggs.index)
     print(f"column={args.column} categories=({labels}) converged={trace.converged} lambda_star={lam!r}")
     return 0
 
@@ -238,8 +239,8 @@ def cmd_compare(args) -> int:
     solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
     schema = _schema_from_args(args, args.data)
     data = load_csv(args.data, schema, args.response)
-    column, observed, aggs, node = _column_stats(data, args.column)
-    m = len(observed)
+    column, aggs, node = _column_stats(data, args.column)
+    m = len(aggs)
     y = data.response
     codes = data.column(args.column)
 
@@ -250,13 +251,14 @@ def cmd_compare(args) -> int:
     iters = len(cand.trace.steps) if cand.trace else 0
     rows.append(["qubo", "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, iters])
 
-    if m <= args.exact_threshold:
+    limit = min(args.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
+    if m <= limit:
         started = time.monotonic()
         cand = best_categorical_split_exhaustive(y, codes, column)
         _log(f"exhaustive: {time.monotonic() - started:.4f}s")
         rows.append(["exhaustive", "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, 1])
     else:
-        _log(f"exhaustive: skipped ({m} categories exceeds threshold {args.exact_threshold})")
+        _log(f"exhaustive: skipped ({m} categories exceeds limit {limit})")
 
     started = time.monotonic()
     cand = best_categorical_split_greedy(y, codes, column)

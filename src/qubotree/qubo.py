@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import CategoryAggregate, NodeStats, VMatrix, node_variance
+from .stats import CategoryStats, NodeStats, VMatrix, node_variance
 
 
 def as_bits(q) -> np.ndarray:
@@ -55,12 +55,10 @@ class QuboProblem:
 
 @dataclass(frozen=True)
 class FractionalParts:
-    """Numerator/denominator of the split cost plus the child sizes."""
+    """Numerator and denominator of the split cost."""
 
     numerator: float
     denominator: float
-    n_left: int
-    n_right: int
 
     def ratio(self) -> float:
         if self.denominator == 0:
@@ -68,7 +66,7 @@ class FractionalParts:
         return self.numerator / self.denominator
 
 
-def build_qubo(v: VMatrix, aggs, node: NodeStats, lam: float) -> QuboProblem:
+def build_qubo(v: VMatrix, aggs: CategoryStats, node: NodeStats, lam: float) -> QuboProblem:
     """Assemble H so that q^T H q == n(q) - lam * d(q) for every bit vector.
 
     Quadratic coefficients couple category pairs through the pairwise matrix
@@ -82,7 +80,7 @@ def build_qubo(v: VMatrix, aggs, node: NodeStats, lam: float) -> QuboProblem:
     m = v.m
     if m < 2:
         raise ValueError("need at least two categories")
-    counts = np.array([a.n for a in aggs], dtype=np.float64)
+    counts = aggs.n
     n_total = float(node.n)
     row = v.row_sums()
     quad = (
@@ -97,7 +95,7 @@ def build_qubo(v: VMatrix, aggs, node: NodeStats, lam: float) -> QuboProblem:
     return QuboProblem(m, h, float(lam))
 
 
-def eval_fractional(v: VMatrix, aggs, node: NodeStats, q) -> FractionalParts:
+def eval_fractional(v: VMatrix, aggs: CategoryStats, node: NodeStats, q) -> FractionalParts:
     """Evaluate n(q) and d(q) from the pairwise matrix.
 
     For a non-trivial assignment n(q)/d(q) equals the weighted child-variance
@@ -106,7 +104,7 @@ def eval_fractional(v: VMatrix, aggs, node: NodeStats, q) -> FractionalParts:
     bits = as_bits(q)
     if len(bits) != v.m:
         raise ValueError("assignment length does not match category count")
-    counts = np.array([a.n for a in aggs], dtype=np.float64)
+    counts = aggs.n
     n_total = float(node.n)
     n_left = float(bits @ counts)
     n_right = n_total - n_left
@@ -118,10 +116,10 @@ def eval_fractional(v: VMatrix, aggs, node: NodeStats, q) -> FractionalParts:
     )
     # Cancellation on near-constant responses can leave a tiny negative.
     numerator = max(0.0, numerator)
-    return FractionalParts(numerator, n_left * n_right, int(round(n_left)), int(round(n_right)))
+    return FractionalParts(numerator, n_left * n_right)
 
 
-def split_cost(v: VMatrix, aggs, node: NodeStats, q) -> float:
+def split_cost(v: VMatrix, aggs: CategoryStats, node: NodeStats, q) -> float:
     """Weighted child-variance sum of a non-trivial assignment."""
     if is_trivial(q):
         raise ValueError("split cost is undefined for a trivial assignment")

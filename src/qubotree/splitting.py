@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import ColumnSchema, Dataset
 from .dinkelbach import DinkelbachConfig, IterationTrace, dinkelbach_split
 from .solvers import SolverConfig, assignment_chunks
-from .stats import aggregate_categories, build_v_matrix
+from .stats import CategoryStats, aggregate_categories, build_v_matrix
 
 EXHAUSTIVE_MAX_CATEGORIES = 22
 
@@ -46,12 +46,6 @@ class SplitCandidate:
     trace: Optional[IterationTrace] = None
 
 
-def _observed(codes: np.ndarray):
-    observed = np.unique(codes)
-    local = np.searchsorted(observed, codes)
-    return observed, local
-
-
 def _two_child_sse(nl, sl, ql, n, s, q):
     """Summed SSE of both children from left-child sums and node totals ``n, s, q``."""
     sse_l = np.maximum(ql - sl * sl / nl, 0.0)
@@ -61,22 +55,19 @@ def _two_child_sse(nl, sl, ql, n, s, q):
 
 def _subset_candidate(
     column: ColumnSchema,
-    observed: np.ndarray,
-    aggs,
+    aggs: CategoryStats,
     left_mask: np.ndarray,
     cost: float,
     trace: Optional[IterationTrace] = None,
 ) -> SplitCandidate:
     """Assemble a canonical subset rule: smallest-mean category goes left."""
-    means = np.array([a.sum / a.n for a in aggs])
-    if not left_mask[int(np.argmin(means))]:
+    if not left_mask[int(np.argmin(aggs.sum / aggs.n))]:
         left_mask = ~left_mask
-    counts = np.array([a.n for a in aggs])
-    left_labels = tuple(column.categories[int(observed[i])] for i in np.flatnonzero(left_mask))
-    right_labels = tuple(column.categories[int(observed[i])] for i in np.flatnonzero(~left_mask))
+    left_labels = tuple(column.categories[i] for i in aggs.index[left_mask])
+    right_labels = tuple(column.categories[i] for i in aggs.index[~left_mask])
     rule = SplitRule(column.name, "subset", left_labels, right_labels)
-    n_left = int(counts[left_mask].sum())
-    return SplitCandidate(rule, float(cost), n_left, int(counts.sum()) - n_left, trace)
+    n_left = int(aggs.n[left_mask].sum())
+    return SplitCandidate(rule, float(cost), n_left, int(aggs.n.sum()) - n_left, trace)
 
 
 def best_categorical_split_qubo(
@@ -87,14 +78,13 @@ def best_categorical_split_qubo(
     dk_cfg: Optional[DinkelbachConfig] = None,
 ) -> SplitCandidate:
     """Optimal subset split via the iterative binary quadratic pipeline."""
-    observed, local = _observed(np.asarray(codes, dtype=np.int64))
-    if len(observed) < 2:
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    if len(aggs) < 2:
         raise ValueError(f"{column.name}: need at least two observed categories")
-    aggs, node = aggregate_categories(local, y, len(observed))
     v = build_v_matrix(aggs)
     q, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, dk_cfg)
     left_mask = np.array(q, dtype=bool)
-    return _subset_candidate(column, observed, aggs, left_mask, lam, trace)
+    return _subset_candidate(column, aggs, left_mask, lam, trace)
 
 
 def best_categorical_split_exhaustive(
@@ -105,51 +95,40 @@ def best_categorical_split_exhaustive(
     Costs come straight from per-category sums, independently of the
     quadratic-form machinery, so this doubles as an oracle for it.
     """
-    observed, local = _observed(np.asarray(codes, dtype=np.int64))
-    m = len(observed)
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    m = len(aggs)
     if not 2 <= m <= EXHAUSTIVE_MAX_CATEGORIES:
         raise ValueError(
             f"{column.name}: exhaustive search takes 2..{EXHAUSTIVE_MAX_CATEGORIES} categories, got {m}"
         )
-    aggs, node = aggregate_categories(local, y, m)
-    counts = np.array([a.n for a in aggs], dtype=np.float64)
-    sums = np.array([a.sum for a in aggs])
-    sums_sq = np.array([a.sum_sq for a in aggs])
 
     best_cost = np.inf
     best_bits = None
     for bits in assignment_chunks(m):
         costs = _two_child_sse(
-            bits @ counts, bits @ sums, bits @ sums_sq, node.n, node.sum, node.sum_sq
+            bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq, node.n, node.sum, node.sum_sq
         )
         i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_bits = bits[i].astype(bool)
-    return _subset_candidate(column, observed, aggs, best_bits, best_cost)
+    return _subset_candidate(column, aggs, best_bits, best_cost)
 
 
 def best_categorical_split_greedy(
     y: np.ndarray, codes: np.ndarray, column: ColumnSchema
 ) -> SplitCandidate:
     """Classical shortcut: sort categories by mean response, scan prefixes."""
-    observed, local = _observed(np.asarray(codes, dtype=np.int64))
-    m = len(observed)
-    if m < 2:
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    if len(aggs) < 2:
         raise ValueError(f"{column.name}: need at least two observed categories")
-    aggs, node = aggregate_categories(local, y, m)
-    means = np.array([a.sum / a.n for a in aggs])
-    order = np.argsort(means, kind="stable")
-    counts = np.array([a.n for a in aggs], dtype=np.float64)[order]
-    sums = np.array([a.sum for a in aggs])[order]
-    sums_sq = np.array([a.sum_sq for a in aggs])[order]
-
-    nl, sl, ql = (np.cumsum(x)[:-1] for x in (counts, sums, sums_sq))
+    order = np.argsort(aggs.sum / aggs.n, kind="stable")
+    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
     costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
     best = int(np.argmin(costs))
-    left_mask = np.zeros(m, dtype=bool)
+    left_mask = np.zeros(len(aggs), dtype=bool)
     left_mask[order[: best + 1]] = True
-    return _subset_candidate(column, observed, aggs, left_mask, costs[best])
+    return _subset_candidate(column, aggs, left_mask, costs[best])
 
 
 def best_numeric_split(
@@ -210,7 +189,7 @@ def best_split(
             if method == "greedy":
                 cand = best_categorical_split_greedy(y, values, column)
             elif method == "exhaustive":
-                if len(np.unique(values)) > EXHAUSTIVE_MAX_CATEGORIES:
+                if np.count_nonzero(np.bincount(values)) > EXHAUSTIVE_MAX_CATEGORIES:
                     continue
                 cand = best_categorical_split_exhaustive(y, values, column)
             else:

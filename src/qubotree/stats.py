@@ -26,9 +26,6 @@ class NodeStats:
         values = np.asarray(values, dtype=np.float64)
         return cls(len(values), math.fsum(values), math.fsum(values * values))
 
-    def variance(self) -> float:
-        return node_variance(self)
-
     def sse(self) -> float:
         """Sum of squared deviations from the node mean, clamped at 0."""
         if self.n == 0:
@@ -36,14 +33,26 @@ class NodeStats:
         return max(0.0, self.sum_sq - self.sum * self.sum / self.n)
 
 
-@dataclass(frozen=True)
-class CategoryAggregate:
-    """Per-category count, response sum, and response sum of squares."""
+@dataclass(frozen=True, eq=False)
+class CategoryStats:
+    """Per-category count, response sum, and response sum of squares.
 
-    index: int
-    n: int
-    sum: float
-    sum_sq: float
+    Entry i of each read-only array belongs to the i-th category observed at
+    the node, in code order; ``index`` holds those category codes and ``n``
+    the counts as float64.
+    """
+
+    index: np.ndarray
+    n: np.ndarray
+    sum: np.ndarray
+    sum_sq: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.index, self.n, self.sum, self.sum_sq):
+            values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 @dataclass(frozen=True)
@@ -89,30 +98,24 @@ def aggregate_categories(codes, y, n_categories: int):
     """Group a node's responses by category code.
 
     Categories with no observations at the node are dropped; the returned
-    aggregates carry their original category index. The NodeStats total is
-    assembled from the per-category sums so the two stay exactly consistent.
+    CategoryStats records the codes of the kept ones in ``index``. The
+    NodeStats total is assembled from the per-category sums so the two stay
+    exactly consistent.
     """
     codes = np.asarray(codes, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
     if len(codes) == 0:
         raise ValueError("empty node")
     counts = np.bincount(codes, minlength=n_categories)
-    sums = np.bincount(codes, weights=y, minlength=n_categories)
-    sums_sq = np.bincount(codes, weights=y * y, minlength=n_categories)
-    aggs = [
-        CategoryAggregate(int(a), int(counts[a]), float(sums[a]), float(sums_sq[a]))
-        for a in range(n_categories)
-        if counts[a] > 0
-    ]
-    node = NodeStats(
-        int(counts.sum()),
-        math.fsum(agg.sum for agg in aggs),
-        math.fsum(agg.sum_sq for agg in aggs),
-    )
+    index = np.flatnonzero(counts)
+    sums = np.bincount(codes, weights=y, minlength=n_categories)[index]
+    sums_sq = np.bincount(codes, weights=y * y, minlength=n_categories)[index]
+    aggs = CategoryStats(index, counts[index].astype(np.float64), sums, sums_sq)
+    node = NodeStats(int(counts.sum()), math.fsum(sums), math.fsum(sums_sq))
     return aggs, node
 
 
-def build_v_matrix(aggs) -> VMatrix:
+def build_v_matrix(aggs: CategoryStats) -> VMatrix:
     """Pairwise-difference matrix from sufficient statistics in O(M^2).
 
     V[a, b] = (n_b * q_a - 2 * s_a * s_b + n_a * q_b) / 2 with s the response
@@ -122,9 +125,7 @@ def build_v_matrix(aggs) -> VMatrix:
     m = len(aggs)
     if m < 1:
         raise ValueError("need at least one category")
-    n = np.array([a.n for a in aggs], dtype=np.float64)
-    s = np.array([a.sum for a in aggs], dtype=np.float64)
-    q = np.array([a.sum_sq for a in aggs], dtype=np.float64)
+    n, s, q = aggs.n, aggs.sum, aggs.sum_sq
     v = 0.5 * (np.outer(q, n) - 2.0 * np.outer(s, s) + np.outer(n, q))
     v = 0.5 * (v + v.T)  # exact symmetry despite float addition order
     np.maximum(v, 0.0, out=v)

@@ -327,7 +327,7 @@ def tree_to_dict(tree: RegressionTree) -> dict:
 
     walk(tree.root)
     cfg = tree.config
-    return {
+    doc = {
         "format": "qubotree-model",
         "version": 1,
         "response": tree.response_name,
@@ -352,6 +352,15 @@ def tree_to_dict(tree: RegressionTree) -> dict:
         },
         "nodes": nodes,
     }
+    optional = {
+        "anneal_sweeps": cfg.solver.anneal.sweeps,
+        "anneal_t_init": cfg.solver.anneal.t_init,
+        "anneal_t_final": cfg.solver.anneal.t_final,
+        "dinkelbach_custom_value": cfg.dinkelbach.custom_value,
+    }
+    # Unset (None) settings are not written, so default models keep their bytes.
+    doc["config"].update((key, value) for key, value in optional.items() if value is not None)
+    return doc
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
@@ -370,10 +379,17 @@ def tree_from_dict(doc: dict) -> RegressionTree:
         categorical_method=raw["categorical_method"],
         solver=SolverConfig(
             exact_threshold=raw["exact_threshold"],
-            anneal=AnnealConfig(seed=raw["anneal_seed"], restarts=raw["anneal_restarts"]),
+            anneal=AnnealConfig(
+                seed=raw["anneal_seed"],
+                sweeps=raw.get("anneal_sweeps"),
+                restarts=raw["anneal_restarts"],
+                t_init=raw.get("anneal_t_init"),
+                t_final=raw.get("anneal_t_final"),
+            ),
         ),
         dinkelbach=DinkelbachConfig(
             mode=raw["dinkelbach_mode"],
+            custom_value=raw.get("dinkelbach_custom_value"),
             rel_tolerance=raw["rel_tolerance"],
             max_iterations=raw["max_iterations"],
         ),

@@ -204,6 +204,35 @@ def test_compare_skips_exhaustive_above_threshold(tmp_path, capsys):
     assert "exhaustive," not in out
 
 
+def test_compare_skips_exhaustive_above_its_cap(tmp_path, capsys):
+    # 23 levels fit --exact-threshold 23 but not the exhaustive splitter's cap of 22.
+    m = 23
+    rows = ["c,Y"] + [f"k{i},{(i * 7) % m}" for i in range(m)] + [f"k{i},{(i * 7) % m}.5" for i in range(m)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(
+        ["compare", "--data", str(path), "--schema", "c:categorical", "--response", "Y",
+         "--column", "c", "--exact-threshold", str(m)],
+        capsys,
+    )
+    assert code == 0
+    assert "exhaustive: skipped (23 categories exceeds limit 22)" in err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["qubo", "greedy"]
+
+
+@pytest.mark.parametrize("command", ["trace", "compare"])
+def test_column_errors_name_the_column(tmp_path, capsys, command):
+    path = tmp_path / "one.csv"
+    path.write_text("A,x,Y\na,1.0,1\na,2.0,2\na,3.0,4\n", encoding="utf-8")
+    base = [command, "--data", str(path), "--schema", "A:categorical,x:numeric", "--response", "Y"]
+    code, _, err = _run(base + ["--column", "A"], capsys)
+    assert code == 2
+    assert "error: A: need at least two observed categories" in err
+    code, _, err = _run(base + ["--column", "x"], capsys)
+    assert code == 2
+    assert "error: column 'x' is not categorical" in err
+
+
 def test_protocol_command(tmp_path, capsys):
     data = str(tmp_path / "proto.csv")
     assert main(["generate", "--kind", "df", "--n", "400", "--seed", "21", "--out", data]) == 0

@@ -33,6 +33,32 @@ def test_worked_node_all_three_agree(worked_node):
     assert qubo.trace is not None and qubo.trace.converged
 
 
+def test_observed_codes_with_gaps_map_to_their_labels():
+    # Codes {1, 4, 7} of a 9-label schema against the same rows on 3 labels.
+    y = np.array([5.0, 5.5, 0.0, 0.5, 1.0, 6.0, 6.5, 4.5])
+    dense = np.array([0, 0, 1, 1, 1, 2, 2, 0])
+    labels = ("L1", "L4", "L7")
+    sparse = np.array([1, 4, 7])[dense]
+    wide = ColumnSchema("c", "categorical", tuple(f"L{i}" for i in range(9)))
+    narrow = ColumnSchema("c", "categorical", labels)
+    for splitter in (
+        best_categorical_split_qubo,
+        best_categorical_split_exhaustive,
+        best_categorical_split_greedy,
+    ):
+        cand = splitter(y, sparse, wide)
+        assert cand.rule == splitter(y, dense, narrow).rule
+        assert cand.rule.left_categories == ("L4",)
+        assert cand.rule.right_categories == ("L1", "L7")
+
+    aggs, node = aggregate_categories(sparse, y, 9)
+    assert aggs.index.tolist() == [1, 4, 7]
+    assert node.n == len(y)
+    for values in (aggs.index, aggs.n, aggs.sum, aggs.sum_sq):
+        with pytest.raises(ValueError):
+            values[0] = 0
+
+
 def test_canonical_orientation_smallest_mean_left():
     # Categories with means 100 and 1: the low-mean one must sit left.
     codes = np.array([0, 0, 1, 1])

@@ -69,18 +69,17 @@ def test_variance_clamped_nonnegative():
 def test_aggregate_worked_node(worked_node):
     codes, y, _ = worked_node
     aggs, node = aggregate_categories(codes, y, 4)
-    assert [(a.n, a.sum, a.sum_sq) for a in aggs] == [
-        (2, 2.0, 4.0),
-        (1, 10.0, 100.0),
-        (2, 26.0, 340.0),
-        (1, 1.0, 1.0),
-    ]
+    assert aggs.index.tolist() == [0, 1, 2, 3]
+    assert aggs.n.tolist() == [2.0, 1.0, 2.0, 1.0]
+    assert aggs.sum.tolist() == [2.0, 10.0, 26.0, 1.0]
+    assert aggs.sum_sq.tolist() == [4.0, 100.0, 340.0, 1.0]
     assert (node.n, node.sum, node.sum_sq) == (6, 39.0, 445.0)
 
 
 def test_aggregate_drops_empty_categories():
     aggs, node = aggregate_categories([0, 0, 3], [1.0, 2.0, 3.0], 5)
-    assert [a.index for a in aggs] == [0, 3]
+    assert aggs.index.tolist() == [0, 3]
+    assert aggs.n.tolist() == [2.0, 1.0]
     assert node.n == 3
 
 
@@ -93,8 +92,8 @@ def test_aggregates_sum_to_node():
     rng = np.random.default_rng(2)
     codes, y, m = random_category_instance(rng)
     aggs, node = aggregate_categories(codes, y, m)
-    assert sum(a.n for a in aggs) == node.n
-    assert sum(a.sum for a in aggs) == pytest.approx(node.sum, rel=1e-12)
+    assert aggs.n.sum() == node.n
+    assert aggs.sum.sum() == pytest.approx(node.sum, rel=1e-12)
 
 
 def test_v_matrix_worked_node(worked_node):
@@ -128,9 +127,9 @@ def test_v_matrix_invariants():
     assert np.array_equal(v.values, v.values.T)
     assert v.values.min() >= 0.0
     # Diagonal consistency: V[a, a] = n_a^2 * Var_a.
-    for i, agg in enumerate(aggs):
-        var_a = node_variance(NodeStats(agg.n, agg.sum, agg.sum_sq))
-        assert v.values[i, i] == pytest.approx(agg.n**2 * var_a, rel=1e-10, abs=1e-9)
+    for i, (n_a, s_a, q_a) in enumerate(zip(aggs.n, aggs.sum, aggs.sum_sq)):
+        var_a = node_variance(NodeStats(int(n_a), s_a, q_a))
+        assert v.values[i, i] == pytest.approx(n_a**2 * var_a, rel=1e-10, abs=1e-9)
     # Whole-node identity: sum of all entries = n^2 * Var.
     total = node.n**2 * node_variance(node)
     assert float(v.values.sum()) == pytest.approx(total, rel=1e-10)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qubotree import (
+    AnnealConfig,
     ColumnSchema,
     DataError,
     Dataset,
+    DinkelbachConfig,
     GrowConfig,
     describe,
     evaluate_mse,
@@ -18,6 +20,7 @@ from qubotree import (
     predict_many,
     prune_sequence,
     save_model,
+    SolverConfig,
 )
 from qubotree.splitting import SplitRule
 from qubotree.tree import TreeNode, RegressionTree, prune_to_leaf, tree_from_dict, tree_to_dict
@@ -324,6 +327,34 @@ def test_model_round_trip(tmp_path):
     path2 = str(tmp_path / "model2.json")
     save_model(back, path2)
     assert open(path).read() == open(path2).read()
+
+
+@pytest.mark.parametrize(
+    "solver, dinkelbach",
+    [
+        (SolverConfig(), DinkelbachConfig(mode="custom", custom_value=0.0)),
+        (SolverConfig(anneal=AnnealConfig(sweeps=50)), DinkelbachConfig()),
+        (
+            SolverConfig(exact_threshold=3, anneal=AnnealConfig(seed=9, restarts=2, t_init=5.0, t_final=0.25)),
+            DinkelbachConfig(mode="custom", custom_value=12.5, max_iterations=7),
+        ),
+    ],
+)
+def test_model_round_trip_keeps_the_whole_config(tmp_path, solver, dinkelbach):
+    cfg = GrowConfig(max_depth=2, min_split=2, min_bucket=1, cp=0.0, solver=solver, dinkelbach=dinkelbach)
+    tree = grow(_routing_fixture(), cfg)
+    path = str(tmp_path / "model.json")
+    save_model(tree, path)
+    assert load_model(path).config == tree.config
+
+
+def test_default_config_writes_no_unset_keys():
+    tree = grow(_routing_fixture(), GrowConfig(max_depth=1))
+    doc = tree_to_dict(tree)
+    for key in ("anneal_sweeps", "anneal_t_init", "anneal_t_final", "dinkelbach_custom_value"):
+        assert key not in doc["config"]
+    # Model files written without those keys still load, with the defaults.
+    assert tree_from_dict(json.loads(json.dumps(doc))).config == tree.config
 
 
 def test_from_dict_rejects_foreign_documents():
