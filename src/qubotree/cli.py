@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Optional
 
 from .datasets import (
@@ -28,7 +28,7 @@ from .datasets import (
 from .dinkelbach import DinkelbachConfig, dinkelbach_split
 from .generators import generate_datagen, generate_df
 from .pruning import evaluate_protocol
-from .solvers import AnnealConfig, SolverConfig
+from .solvers import EXACT_THRESHOLD_DEFAULT, AnnealConfig, SolverConfig
 from .splitting import (
     EXHAUSTIVE_MAX_CATEGORIES,
     best_categorical_split_exhaustive,
@@ -36,51 +36,48 @@ from .splitting import (
     best_categorical_split_qubo,
 )
 from .stats import aggregate_categories, build_v_matrix
-from .tree import GrowConfig, describe, evaluate_mse, grow, load_model, predict_many, save_model
+from .tree import (
+    CATEGORICAL_METHODS,
+    ROUTINGS,
+    GrowConfig,
+    describe,
+    evaluate_mse,
+    grow,
+    load_model,
+    predict_many,
+    save_model,
+)
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("QUBOTREE_THREADS", "1"))
-    if n < 1:
-        raise DataError("--threads must be >= 1")
-    return n
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
-    known = {action.dest: action for action in parser._actions}
-    defaults = {}
-    for key, raw in config.items():
-        if key not in known or key in ("help", "config"):
+def _config_flags(args) -> list:
+    """The ``--config`` file's entries as flags, checked against the command's options."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.config}: not UTF-8 text: {exc}") from None
+    flags = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{args.config}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key in ("command", "config", "func") or not hasattr(args, key):
             raise DataError(f"unknown config key {key!r}")
-        action = known[key]
-        if action.type is not None:
-            defaults[key] = action.type(raw)
-        elif isinstance(action.default, bool) or isinstance(action.const, bool):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if value.lower() in ("1", "true", "yes"):
+                flags.append(flag)
         else:
-            defaults[key] = raw
-    parser.set_defaults(**defaults)
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _log_resolved(args) -> None:
@@ -89,42 +86,38 @@ def _log_resolved(args) -> None:
     _log("config: " + " ".join(f"{k}={v}" for k, v in pairs))
 
 
-def _schema_from_args(args, data_path: str):
-    if args.schema == "auto":
-        return infer_schema(data_path, args.response)
-    return parse_schema(args.schema)
+def _load_data(args) -> Dataset:
+    schema = infer_schema(args.data, args.response) if args.schema == "auto" else parse_schema(args.schema)
+    return load_csv(args.data, schema, args.response)
+
+
+def _search_config(args, **grow) -> GrowConfig:
+    """The split-search settings the flags select; ``grow`` adds train's and protocol's stopping rules.
+
+    The settings are checked before any data is loaded, and a bad value is a user error.
+    """
+    try:
+        return GrowConfig(
+            solver=SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed)),
+            dinkelbach=DinkelbachConfig(mode=args.init),
+            **grow,
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _grow_config(args) -> GrowConfig:
-    anneal = AnnealConfig(seed=args.seed)
-    return GrowConfig(
-        max_depth=args.max_depth,
-        min_split=args.min_split,
-        min_bucket=args.min_bucket,
-        cp=args.cp,
-        routing=args.routing,
-        categorical_method=args.method,
-        solver=SolverConfig(exact_threshold=args.exact_threshold, anneal=anneal),
-        dinkelbach=DinkelbachConfig(mode=args.init),
+    return _search_config(
+        args, max_depth=args.max_depth, min_split=args.min_split, min_bucket=args.min_bucket,
+        cp=args.cp, routing=args.routing, categorical_method=args.method,
     )
 
 
 def _write_rows(path: Optional[str], header, rows) -> None:
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return "" if v is None else str(v)
-
-    if path:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(fmt(v) for v in row))
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_generate(args) -> int:
@@ -139,8 +132,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _grow_config(args)
-    schema = _schema_from_args(args, args.data)
-    data = load_csv(args.data, schema, args.response)
+    data = _load_data(args)
     started = time.monotonic()
     tree = grow(data, cfg)
     _log(f"trained in {time.monotonic() - started:.3f}s")
@@ -156,7 +148,7 @@ def cmd_predict(args) -> int:
     tree = load_model(args.model)
     data = load_csv(args.data, tree.schema, None)
     preds = predict_many(tree, data, args.routing)
-    _write_rows(args.out, ["prediction"], [[float(p)] for p in preds])
+    _write_rows(args.out, ["prediction"], [[p] for p in preds.tolist()])
     if args.out:
         print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -169,6 +161,8 @@ def cmd_eval(args) -> int:
     report = {"mse": mse}
     if args.baseline:
         base_mse = evaluate_mse(load_model(args.baseline), data, args.routing)
+        if base_mse == 0:
+            raise DataError("baseline MSE is 0, relative MSE is undefined")
         report["baseline_mse"] = base_mse
         report["relative_mse_pct"] = 100.0 * (mse - base_mse) / base_mse
     if args.out:
@@ -184,10 +178,12 @@ def cmd_eval(args) -> int:
 
 def cmd_protocol(args) -> int:
     cfg = _grow_config(args)
-    schema = _schema_from_args(args, args.data)
-    data = load_csv(args.data, schema, args.response)
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError:
+        raise DataError(f"--fractions must be comma-separated numbers, got {args.fractions!r}") from None
     spec = SplitSpecification(fractions, args.seed)
+    data = _load_data(args)
     started = time.monotonic()
     report = evaluate_protocol(data, spec, cfg)
     _log(f"protocol in {time.monotonic() - started:.3f}s ({report.steps_count} ladder steps)")
@@ -201,23 +197,23 @@ def cmd_protocol(args) -> int:
     return 0
 
 
-def _column_stats(data: Dataset, name: str):
-    column = data.schema_for(name)
+def _column_stats(args):
+    """Load the data and aggregate ``--column``, which needs two observed categories."""
+    data = _load_data(args)
+    column = data.schema_for(args.column)
     if column.kind != "categorical":
-        raise DataError(f"column {name!r} is not categorical")
-    aggs, node = aggregate_categories(data.column(name), data.response, len(column.categories))
+        raise DataError(f"column {args.column!r} is not categorical")
+    aggs, node = aggregate_categories(data.column(args.column), data.response, len(column.categories))
     if len(aggs) < 2:
-        raise DataError(f"{name}: need at least two observed categories")
-    return column, aggs, node
+        raise DataError(f"{args.column}: need at least two observed categories")
+    return data, column, aggs, node
 
 
 def cmd_trace(args) -> int:
-    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
-    schema = _schema_from_args(args, args.data)
-    data = load_csv(args.data, schema, args.response)
-    column, aggs, node = _column_stats(data, args.column)
+    cfg = _search_config(args)
+    _, column, aggs, node = _column_stats(args)
     v = build_v_matrix(aggs)
-    _, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, DinkelbachConfig(mode=args.init))
+    _, lam, trace = dinkelbach_split(v, aggs, node, cfg.solver, cfg.dinkelbach)
     rows = trace.rows()
     if args.format == "json":
         doc = {"column": args.column, "converged": trace.converged, "lambda_star": lam, "rows": rows}
@@ -236,35 +232,25 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    solver_cfg = SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
-    schema = _schema_from_args(args, args.data)
-    data = load_csv(args.data, schema, args.response)
-    column, aggs, node = _column_stats(data, args.column)
-    m = len(aggs)
-    y = data.response
-    codes = data.column(args.column)
-
-    rows = []
-    started = time.monotonic()
-    cand = best_categorical_split_qubo(y, codes, column, solver_cfg, DinkelbachConfig(mode=args.init))
-    _log(f"qubo: {time.monotonic() - started:.4f}s")
-    iters = len(cand.trace.steps) if cand.trace else 0
-    rows.append(["qubo", "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, iters])
-
+    cfg = _search_config(args)
+    data, column, aggs, _ = _column_stats(args)
+    y, codes = data.response, data.column(args.column)
     limit = min(args.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
-    if m <= limit:
+    searches = (
+        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, cfg.solver, cfg.dinkelbach)),
+        ("exhaustive", lambda: best_categorical_split_exhaustive(y, codes, column)),
+        ("greedy", lambda: best_categorical_split_greedy(y, codes, column)),
+    )
+    rows = []
+    for method, search in searches:
+        if method == "exhaustive" and len(aggs) > limit:
+            _log(f"exhaustive: skipped ({len(aggs)} categories exceeds limit {limit})")
+            continue
         started = time.monotonic()
-        cand = best_categorical_split_exhaustive(y, codes, column)
-        _log(f"exhaustive: {time.monotonic() - started:.4f}s")
-        rows.append(["exhaustive", "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, 1])
-    else:
-        _log(f"exhaustive: skipped ({m} categories exceeds limit {limit})")
-
-    started = time.monotonic()
-    cand = best_categorical_split_greedy(y, codes, column)
-    _log(f"greedy: {time.monotonic() - started:.4f}s")
-    rows.append(["greedy", "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, 1])
-
+        cand = search()
+        _log(f"{method}: {time.monotonic() - started:.4f}s")
+        iterations = len(cand.trace.steps) if cand.trace else 1
+        rows.append([method, "{" + ",".join(cand.rule.left_categories) + "}", cand.cost, iterations])
     _write_rows(args.out, ["method", "left_partition", "cost", "iterations"], rows)
     return 0
 
@@ -283,18 +269,27 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--response", default="ClaimAmount", help="response column name")
 
 
-def _add_grow(parser: argparse.ArgumentParser, max_tree: bool = False) -> None:
-    preset = GrowConfig.max_tree() if max_tree else GrowConfig()
+def _add_search(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
+    parser.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound",
+                        help="ratio-iteration initialization")
+
+
+def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig) -> None:
     parser.add_argument("--max-depth", type=int, default=preset.max_depth)
     parser.add_argument("--min-split", type=int, default=preset.min_split)
     parser.add_argument("--min-bucket", type=int, default=preset.min_bucket)
     parser.add_argument("--cp", type=float, default=preset.cp)
-    parser.add_argument("--routing", choices=("complement", "majority"), default=preset.routing)
-    parser.add_argument("--method", choices=("qubo", "greedy", "exhaustive"), default="qubo",
+    parser.add_argument("--routing", choices=ROUTINGS, default=preset.routing)
+    parser.add_argument("--method", choices=CATEGORICAL_METHODS, default=preset.categorical_method,
                         help="categorical split searcher")
-    parser.add_argument("--exact-threshold", type=int, default=preset.solver.exact_threshold)
-    parser.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound",
-                        help="ratio-iteration initialization")
+    _add_search(parser)
+
+
+def _add_model(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--routing", choices=ROUTINGS, default=None, help="default: the model's")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,33 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a regression tree and save the model")
     _add_data(p)
-    _add_grow(p)
+    _add_grow(p, GrowConfig())
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--describe", action="store_true", help="print the tree structure")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict a CSV with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_model(p)
     p.add_argument("--out", default=None, help="predictions CSV (stdout otherwise)")
-    p.add_argument("--routing", choices=("complement", "majority"), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="MSE of a saved model on a CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_model(p)
     p.add_argument("--response", default=None, help="response column (default: model's)")
     p.add_argument("--baseline", default=None, help="baseline model for relative MSE")
-    p.add_argument("--routing", choices=("complement", "majority"), default=None)
     p.add_argument("--out", default=None, help="JSON report path")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("protocol", help="partition, grow, prune, select, and score")
     _add_data(p)
-    _add_grow(p, max_tree=True)
+    _add_grow(p, GrowConfig.max_tree())
     p.add_argument("--fractions", default="0.5,0.25,0.25")
     p.add_argument("--out", default=None, help="report CSV (stdout otherwise)")
     _add_common(p)
@@ -345,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="ratio-iteration convergence table for one column")
     _add_data(p)
     p.add_argument("--column", required=True)
-    p.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound")
-    p.add_argument("--exact-threshold", type=int, default=SolverConfig().exact_threshold)
+    _add_search(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     _add_common(p)
@@ -355,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="qubo vs exhaustive vs greedy on one column")
     _add_data(p)
     p.add_argument("--column", required=True)
-    p.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound")
-    p.add_argument("--exact-threshold", type=int, default=SolverConfig().exact_threshold)
+    _add_search(p)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
@@ -367,36 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # Config-file defaults must be installed on the subparser before parsing.
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is not None:
-        try:
-            command = next(a for a in argv if not a.startswith("-"))
-        except StopIteration:
-            parser.error("missing command")
-        sub_actions = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        subparser = sub_actions.choices.get(command)
-        if subparser is None:
-            parser.error(f"unknown command {command!r}")
-        try:
-            _apply_config(subparser, _load_config_file(config_path))
-        except (DataError, OSError, ValueError) as exc:
-            _log(f"error: {exc}")
-            return 2
-
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
+        if args.config is not None:
+            # Config entries go right after the command name, so typed flags,
+            # parsed later, win; argparse converts and checks both alike.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+        if args.threads is not None and args.threads < 1:
+            raise DataError("--threads must be >= 1")
         _log_resolved(args)
         return args.func(args)
-    except (DataError, ValueError, OSError, KeyError) as exc:
+    except (DataError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -108,6 +109,27 @@ class SplitSpecification:
             raise DataError("fractions must sum to 1")
 
 
+@contextmanager
+def _read_csv(path: str):
+    """Open a UTF-8 CSV and yield its header and a reader over the remaining rows.
+
+    An unreadable, empty or non-UTF-8 file raises DataError naming the path.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            yield header, reader
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def parse_schema(spec: str) -> list:
     """Parse ``name:kind,name:kind,...`` into ColumnSchema entries."""
     out = []
@@ -126,12 +148,7 @@ def parse_schema(spec: str) -> list:
 
 def infer_schema(path: str, response_column: str) -> list:
     """Sniff feature kinds from a CSV: 0/1 -> binary, floats -> numeric, else categorical."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with _read_csv(path) as (header, reader):
         values = {name: set() for name in header}
         for row in reader:
             for name, cell in zip(header, row):
@@ -161,16 +178,7 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
     values and unparseable cells are rejected with the offending row index.
     With ``response_column=None`` the result is a prediction-only frame.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with _read_csv(path) as (header, reader):
         positions = {name: i for i, name in enumerate(header)}
         for col in schema:
             if col.name not in positions:
@@ -184,8 +192,8 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
         response = [] if response_column is not None else None
 
         for row_idx, row in enumerate(reader):
-            if len(row) < len(header):
-                raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells")
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells, got {len(row)}")
             for col in schema:
                 cell = row[positions[col.name]]
                 if cell == "":
@@ -255,8 +263,7 @@ def write_csv(data: Dataset, path: str) -> None:
                 decoded.append([repr(float(v)) for v in arr])
         if data.response is not None:
             decoded.append([repr(float(v)) for v in data.response])
-        for i in range(data.n_rows):
-            writer.writerow([column[i] for column in decoded])
+        writer.writerows(zip(*decoded))
 
 
 def partition(data: Dataset, spec: SplitSpecification):

@@ -51,28 +51,26 @@ class _Work:
         self.n_train = n_train
         self.node: dict = {}
         self.parent: dict = {}
-        self.depth: dict = {}
         self.leaves_under: dict = {}
         self.leaf_sse: dict = {}
         self.internal: set = set()
 
-        def walk(node: TreeNode, parent_id, depth):
+        def walk(node: TreeNode, parent_id):
             self.node[node.id] = node
             self.parent[node.id] = parent_id
-            self.depth[node.id] = depth
             if node.is_leaf:
                 self.leaves_under[node.id] = 1
                 self.leaf_sse[node.id] = node.sse
                 return
             self.internal.add(node.id)
-            walk(node.left, node.id, depth + 1)
-            walk(node.right, node.id, depth + 1)
+            walk(node.left, node.id)
+            walk(node.right, node.id)
             self.leaves_under[node.id] = (
                 self.leaves_under[node.left.id] + self.leaves_under[node.right.id]
             )
             self.leaf_sse[node.id] = self.leaf_sse[node.left.id] + self.leaf_sse[node.right.id]
 
-        walk(tree.root, None, 0)
+        walk(tree.root, None)
         self.root_id = tree.root.id
 
     def g(self, node_id: int) -> float:

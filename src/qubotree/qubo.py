@@ -28,7 +28,7 @@ def is_trivial(q) -> bool:
     return bool(bits.min() == bits.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboProblem:
     """Symmetric matrix H with linear terms folded onto the diagonal."""
 

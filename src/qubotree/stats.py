@@ -55,7 +55,7 @@ class CategoryStats:
         return len(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VMatrix:
     """Symmetric matrix of half pairwise squared response differences.
 

@@ -364,7 +364,7 @@ def tree_to_dict(tree: RegressionTree) -> dict:
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
-    if doc.get("format") != "qubotree-model":
+    if not isinstance(doc, dict) or doc.get("format") != "qubotree-model":
         raise DataError("not a qubotree model document")
     schema = tuple(
         ColumnSchema(c["name"], c["kind"], tuple(c["categories"])) for c in doc["schema"]
@@ -424,8 +424,14 @@ def save_model(tree: RegressionTree, path: str) -> None:
 
 
 def load_model(path: str) -> RegressionTree:
+    """Read a model file; one that is not a well-formed model raises DataError naming the path."""
     with open(path, encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+        try:
+            return tree_from_dict(json.load(fh))
+        except KeyError as exc:
+            raise DataError(f"{path}: model file is missing key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: malformed model file: {exc}") from None
 
 
 def prune_to_leaf(tree: RegressionTree, collapse_ids) -> RegressionTree:

@@ -146,6 +146,11 @@ def test_trace_command(tmp_path, small_csv, capsys):
     lines = open(out_path).read().splitlines()
     assert lines[0] == "iteration,lambda_initial,binary_vector,score,lambda_final"
     assert "converged=True" in out
+    code, stdout_table, _ = _run(
+        ["trace", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount", "--column", "Brand"],
+        capsys,
+    )
+    assert code == 0 and stdout_table == open(out_path).read() + out  # the file, then the summary
     # Zero-init trace starts from the all-zeros row.
     code, out, _ = _run(
         ["trace", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount",
@@ -187,7 +192,12 @@ def test_compare_on_worked_node(tmp_path, capsys):
     assert set(rows) == {"qubo", "exhaustive", "greedy"}
     for line in rows.values():
         assert "10.0" in line
-        assert "{C1" in line or "C4}" in line
+        assert '"{C1' in line or 'C4}"' in line
+    code, out, _ = _run(
+        ["compare", "--data", str(path), "--schema", "c:categorical", "--response", "Y", "--column", "c"],
+        capsys,
+    )
+    assert code == 0 and out == open(out_path).read()
 
 
 def test_compare_skips_exhaustive_above_threshold(tmp_path, capsys):
@@ -256,6 +266,12 @@ def test_protocol_rejects_bad_fractions(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code != 0 and "error" in err
+    code, _, err = _run(
+        ["protocol", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount",
+         "--fractions", "0.5,x,0.25"],
+        capsys,
+    )
+    assert code == 2 and "error: --fractions must be comma-separated numbers" in err
 
 
 def test_config_file_defaults_and_unknown_key(tmp_path, small_csv, capsys):
@@ -331,3 +347,61 @@ def test_exact_threshold_above_cap_fails_before_loading(tmp_path, capsys, comman
     assert code == 2
     assert "error: exact_threshold must be <= 30, got 31" in err
     assert not out.exists()
+
+
+def test_config_values_are_checked_like_flags(tmp_path, small_csv, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = foo\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--data", small_csv, "--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_program_errors_are_not_reported_as_user_errors(tmp_path, small_csv, monkeypatch):
+    def broken(data, cfg):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("qubotree.cli.grow", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["train", "--data", small_csv, "--schema", SCHEMA, "--out", str(tmp_path / "m.json")])
+
+
+def test_unreadable_inputs_exit_2(tmp_path, small_csv, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", small_csv, "--schema", SCHEMA, "--max-depth", "1", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    del doc["config"]["max_depth"]
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps(doc), encoding="utf-8")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(model.read_text()[:100], encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("Brand,ClaimAmount\nCitro\u00ebn,1\nKia,2\n".encode("latin-1"))
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("response = Montant\u00e9\n".encode("latin-1"))
+    cases = [
+        (["predict", "--model", str(missing), "--data", small_csv], "model file is missing key 'max_depth'"),
+        (["predict", "--model", str(truncated), "--data", small_csv], "malformed model file"),
+        (["train", "--data", str(latin1), "--out", str(tmp_path / "m.json")], "not UTF-8 text"),
+        (["train", "--data", str(latin1), "--schema", "Brand:categorical", "--out", str(tmp_path / "m.json")],
+         "not UTF-8 text"),
+        (["train", "--config", str(cfg), "--data", small_csv, "--out", str(tmp_path / "m.json")], "not UTF-8 text"),
+    ]
+    for argv, message in cases:
+        code, _, err = _run(argv, capsys)
+        assert code == 2, argv
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and message in last, err
+
+
+def test_eval_baseline_with_zero_mse_fails(tmp_path, small_csv, capsys):
+    model = str(tmp_path / "max.json")
+    assert main(["train", "--data", small_csv, "--schema", SCHEMA, "--max-depth", "64", "--min-split", "2",
+                 "--min-bucket", "1", "--cp", "0", "--out", model]) == 0
+    report = tmp_path / "eval.json"
+    code, _, err = _run(["eval", "--model", model, "--data", small_csv, "--baseline", model,
+                         "--out", str(report)], capsys)
+    assert code == 2
+    assert "error: baseline MSE is 0, relative MSE is undefined" in err
+    assert not report.exists()

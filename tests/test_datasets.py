@@ -58,6 +58,14 @@ def test_load_csv_missing_value_rejected(tmp_path):
         load_csv(path, [ColumnSchema("A", "numeric")], "Y")
 
 
+@pytest.mark.parametrize("row, got", [("a,1", 2), ("a,1,2,9", 4)])
+def test_load_csv_rejects_row_width_mismatch(tmp_path, row, got):
+    path = _write(tmp_path, f"c,x,Y\nb,0,1\n{row}\n")
+    schema = [ColumnSchema("c", "categorical"), ColumnSchema("x", "numeric")]
+    with pytest.raises(DataError, match=f"row 1: expected 3 cells, got {got}"):
+        load_csv(path, schema, "Y")
+
+
 def test_load_csv_binary_validation(tmp_path):
     path = _write(tmp_path, "A,Y\n2,1\n")
     with pytest.raises(DataError, match="binary"):

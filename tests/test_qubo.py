@@ -59,6 +59,15 @@ def test_worked_node_qubo_values(worked_node):
     assert problem.evaluate([1, 0, 1, 0]) == pytest.approx(-24.0, rel=1e-9)
 
 
+def test_array_records_compare_by_identity(worked_node):
+    codes, y, _ = worked_node
+    v, aggs, node = _setup(codes, y, 4)
+    twin, _, _ = _setup(codes, y, 4)
+    problem = build_qubo(v, aggs, node, 1.0)
+    assert (v == v) is True and (v == twin) is False
+    assert (problem == problem) is True and (problem == build_qubo(v, aggs, node, 1.0)) is False
+
+
 def test_build_qubo_rejects_bad_args(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
