@@ -75,6 +75,10 @@ def _config_flags(args) -> list:
         if isinstance(getattr(args, key), bool):
             if value.lower() in ("1", "true", "yes"):
                 flags.append(flag)
+            elif value.lower() not in ("0", "false", "no"):
+                raise DataError(
+                    f"{args.config}:{lineno}: {key} takes 1/true/yes or 0/false/no, got {value!r}"
+                )
         else:
             flags.append(f"{flag}={value}")
     return flags

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,35 +148,54 @@ def parse_schema(spec: str) -> list:
 
 
 def infer_schema(path: str, response_column: str) -> list:
-    """Sniff feature kinds from a CSV: 0/1 -> binary, floats -> numeric, else categorical."""
+    """Sniff feature kinds from every cell of a CSV.
+
+    A column whose cells are all 0/1 is binary, one whose cells all parse as
+    floats is numeric, and any other is categorical.
+    """
     with _read_csv(path) as (header, reader):
-        values = {name: set() for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                if len(values[name]) <= 64:
-                    values[name].add(cell)
+        features = [name for name in header if name != response_column]
+        binary = dict.fromkeys(features, True)
+        numeric = dict.fromkeys(features, True)
+        has_rows = False
+        # Blocks of rows, so that set() and map() test a column's cells in C.
+        while block := list(islice(reader, 4096)):
+            has_rows = True
+            for name, cells in zip(header, zip(*block)):
+                if name == response_column:
+                    continue
+                binary[name] = binary[name] and set(cells) <= {"0", "1"}
+                if numeric[name] and not binary[name]:
+                    try:
+                        list(map(float, cells))
+                    except ValueError:
+                        numeric[name] = False
     out = []
-    for name in header:
-        if name == response_column:
-            continue
-        seen = values[name]
-        if seen <= {"0", "1"} and seen:
+    for name in features:
+        if binary[name] and has_rows:
             out.append(ColumnSchema(name, "binary"))
-            continue
-        try:
-            for cell in seen:
-                float(cell)
+        elif numeric[name]:
             out.append(ColumnSchema(name, "numeric"))
-        except ValueError:
+        else:
             out.append(ColumnSchema(name, "categorical"))
     return out
+
+
+def _finite(path: str, name: str, values: list) -> np.ndarray:
+    """``values`` as a float64 array; a nan or infinite value raises DataError naming its row."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        raise DataError(f"{path}: row {bad[0]}: non-finite value {values[bad[0]]!r} in {name!r}")
+    return arr
 
 
 def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optional[str]) -> Dataset:
     """Load a header-first CSV against ``schema``.
 
     Categorical category lists are taken in first-appearance order. Missing
-    values and unparseable cells are rejected with the offending row index.
+    values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
+    rejected with the offending row index.
     With ``response_column=None`` the result is a prediction-only frame.
     """
     with _read_csv(path) as (header, reader):
@@ -237,8 +257,8 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
             columns[col.name] = np.asarray(raw[col.name], dtype=np.int64)
         else:
             final_schema.append(col)
-            columns[col.name] = np.asarray(raw[col.name], dtype=np.float64)
-    resp = None if response is None else np.asarray(response, dtype=np.float64)
+            columns[col.name] = _finite(path, col.name, raw[col.name])
+    resp = None if response is None else _finite(path, response_column, response)
     return Dataset(tuple(final_schema), columns, resp, response_column or "y")
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import DataError, Dataset, SplitSpecification, partition
-from .tree import GrowConfig, RegressionTree, TreeNode, grow, prune_to_leaf, route_rows
+from .tree import GrowConfig, RegressionTree, grow, preorder, prune_to_leaf, route_rows
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,24 @@ class _Work:
 
     def __init__(self, tree: RegressionTree, n_train: int):
         self.n_train = n_train
+        self.root_id = tree.root.id
         self.node: dict = {}
-        self.parent: dict = {}
+        self.parent: dict = {self.root_id: None}
         self.leaves_under: dict = {}
         self.leaf_sse: dict = {}
         self.internal: set = set()
-
-        def walk(node: TreeNode, parent_id):
+        # Reversed preorder visits both children of a node before the node.
+        for node, _ in reversed(list(preorder(tree.root))):
             self.node[node.id] = node
-            self.parent[node.id] = parent_id
             if node.is_leaf:
                 self.leaves_under[node.id] = 1
                 self.leaf_sse[node.id] = node.sse
-                return
+                continue
+            left, right = node.left.id, node.right.id
             self.internal.add(node.id)
-            walk(node.left, node.id)
-            walk(node.right, node.id)
-            self.leaves_under[node.id] = (
-                self.leaves_under[node.left.id] + self.leaves_under[node.right.id]
-            )
-            self.leaf_sse[node.id] = self.leaf_sse[node.left.id] + self.leaf_sse[node.right.id]
-
-        walk(tree.root, None)
-        self.root_id = tree.root.id
+            self.parent[left] = self.parent[right] = node.id
+            self.leaves_under[node.id] = self.leaves_under[left] + self.leaves_under[right]
+            self.leaf_sse[node.id] = self.leaf_sse[left] + self.leaf_sse[right]
 
     def g(self, node_id: int) -> float:
         node = self.node[node_id]
@@ -83,14 +78,7 @@ class _Work:
         node = self.node[node_id]
         delta_leaves = 1 - self.leaves_under[node_id]
         delta_sse = node.sse - self.leaf_sse[node_id]
-
-        def drop(sub: TreeNode):
-            self.internal.discard(sub.id)
-            if not sub.is_leaf:
-                drop(sub.left)
-                drop(sub.right)
-
-        drop(node)
+        self.internal.difference_update(sub.id for sub, _ in preorder(node))
         self.leaves_under[node_id] = 1
         self.leaf_sse[node_id] = node.sse
         up = self.parent[node_id]
@@ -219,16 +207,14 @@ def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarra
     base = steps[0].tree
 
     # Route once through the widest tree, recording the rows reaching every
-    # node, their training prediction and the node's depth.
+    # node and their training prediction.
     reached: dict = {}
-    depth_of = {base.root.id: 0}
     preds = np.empty(data.n_rows, dtype=np.float64)
     for node, idx in route_rows(base, data, routing):
         reached[node.id] = (node.prediction, idx)
         if node.is_leaf:
             preds[idx] = node.prediction
-        else:
-            depth_of[node.left.id] = depth_of[node.right.id] = depth_of[node.id] + 1
+    depth_of = {node.id: depth for node, depth in preorder(base.root)}
 
     y = data.response
     se = float(np.sum((y - preds) ** 2))
@@ -246,23 +232,25 @@ def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarra
     return np.asarray(out)
 
 
-def _select(rows) -> int:
-    """Index of the minimal validation MSE; ties go to fewer leaves, then the earlier step."""
-    return min(range(len(rows)), key=lambda i: (rows[i].validation_mse, rows[i].leaves))
+def select_subtree(steps, validation: Dataset, test: Optional[Dataset] = None) -> SelectionReport:
+    """Pick the ladder step with minimal validation MSE.
 
-
-def select_subtree(steps, validation: Dataset) -> SelectionReport:
-    """Pick the ladder step with minimal validation MSE, smaller tree on ties."""
+    Ties go to fewer leaves, then to the earlier step. With ``test`` given,
+    every row also carries the step's test MSE, which plays no part in the
+    choice.
+    """
     if not steps:
         raise ValueError("empty prune sequence")
     if validation.response is None or validation.n_rows == 0:
         raise DataError("empty validation set")
-    val_mse = ladder_mse(steps, validation)
+    val_mse = ladder_mse(steps, validation).tolist()
+    test_mse = [None] * len(steps) if test is None else ladder_mse(steps, test).tolist()
     rows = tuple(
-        StepEvaluation(i, s.alpha, s.leaves, s.train_risk, float(val_mse[i]))
+        StepEvaluation(i, s.alpha, s.leaves, s.train_risk, val_mse[i], test_mse[i])
         for i, s in enumerate(steps)
     )
-    return SelectionReport(_select(rows), rows)
+    chosen = min(range(len(rows)), key=lambda i: (rows[i].validation_mse, rows[i].leaves))
+    return SelectionReport(chosen, rows)
 
 
 @dataclass(frozen=True)
@@ -290,12 +278,6 @@ class ProtocolReport:
     steps_count: int
     selected_tree: RegressionTree = field(repr=False, compare=False, default=None)
 
-    def row(self, tree_type: str) -> ProtocolRow:
-        for r in self.rows:
-            if r.tree_type == tree_type:
-                return r
-        raise KeyError(tree_type)
-
 
 def evaluate_protocol(
     data: Dataset,
@@ -311,14 +293,8 @@ def evaluate_protocol(
     train, validation, test = partition(data, split_spec)
     max_tree = grow(train, cfg)
     steps = prune_sequence(max_tree, train.n_rows)
-    val_mse = ladder_mse(steps, validation)
-    test_mse = ladder_mse(steps, test)
-
-    rows = tuple(
-        StepEvaluation(i, s.alpha, s.leaves, s.train_risk, float(val_mse[i]), float(test_mse[i]))
-        for i, s in enumerate(steps)
-    )
-    chosen = _select(rows)
+    selection = select_subtree(steps, validation, test)
+    rows, chosen = selection.rows, selection.chosen_index
     test_best = int(np.argmin([r.test_mse for r in rows]))
     root = len(steps) - 1
     trees = {i: steps[i].tree for i in (root, chosen, test_best, 0)}

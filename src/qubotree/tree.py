@@ -83,25 +83,25 @@ class RegressionTree:
     response_name: str = "y"
 
     def leaf_count(self) -> int:
-        return sum(1 for node in preorder(self.root) if node.is_leaf)
+        return sum(1 for node, _ in preorder(self.root) if node.is_leaf)
 
     def depth(self) -> int:
-        def walk(node, d):
-            if node.is_leaf:
-                return d
-            return max(walk(node.left, d + 1), walk(node.right, d + 1))
-
-        return walk(self.root, 0)
+        return max(depth for _, depth in preorder(self.root))
 
 
 def preorder(node: TreeNode):
-    stack = [node]
+    """Yield ``(node, depth)`` for the subtree at ``node``, depth counted from it.
+
+    Parents come before their children and each left subtree before its
+    right one. This is the one read-only walk over a tree.
+    """
+    stack = [(node, 0)]
     while stack:
-        cur = stack.pop()
-        yield cur
+        cur, depth = stack.pop()
+        yield cur, depth
         if not cur.is_leaf:
-            stack.append(cur.right)
-            stack.append(cur.left)
+            stack.append((cur.right, depth + 1))
+            stack.append((cur.left, depth + 1))
 
 
 def _left_masker(schema: tuple, data: Dataset):
@@ -279,18 +279,13 @@ def describe(tree: RegressionTree) -> str:
     lines = [
         f"leaves={tree.leaf_count()} depth={tree.depth()} n_train={tree.n_train}"
     ]
-
-    def walk(node: TreeNode, indent: int):
-        pad = "  " * indent
+    for node, depth in preorder(tree.root):
+        pad = "  " * depth
         head = f"{pad}node {node.id}: n={node.n} yhat={node.prediction!r} sse={node.sse!r}"
         if node.is_leaf:
             lines.append(head + " leaf")
         else:
             lines.append(head + f" split {_rule_text(node.rule)}")
-            walk(node.left, indent + 1)
-            walk(node.right, indent + 1)
-
-    walk(tree.root, 0)
     return "\n".join(lines)
 
 
@@ -307,25 +302,18 @@ def _rule_to_dict(rule: Optional[SplitRule]):
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:
-    nodes = []
-
-    def walk(node: TreeNode):
-        nodes.append(
-            {
-                "id": node.id,
-                "n": node.n,
-                "prediction": node.prediction,
-                "sse": node.sse,
-                "rule": _rule_to_dict(node.rule),
-                "left": None if node.is_leaf else node.left.id,
-                "right": None if node.is_leaf else node.right.id,
-            }
-        )
-        if not node.is_leaf:
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
+    nodes = [
+        {
+            "id": node.id,
+            "n": node.n,
+            "prediction": node.prediction,
+            "sse": node.sse,
+            "rule": _rule_to_dict(node.rule),
+            "left": None if node.is_leaf else node.left.id,
+            "right": None if node.is_leaf else node.right.id,
+        }
+        for node, _ in preorder(tree.root)
+    ]
     cfg = tree.config
     doc = {
         "format": "qubotree-model",

@@ -349,6 +349,32 @@ def test_exact_threshold_above_cap_fails_before_loading(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_config_boolean_values(tmp_path, small_csv, capsys):
+    model = str(tmp_path / "m.json")
+    base = ["train", "--data", small_csv, "--schema", SCHEMA, "--max-depth", "1", "--out", model]
+    cfg = tmp_path / "run.cfg"
+    for value, described in (("TRUE", True), ("Yes", True), ("1", True), ("no", False), ("False", False)):
+        cfg.write_text(f"describe = {value}\n", encoding="utf-8")
+        code, out, err = _run(base + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert f"describe={described}" in err
+        assert ("node 0:" in out) == described
+    cfg.write_text("# typo below\ndescribe = ture\n", encoding="utf-8")
+    code, out, err = _run(base + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"error: {cfg}:2: describe takes 1/true/yes or 0/false/no, got 'ture'" in err
+
+
+def test_non_finite_cells_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("c,x,Y\na,1,nan\nb,2,1\na,3,2\nb,4,3\n", encoding="utf-8")
+    for command in (["compare", "--column", "c"], ["train", "--out", str(tmp_path / "m.json")]):
+        code, out, err = _run(command + ["--data", str(path), "--response", "Y"], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {path}: row 0: non-finite value nan in 'Y'"
+
+
 def test_config_values_are_checked_like_flags(tmp_path, small_csv, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = foo\n", encoding="utf-8")

@@ -58,6 +58,22 @@ def test_load_csv_missing_value_rejected(tmp_path):
         load_csv(path, [ColumnSchema("A", "numeric")], "Y")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("b,2,1\na,nan,2\n", "row 1: non-finite value nan in 'x'"),
+        ("b,-inf,1\na,2,2\n", "row 0: non-finite value -inf in 'x'"),
+        ("b,2,1\na,3,2\nb,4,nan\n", "row 2: non-finite value nan in 'Y'"),
+        ("b,2,1\na,3,Infinity\n", "row 1: non-finite value inf in 'Y'"),
+    ],
+)
+def test_load_csv_rejects_non_finite_numbers(tmp_path, rows, message):
+    path = _write(tmp_path, "c,x,Y\n" + rows)
+    schema = [ColumnSchema("c", "categorical"), ColumnSchema("x", "numeric")]
+    with pytest.raises(DataError, match=message):
+        load_csv(path, schema, "Y")
+
+
 @pytest.mark.parametrize("row, got", [("a,1", 2), ("a,1,2,9", 4)])
 def test_load_csv_rejects_row_width_mismatch(tmp_path, row, got):
     path = _write(tmp_path, f"c,x,Y\nb,0,1\n{row}\n")
@@ -107,6 +123,19 @@ def test_parse_and_infer_schema(tmp_path):
     path = _write(tmp_path, "a,b,c,Y\n1.5,red,0,2\n2.5,blue,1,3\n")
     inferred = {c.name: c.kind for c in infer_schema(path, "Y")}
     assert inferred == {"a": "numeric", "b": "categorical", "c": "binary"}
+
+
+@pytest.mark.parametrize("n", [80, 5000])
+def test_infer_schema_reads_every_cell(tmp_path, n):
+    # n distinct numeric labels, then one that is not a number: categorical.
+    rows = "".join(f"{i},{i % 2},{i}.5\n" for i in range(n)) + "abc,1,2\n"
+    path = _write(tmp_path, "c,b,Y\n" + rows)
+    assert [(c.name, c.kind) for c in infer_schema(path, "Y")] == [("c", "categorical"), ("b", "binary")]
+    data = load_csv(path, infer_schema(path, "Y"), "Y")
+    assert data.schema[0].categories[-1] == "abc"
+    # A 2 after n binary-looking cells makes the column numeric.
+    rows = "".join(f"{i % 2},{i}\n" for i in range(n)) + "2,1\n"
+    assert infer_schema(_write(tmp_path, "b,Y\n" + rows, "late.csv"), "Y") == [ColumnSchema("b", "numeric")]
 
 
 def test_partition_sizes_exact():

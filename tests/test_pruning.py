@@ -217,6 +217,24 @@ def test_select_subtree_prefers_generalizing_tree():
     assert chosen.validation_mse <= report.rows[-1].validation_mse
 
 
+def test_select_subtree_test_rows_do_not_change_the_choice():
+    _, tree = _random_tree(106, n=250)
+    steps = prune_sequence(tree)
+    validation, test = generate_df(150, 801), generate_df(150, 802)
+    plain = select_subtree(steps, validation)
+    with_test = select_subtree(steps, validation, test)
+    assert with_test.chosen_index == plain.chosen_index
+    assert [r.test_mse for r in plain.rows] == [None] * len(steps)
+    assert [r.test_mse for r in with_test.rows] == ladder_mse(steps, test).tolist()
+    assert [replace(r, test_mse=None) for r in with_test.rows] == list(plain.rows)
+
+
+def test_protocol_rejects_an_empty_validation_part():
+    data = generate_df(40, 3)
+    with pytest.raises(DataError, match="empty validation set"):
+        evaluate_protocol(data, SplitSpecification((0.98, 0.01, 0.01), seed=3))
+
+
 def test_selection_report_serializable(worked_dataset):
     stump = grow(worked_dataset, GrowConfig(max_depth=1, min_split=2, min_bucket=1, cp=0.0))
     report = select_subtree(prune_sequence(stump), worked_dataset)

@@ -23,7 +23,7 @@ from qubotree import (
     SolverConfig,
 )
 from qubotree.splitting import SplitRule
-from qubotree.tree import TreeNode, RegressionTree, prune_to_leaf, tree_from_dict, tree_to_dict
+from qubotree.tree import TreeNode, RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
 
 
 def _dataset(columns, response):
@@ -230,6 +230,40 @@ def test_routing_divergence_on_unseen_category():
     for label in ("A", "B"):
         covered = {"x": 0.0, "Color": label}
         assert predict(tree, covered, "complement") == predict(tree, covered, "majority")
+
+
+def _hand_tree(shape, ids):
+    """A tree of the nested-pair ``shape`` (a leaf is None), node ids from ``ids`` in preorder."""
+    node_id = next(ids)
+    if shape is None:
+        return TreeNode(node_id, 1, 0.0, 0.0)
+    left, right = _hand_tree(shape[0], ids), _hand_tree(shape[1], ids)
+    rule = SplitRule("x", "threshold", (), (), float(node_id))
+    return TreeNode(node_id, left.n + right.n, 0.0, 0.0, rule, left, right)
+
+
+def test_preorder_yields_parents_first_and_left_before_right():
+    # 0 -> (1 leaf, 2 -> (3 leaf, 4 -> (5 leaf, 6 leaf))): deeper on the right.
+    root = _hand_tree((None, (None, (None, None))), iter(range(7)))
+    walk = [(node.id, depth) for node, depth in preorder(root)]
+    assert walk == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)]
+    sub = root.right.right
+    assert [(node.id, depth) for node, depth in preorder(sub)] == [(4, 0), (5, 1), (6, 1)]
+
+
+@pytest.mark.parametrize(
+    "shape, depth, leaves",
+    [
+        (None, 0, 1),
+        ((((None, None), None), None), 3, 4),
+        ((None, (None, (None, (None, None)))), 4, 5),
+        (((None, None), (None, ((None, None), None))), 4, 6),
+    ],
+)
+def test_depth_and_leaf_count_on_hand_built_trees(shape, depth, leaves):
+    tree = RegressionTree(_hand_tree(shape, iter(range(100))), (ColumnSchema("x", "numeric"),), GrowConfig(), 1)
+    assert tree.depth() == depth
+    assert tree.leaf_count() == leaves
 
 
 def test_unseen_label_routing_on_handmade_branch():
