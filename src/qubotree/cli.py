@@ -241,7 +241,7 @@ def cmd_compare(args) -> int:
     y, codes = data.response, data.column(args.column)
     limit = min(args.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
     searches = (
-        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, cfg.solver, cfg.dinkelbach)),
+        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, cfg.solver, cfg.dinkelbach, warm=False)),
         ("exhaustive", lambda: best_categorical_split_exhaustive(y, codes, column)),
         ("greedy", lambda: best_categorical_split_greedy(y, codes, column)),
     )
@@ -276,7 +276,9 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
     parser.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound",
-                        help="ratio-iteration initialization")
+                        help="start of the ratio iteration in trace and compare; grown trees start "
+                             "at the sorted-means split and do not depend on it (train still records "
+                             "it in the model)")
 
 
 def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig) -> None:

@@ -195,7 +195,8 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
 
     Categorical category lists are taken in first-appearance order. Missing
     values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
-    rejected with the offending row index.
+    rejected with the offending row index, and so is a response whose sum of
+    squares overflows.
     With ``response_column=None`` the result is a prediction-only frame.
     """
     with _read_csv(path) as (header, reader):
@@ -259,6 +260,11 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
             final_schema.append(col)
             columns[col.name] = _finite(path, col.name, raw[col.name])
     resp = None if response is None else _finite(path, response_column, response)
+    if resp is not None:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(resp @ resp):
+                # Every split cost is computed from these squares.
+                raise DataError(f"{path}: the sum of squares of {response_column!r} overflows float64")
     return Dataset(tuple(final_schema), columns, resp, response_column or "y")
 
 

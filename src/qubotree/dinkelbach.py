@@ -5,6 +5,8 @@ sequence of binary quadratic subproblems n(q) - lam_k * d(q), with lam
 updated to the incumbent ratio. Trivial minimizers (empty child) reset lam to
 the parent bound n * Var, and the loop stops only at a non-trivial
 near-zero objective, so one-sided "splits" can never be reported as optima.
+Started from a known split's cost instead, the first solve is an optimality
+certificate for that split.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ def dinkelbach_split(
     node: NodeStats,
     solver_cfg: Optional[SolverConfig] = None,
     dk_cfg: Optional[DinkelbachConfig] = None,
+    start=None,
 ):
     """Run the ratio iteration on one categorical node.
 
@@ -101,6 +104,15 @@ def dinkelbach_split(
     minimizer of the subproblem is trivial (solver optimum still positive,
     which happens below the optimal ratio) the step is recorded against the
     all-zeros vector and lam resets to the parent bound.
+
+    A non-trivial ``start`` assignment replaces ``dk_cfg.mode``: lam starts at
+    its cost. With two categories the start is the only split and comes back,
+    first bit set, as one converged step without a solve. Otherwise the first
+    solve is a certificate: an objective within tolerance of zero proves lam
+    optimal, a negative one continues the iteration from the solver's
+    assignment, and a positive one (the solver missed the incumbent's own
+    value of zero) stops the iteration, which returns the best assignment
+    seen, non-converged.
 
     On a zero-variance node there is nothing to split; the best-so-far
     assignment is returned flagged non-converged with lam_star = 0.
@@ -119,9 +131,20 @@ def dinkelbach_split(
         q0 = tuple([1] + [0] * (m - 1))
         return q0, 0.0, trace
 
-    lam = dk_cfg.initial_lambda(node)
     best_q: Optional[tuple] = None
     best_ratio = np.inf
+    if start is None:
+        lam = dk_cfg.initial_lambda(node)
+    else:
+        flip = 1 - int(start[0])  # first bit set, as the exact solver returns it
+        best_q = tuple(int(b) ^ flip for b in start)
+        parts = eval_fractional(v, aggs, node, best_q)
+        lam = best_ratio = parts.ratio()
+        if m == 2:
+            f_val = parts.numerator - lam * parts.denominator
+            trace.steps.append(TraceStep(1, lam, best_q, f_val, lam, lam))
+            trace.converged = True
+            return best_q, lam, trace
 
     for k in range(1, dk_cfg.max_iterations + 1):
         problem = build_qubo(v, aggs, node, lam)
@@ -130,6 +153,9 @@ def dinkelbach_split(
         f_val = parts.numerator - lam * parts.denominator
         tol = dk_cfg.rel_tolerance * max(1.0, lam * parts.denominator)
 
+        if f_val > tol and start is not None:
+            trace.steps.append(TraceStep(k, lam, outcome.q, f_val, parts.ratio(), lam))
+            break
         if f_val > tol:
             # The solver's best non-trivial value is still positive, so the
             # unconstrained minimizer is the trivial assignment: reset lam.

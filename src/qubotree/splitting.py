@@ -1,10 +1,11 @@
 """Best-split search per variable.
 
-Categorical variables go through the ratio-iteration QUBO pipeline (with an
-exhaustive-partition searcher and a sorted-means greedy scan as independent
-baselines); numeric and binary variables use the classic sorted threshold
-scan. All subset rules are canonicalized so the left side contains the
-category with the smallest mean response.
+Categorical variables go through the ratio-iteration QUBO pipeline, started
+at the sorted-means scan's split so that one solve certifies it (the scan on
+its own and an exhaustive-partition searcher are the baselines); numeric and
+binary variables use the classic sorted threshold scan. All subset rules are
+canonicalized so the left side contains the category with the smallest mean
+response.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .datasets import ColumnSchema, Dataset
 from .dinkelbach import DinkelbachConfig, IterationTrace, dinkelbach_split
 from .solvers import SolverConfig, assignment_chunks
-from .stats import CategoryStats, aggregate_categories, build_v_matrix
+from .stats import CategoryStats, NodeStats, aggregate_categories, build_v_matrix
 
 EXHAUSTIVE_MAX_CATEGORIES = 22
 
@@ -70,19 +71,41 @@ def _subset_candidate(
     return SplitCandidate(rule, float(cost), n_left, int(aggs.n.sum()) - n_left, trace)
 
 
+def _sorted_scan(aggs: CategoryStats, node: NodeStats) -> tuple:
+    """Fisher's sorted-means prefix scan: the best left mask and its cost.
+
+    For squared error the best prefix of the categories sorted by mean is an
+    optimal subset split (Fisher 1958).
+    """
+    order = np.argsort(aggs.sum / aggs.n, kind="stable")
+    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
+    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+    best = int(np.argmin(costs))
+    left_mask = np.zeros(len(aggs), dtype=bool)
+    left_mask[order[: best + 1]] = True
+    return left_mask, costs[best]
+
+
 def best_categorical_split_qubo(
     y: np.ndarray,
     codes: np.ndarray,
     column: ColumnSchema,
     solver_cfg: Optional[SolverConfig] = None,
     dk_cfg: Optional[DinkelbachConfig] = None,
+    warm: bool = True,
 ) -> SplitCandidate:
-    """Optimal subset split via the iterative binary quadratic pipeline."""
+    """Optimal subset split via the iterative binary quadratic pipeline.
+
+    ``warm`` starts the ratio iteration at the sorted scan's split, so one
+    solve certifies it (none with two categories); ``warm=False`` runs the
+    cold iteration from ``dk_cfg.mode``.
+    """
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     if len(aggs) < 2:
         raise ValueError(f"{column.name}: need at least two observed categories")
     v = build_v_matrix(aggs)
-    q, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, dk_cfg)
+    start = _sorted_scan(aggs, node)[0] if warm else None
+    q, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, dk_cfg, start)
     left_mask = np.array(q, dtype=bool)
     return _subset_candidate(column, aggs, left_mask, lam, trace)
 
@@ -122,13 +145,7 @@ def best_categorical_split_greedy(
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     if len(aggs) < 2:
         raise ValueError(f"{column.name}: need at least two observed categories")
-    order = np.argsort(aggs.sum / aggs.n, kind="stable")
-    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
-    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
-    best = int(np.argmin(costs))
-    left_mask = np.zeros(len(aggs), dtype=bool)
-    left_mask[order[: best + 1]] = True
-    return _subset_candidate(column, aggs, left_mask, costs[best])
+    return _subset_candidate(column, aggs, *_sorted_scan(aggs, node))
 
 
 def best_numeric_split(

@@ -72,14 +72,35 @@ def direct_split_cost(y_left, y_right):
     return out
 
 
-def brute_force_partitions(codes, y, m):
-    """Cost of every non-trivial assignment, keyed by the left-category set."""
+def brute_force_partitions_loop(codes, y, m):
+    """Reference for ``brute_force_partitions``: one partition at a time."""
     results = {}
     for bits in range(1, (1 << m) - 1):
         left = frozenset(a for a in range(m) if bits >> a & 1)
         mask = np.isin(codes, list(left))
         results[left] = direct_split_cost(y[mask], y[~mask])
     return results
+
+
+def _centred_sse(rows, y):
+    """Per row of the (K, N) boolean ``rows``: SSE of the selected ``y`` about their mean."""
+    count = rows.sum(axis=1)
+    mean = (rows @ y) / np.maximum(count, 1)
+    dev = np.where(rows, y[None, :] - mean[:, None], 0.0)
+    return np.einsum("ij,ij->i", dev, dev)
+
+
+def brute_force_partitions(codes, y, m):
+    """Cost of every non-trivial assignment, keyed by the left-category set.
+
+    All 2^m - 2 assignments at once: row k of the bit matrix is the binary
+    expansion of k + 1 (bit a = category a), and each child's SSE is taken
+    about its own mean straight from the raw rows.
+    """
+    bits = (np.arange(1, (1 << m) - 1)[:, None] >> np.arange(m)) & 1
+    left_rows = bits.astype(bool)[:, codes]
+    costs = _centred_sse(left_rows, y) + _centred_sse(~left_rows, y)
+    return {frozenset(np.flatnonzero(row).tolist()): float(c) for row, c in zip(bits, costs)}
 
 
 def brute_force_best(codes, y, m):

@@ -375,6 +375,16 @@ def test_non_finite_cells_exit_2(tmp_path, capsys):
         assert err.splitlines()[-1] == f"error: {path}: row 0: non-finite value nan in 'Y'"
 
 
+def test_overflowing_response_squares_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("c,x,Y\na,1,1e200\nb,2,1\na,3,2\nb,4,3e200\n", encoding="utf-8")
+    for command in (["compare", "--column", "c"], ["train", "--out", str(tmp_path / "m.json")]):
+        code, out, err = _run(command + ["--data", str(path), "--response", "Y"], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {path}: the sum of squares of 'Y' overflows float64"
+
+
 def test_config_values_are_checked_like_flags(tmp_path, small_csv, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = foo\n", encoding="utf-8")

@@ -82,6 +82,16 @@ def test_load_csv_rejects_row_width_mismatch(tmp_path, row, got):
         load_csv(path, schema, "Y")
 
 
+def test_load_csv_rejects_overflowing_response_squares(tmp_path):
+    path = _write(tmp_path, "c,x,Y\na,1,1e200\nb,2,1\na,3,2\nb,4,3e200\n")
+    schema = [ColumnSchema("c", "categorical"), ColumnSchema("x", "numeric")]
+    with pytest.raises(DataError, match="sum of squares of 'Y' overflows"):
+        load_csv(path, schema, "Y")
+    # Cells this large are fine anywhere else.
+    data = load_csv(path, schema[:1] + [ColumnSchema("Y", "numeric")], "x")
+    assert data.column("Y")[3] == 3e200
+
+
 def test_load_csv_binary_validation(tmp_path):
     path = _write(tmp_path, "A,Y\n2,1\n")
     with pytest.raises(DataError, match="binary"):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import qubotree.dinkelbach
 from qubotree import (
+    ColumnSchema,
     DinkelbachConfig,
     NodeStats,
     aggregate_categories,
+    best_categorical_split_qubo,
     build_v_matrix,
     dinkelbach_split,
     lambda_upper_bound,
 )
+from qubotree.solvers import SolveOutcome, solve
 
 from conftest import brute_force_best, random_category_instance
 
@@ -156,3 +160,103 @@ def test_max_iterations_returns_best_so_far(worked_node):
     assert not trace.converged
     assert q == (1, 0, 0, 1)
     assert lam == pytest.approx(10.0, rel=1e-9)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(problem, cfg=None):
+        calls.append(problem.m)
+        return solve(problem, cfg)
+
+    monkeypatch.setattr(qubotree.dinkelbach, "solve", counted)
+    return calls
+
+
+def test_warm_split_matches_cold_iteration():
+    # Criterion 4's instances: the sorted-scan start plus one certificate
+    # solve ends where the cold iteration from the parent bound ends.
+    rng = np.random.default_rng(104)
+    for _ in range(200):
+        codes, y, m = random_category_instance(rng, max_m=12, max_n=200)
+        column = ColumnSchema("c", "categorical", tuple(f"k{j}" for j in range(m)))
+        warm = best_categorical_split_qubo(y, codes, column)
+        cold = best_categorical_split_qubo(y, codes, column, warm=False)
+        assert cold.trace.steps[0].lambda_in == lambda_upper_bound(_setup(codes, y, m)[2])
+        assert cold.trace.converged
+        assert warm.cost == pytest.approx(cold.cost, rel=1e-9)
+        assert warm.trace.converged and len(warm.trace.steps) == 1
+        if warm.rule != cold.rule:
+            # Tied optima: another partition at the same cost.
+            assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
+
+
+def test_warm_start_with_two_categories_runs_no_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    codes = np.array([0, 0, 1, 1, 1])
+    y = np.array([5.0, 6.0, 1.0, 2.0, 0.0])
+    v, aggs, node = _setup(codes, y, 2)
+    q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1))
+    assert calls == []
+    assert q == (1, 0)  # first bit set, as the exact solver returns it
+    assert lam == pytest.approx(2.5, rel=1e-12)
+    assert trace.converged and len(trace.steps) == 1
+    step = trace.steps[0]
+    assert (step.lambda_in, step.ratio, step.lambda_out) == (lam, lam, lam)
+    # Bit for bit what the cold iteration returns.
+    assert (q, lam) == dinkelbach_split(v, aggs, node)[:2]
+
+
+def test_warm_start_certificate_is_one_solve(monkeypatch, worked_node):
+    calls = _count_solves(monkeypatch)
+    codes, y, _ = worked_node
+    v, aggs, node = _setup(codes, y, 4)
+    q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1, 1, 0))
+    assert calls == [4]
+    assert q == (1, 0, 0, 1)
+    assert lam == pytest.approx(10.0, rel=1e-9)
+    assert trace.converged and len(trace.steps) == 1
+    assert trace.steps[0].lambda_in == pytest.approx(10.0, rel=1e-9)
+
+
+def test_non_optimal_start_reaches_brute_force_optimum():
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(25):
+        codes, y, m = random_category_instance(rng, max_m=9, max_n=120)
+        best_cost, _, results = brute_force_best(codes, y, m)
+        worst = max(results, key=results.get)
+        if results[worst] <= best_cost * (1 + 1e-6):
+            continue  # two categories: the only split is optimal
+        v, aggs, node = _setup(codes, y, m)
+        start = tuple(int(a in worst) for a in range(m))
+        _, lam, trace = dinkelbach_split(v, aggs, node, start=start)
+        assert trace.converged
+        assert len(trace.steps) > 1
+        assert trace.steps[0].lambda_in == pytest.approx(results[worst], rel=1e-9)
+        assert lam == pytest.approx(best_cost, rel=1e-9)
+        checked += 1
+    assert checked >= 15
+
+
+def test_missed_certificate_returns_the_start(monkeypatch, worked_node):
+    # A solver that misses the start's own zero (as annealing can) proves
+    # nothing: the start comes back, flagged non-converged.
+    codes, y, _ = worked_node
+    v, aggs, node = _setup(codes, y, 4)
+    worse = SolveOutcome((1, 1, 0, 0), 0.0, "annealing", 1)
+    monkeypatch.setattr(qubotree.dinkelbach, "solve", lambda problem, cfg=None: worse)
+    q, lam, trace = dinkelbach_split(v, aggs, node, start=(1, 0, 0, 1))
+    assert q == (1, 0, 0, 1)
+    assert lam == pytest.approx(10.0, rel=1e-9)
+    assert not trace.converged
+    assert [s.q for s in trace.steps] == [(1, 1, 0, 0)]
+
+
+def test_start_must_be_a_split(worked_node):
+    codes, y, _ = worked_node
+    v, aggs, node = _setup(codes, y, 4)
+    for start, error in (((1, 1, 1, 1), ZeroDivisionError), ((0, 0, 0, 0), ZeroDivisionError),
+                         ((1, 0, 1), ValueError)):
+        with pytest.raises(error):
+            dinkelbach_split(v, aggs, node, start=start)

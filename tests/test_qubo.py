@@ -10,7 +10,12 @@ from qubotree import (
 )
 from qubotree.dinkelbach import lambda_upper_bound
 
-from conftest import brute_force_partitions, direct_split_cost, random_category_instance
+from conftest import (
+    brute_force_partitions,
+    brute_force_partitions_loop,
+    direct_split_cost,
+    random_category_instance,
+)
 
 
 def _setup(codes, y, m):
@@ -164,3 +169,14 @@ def test_triplet_serialization(worked_node):
     row, col, coeff = lines[1].split()
     assert (int(row), int(col)) == (0, 0)
     assert float(coeff) == problem.h[0, 0]
+
+
+def test_vectorized_brute_force_matches_the_loop():
+    rng = np.random.default_rng(105)
+    for _ in range(20):
+        codes, y, m = random_category_instance(rng, max_m=10, max_n=200)
+        fast = brute_force_partitions(codes, y, m)
+        slow = brute_force_partitions_loop(codes, y, m)
+        assert list(fast) == list(slow)
+        for left, cost in slow.items():
+            assert fast[left] == pytest.approx(cost, rel=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from qubotree import (
     GrowConfig,
     describe,
     evaluate_mse,
+    generate_datagen,
     generate_df,
     grow,
     ladder_mse,
@@ -178,6 +180,22 @@ def test_grow_deterministic():
     t1 = grow(data, FULL)
     t2 = grow(data, FULL)
     assert tree_to_dict(t1) == tree_to_dict(t2)
+
+
+@pytest.mark.parametrize(
+    "maker, leaves, digest",
+    [
+        (generate_df, 968, "c6516781db3c3368df994d5a5c699dc83fde5d90461c5b348d9a70673fa1fbf2"),
+        (generate_datagen, 601, "516d214a1e2314e46c57b98c7aef27a92e94c0173635a5fdc1f3bd11cc93e809"),
+    ],
+    ids=("df", "datagen"),
+)
+def test_max_tree_describe_is_pinned(maker, leaves, digest):
+    # A change to how splits are searched must keep every split, cost and
+    # prediction of these max trees: the text of describe() is hashed.
+    tree = grow(maker(3000, 5), GrowConfig.max_tree())
+    assert tree.leaf_count() == leaves
+    assert hashlib.sha256(describe(tree).encode()).hexdigest() == digest
 
 
 def test_predict_threshold_boundary():
