@@ -138,10 +138,10 @@ def parse_schema(spec: str) -> list:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(":")
+        pieces = [piece.strip() for piece in part.split(":")]
         if len(pieces) != 2 or not pieces[0] or pieces[1] not in KINDS:
             raise DataError(f"malformed schema entry {part!r} (want name:kind)")
-        out.append(ColumnSchema(pieces[0].strip(), pieces[1].strip()))
+        out.append(ColumnSchema(*pieces))
     if not out:
         raise DataError("empty schema")
     return out

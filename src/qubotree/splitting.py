@@ -6,6 +6,10 @@ its own and an exhaustive-partition searcher are the baselines); numeric and
 binary variables use the classic sorted threshold scan. All subset rules are
 canonicalized so the left side contains the category with the smallest mean
 response.
+
+``best_splits`` searches many nodes at once, each column for all of them in
+one pass, with each node's own arithmetic; ``best_split`` is its one-node
+case.
 """
 
 from __future__ import annotations
@@ -148,6 +152,199 @@ def best_categorical_split_greedy(
     return _subset_candidate(column, aggs, *_sorted_scan(aggs, node))
 
 
+class _Segments:
+    """Consecutive runs of rows, one per node, as the batched scans see them.
+
+    ``seg[i]`` is the segment of row i and ``pos[i]`` its place in it.
+    ``cumsum`` lays the segments out in zero-padded blocks of a power-of-two
+    width, grouped by width, so that one ``np.cumsum`` along a block row is
+    the running sum of exactly one segment: the same sequential sums that
+    ``np.cumsum`` gives the segment alone, in at most twice its rows.
+    """
+
+    def __init__(self, sizes: np.ndarray):
+        self.sizes = sizes
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        self.seg = np.repeat(np.arange(len(sizes)), sizes)
+        self.pos = np.arange(len(self.seg)) - self.starts[self.seg]
+        widths = 2 ** np.ceil(np.log2(sizes)).astype(np.int64)
+        by_width = np.argsort(widths, kind="stable")
+        padded_ends = np.cumsum(widths[by_width])
+        offsets = np.empty_like(padded_ends)
+        offsets[by_width] = padded_ends - widths[by_width]
+        self.dest = offsets[self.seg] + self.pos
+        self.padded = int(padded_ends[-1])
+        width, count = np.unique(widths, return_counts=True)
+        block_ends = np.cumsum(width * count)
+        self.blocks = list(zip((block_ends - width * count).tolist(), count.tolist(), width.tolist()))
+
+    def rows(self, first: int, last: int) -> slice:
+        """The rows of segments ``first`` to ``last``, both included."""
+        return slice(self.starts[first], self.ends[last])
+
+    def cumsum(self, values: np.ndarray) -> np.ndarray:
+        """Running sums of the (rows, k) ``values`` restarted at every segment."""
+        buf = np.zeros((self.padded, values.shape[1]))
+        buf[self.dest] = values
+        for lo, count, width in self.blocks:
+            block = buf[lo : lo + count * width].reshape(count, width, -1)
+            np.cumsum(block, axis=1, out=block)
+        return buf[self.dest]
+
+
+def _first_minima(costs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Position of the first minimum of ``costs`` within each run of equal ``owner``."""
+    new = np.concatenate(([True], owner[1:] != owner[:-1]))
+    group = np.cumsum(new) - 1
+    at_min = np.flatnonzero(costs == np.minimum.reduceat(costs, np.flatnonzero(new))[group])
+    return at_min[np.concatenate(([True], group[at_min[1:]] != group[at_min[:-1]]))]
+
+
+def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: int, variable: str):
+    """Threshold scan over midpoints between consecutive distinct values, per segment.
+
+    Returns ``(ids, cost, n_left, n_right, candidate)`` for the segments with
+    a threshold that leaves ``min_bucket`` rows on each side; ``candidate(k)``
+    builds the k-th one. Within a segment the first minimum, the smallest
+    threshold, wins. One stable sort orders every segment at once.
+    """
+    order = np.lexsort((x, segs.seg))
+    xs, ys = x[order], y[order]
+    pos = segs.pos[:-1]
+    n = segs.sizes[segs.seg[:-1]]
+    cuts = np.flatnonzero((xs[:-1] < xs[1:]) & (pos >= min_bucket - 1) & (pos < n - min_bucket))
+    if len(cuts) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros(0), empty, empty, None
+
+    sums = segs.cumsum(np.stack((ys, ys * ys), axis=1))
+    sl, ql = sums[:, 0], sums[:, 1]
+    owner = segs.seg[cuts]
+    last = segs.ends[owner] - 1
+    nl = (segs.pos[cuts] + 1).astype(np.float64)
+    n_node = segs.sizes[owner].astype(np.float64)
+    costs = _two_child_sse(nl, sl[cuts], ql[cuts], n_node, sl[last], ql[last])
+    best = _first_minima(costs, owner)
+    at = cuts[best]
+    threshold = 0.5 * (xs[at] + xs[at + 1])
+    cost = costs[best]
+    n_left = segs.pos[at] + 1
+    n_right = segs.sizes[owner[best]] - n_left
+
+    def candidate(k: int) -> SplitCandidate:
+        rule = SplitRule(variable, "threshold", threshold=float(threshold[k]))
+        return SplitCandidate(rule, float(cost[k]), int(n_left[k]), int(n_right[k]))
+
+    return owner[best], cost, n_left, n_right, candidate
+
+
+def _two_level_costs(method: str, n, s, q, left) -> np.ndarray:
+    """Cost of the one split of nodes with two observed categories, per node.
+
+    Row k of the (nodes, 2) arrays ``n``, ``s`` and ``q`` holds each
+    category's count, response sum and sum of squares, in code order;
+    ``left[k]`` is the column of its smaller-mean category. ``greedy``
+    prices the split as ``_sorted_scan`` does; ``qubo`` as
+    ``dinkelbach_split`` started there: ``eval_fractional`` at q = (1, 0),
+    and 0.0 at zero parent variance. The arithmetic is theirs, operation
+    for operation (a product with a 0/1 bit is exact), so the costs are
+    equal to the bit.
+    """
+    (n0, n1), (s0, s1), (q0, q1) = n.T, s.T, q.T
+    n_node, s_node, q_node = n0 + n1, s0 + s1, q0 + q1
+    if method == "greedy":
+        side = np.arange(len(left))
+        return _two_child_sse(n[side, left], s[side, left], q[side, left], n_node, s_node, q_node)
+    mean = s_node / n_node
+    var = q_node / n_node - mean * mean
+    var = np.where(var > 0.0, var, 0.0)  # node_variance
+    t00 = 0.5 * (q0 * n0 - 2.0 * (s0 * s0) + n0 * q0)  # build_v_matrix
+    t01 = 0.5 * (q0 * n1 - 2.0 * (s0 * s1) + n0 * q1)
+    t10 = 0.5 * (q1 * n0 - 2.0 * (s1 * s0) + n1 * q0)
+    v00 = np.maximum(0.5 * (t00 + t00), 0.0)
+    v01 = np.maximum(0.5 * (t01 + t10), 0.0)
+    numerator = n_node * v00 - 2.0 * (v00 + v01) * n0 + n_node * n_node * var * n0
+    numerator = np.where(numerator > 0.0, numerator, 0.0)
+    cost = numerator / (n0 * (n_node - n0))
+    return np.where(n_node * var == 0.0, 0.0, cost)
+
+
+# Most (segment, category) bins per np.bincount pass: a level with many
+# nodes of a many-level column is summed in several passes, so the sums
+# take at most a few MB at once.
+_MAX_BINS = 1 << 18
+
+
+def _subset_scan(y, codes, column, segs, method, solver_cfg, dk_cfg):
+    """Subset split of every segment where the column has two or more categories.
+
+    Returns ``(ids, cost, n_left, n_right, candidate)`` like
+    ``_threshold_scan``. Segments with exactly two observed categories are
+    priced together by ``_two_level_costs``; the others, and every segment
+    under ``exhaustive``, go through the per-node ``best_categorical_split_*``.
+    Per-segment category sums accumulate in each node's own row order, as
+    ``aggregate_categories`` does.
+    """
+    m = len(column.categories)
+    n_seg = len(segs.sizes)
+    levels = np.zeros(n_seg, dtype=np.int64)
+    none = np.zeros((0, 2))
+    two = [(np.zeros(0, dtype=np.int64), none.astype(np.int64), none, none, none)]
+    step = max(1, _MAX_BINS // m)
+    for lo in range(0, n_seg, step):
+        hi = min(n_seg, lo + step)
+        rows = segs.rows(lo, hi - 1)
+        key = (segs.seg[rows] - lo) * m + codes[rows]
+        bins = (hi - lo) * m
+        count = np.bincount(key, minlength=bins).reshape(hi - lo, m)
+        seen = count > 0
+        levels[lo:hi] = seen.sum(axis=1)
+        ids = np.flatnonzero(levels[lo:hi] == 2)
+        if method == "exhaustive" or len(ids) == 0:
+            continue
+        w = y[rows]
+        sums = np.bincount(key, weights=w, minlength=bins).reshape(hi - lo, m)
+        sums_sq = np.bincount(key, weights=w * w, minlength=bins).reshape(hi - lo, m)
+        pair = np.nonzero(seen[ids])[1].reshape(-1, 2)
+        at = ids[:, None]
+        two.append((ids + lo, pair, count[at, pair].astype(np.float64), sums[at, pair], sums_sq[at, pair]))
+    ids2, pair, n, s, q = (np.concatenate(part) for part in zip(*two))
+    # The smaller-mean category goes left, as ``_subset_candidate`` orients it.
+    left = (s[:, 1] / n[:, 1] < s[:, 0] / n[:, 0]).astype(np.int64)
+    cost2 = _two_level_costs(method, n, s, q, left)
+    side = np.arange(len(ids2))
+    n_left2 = n[side, left].astype(np.int64)
+    n_right2 = n[side, 1 - left].astype(np.int64)
+
+    if method == "exhaustive":
+        alone = np.flatnonzero((levels >= 2) & (levels <= EXHAUSTIVE_MAX_CATEGORIES))
+    else:
+        alone = np.flatnonzero(levels >= 3)
+    cands = []
+    for i in alone.tolist():
+        rows = segs.rows(i, i)
+        if method == "greedy":
+            cands.append(best_categorical_split_greedy(y[rows], codes[rows], column))
+        elif method == "exhaustive":
+            cands.append(best_categorical_split_exhaustive(y[rows], codes[rows], column))
+        else:
+            cands.append(best_categorical_split_qubo(y[rows], codes[rows], column, solver_cfg, dk_cfg))
+
+    def candidate(k: int) -> SplitCandidate:
+        if k >= len(ids2):
+            return cands[k - len(ids2)]
+        labels = [column.categories[c] for c in pair[k]]
+        rule = SplitRule(column.name, "subset", (labels[left[k]],), (labels[1 - left[k]],))
+        return SplitCandidate(rule, float(cost2[k]), int(n_left2[k]), int(n_right2[k]))
+
+    ids = np.concatenate((ids2, alone))
+    cost = np.concatenate((cost2, [c.cost for c in cands]))
+    n_left = np.concatenate((n_left2, np.array([c.n_left for c in cands], dtype=np.int64)))
+    n_right = np.concatenate((n_right2, np.array([c.n_right for c in cands], dtype=np.int64)))
+    return ids, cost, n_left, n_right, candidate
+
+
 def best_numeric_split(
     y: np.ndarray, x: np.ndarray, variable: str, min_bucket: int = 1
 ) -> Optional[SplitCandidate]:
@@ -157,27 +354,58 @@ def best_numeric_split(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    if xs[0] == xs[-1]:
+    if x.min() == x.max():
         raise ValueError(f"{variable}: constant at this node")
-    cuts = np.flatnonzero(xs[:-1] < xs[1:])  # left part ends at position i
-    lo, hi = min_bucket - 1, n - min_bucket
-    cuts = cuts[(cuts >= lo) & (cuts < hi)]
-    if len(cuts) == 0:
-        return None
+    ids, _, _, _, candidate = _threshold_scan(y, x, _Segments(np.array([len(x)])), min_bucket, variable)
+    return candidate(0) if len(ids) else None
 
-    sl = np.cumsum(ys)
-    ql = np.cumsum(ys * ys)
-    nl = (cuts + 1).astype(np.float64)
-    costs = _two_child_sse(nl, sl[cuts], ql[cuts], n, sl[-1], ql[-1])
-    best = int(np.argmin(costs))  # first minimum = smallest threshold
-    threshold = 0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])
-    rule = SplitRule(variable, "threshold", threshold=float(threshold))
-    n_left = int(nl[best])
-    return SplitCandidate(rule, float(costs[best]), n_left, n - n_left)
+
+def best_splits(
+    data: Dataset,
+    segments,
+    method: str = "qubo",
+    solver_cfg: Optional[SolverConfig] = None,
+    dk_cfg: Optional[DinkelbachConfig] = None,
+    min_bucket: int = 1,
+) -> list:
+    """Minimum-cost candidate of every node, each given by its row indices.
+
+    ``segments`` is a sequence of non-empty index arrays into ``data``; the
+    result holds one SplitCandidate, or None, per segment, each equal to
+    searching that segment alone. Every column is searched for all segments
+    at once. Ties break toward the earlier schema column. Constant columns,
+    and for ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES`` levels,
+    are skipped. Categorical candidates that leave a child below
+    ``min_bucket`` are dropped rather than re-searched, identically for
+    every method, so method comparisons stay aligned.
+    """
+    if len(segments) == 0:
+        return []
+    sizes = np.array([len(s) for s in segments], dtype=np.int64)
+    if sizes.min() == 0:
+        raise ValueError("every segment needs at least one row")
+    segs = _Segments(sizes)
+    rows = np.concatenate(segments)
+    y = data.response[rows]
+    n_seg = len(sizes)
+    best_cost = np.zeros(n_seg)
+    winner = np.full(n_seg, -1)
+    pick = np.zeros(n_seg, dtype=np.int64)
+    builders = []
+    for j, column in enumerate(data.schema):
+        values = data.column(column.name)[rows]
+        if column.kind == "categorical":
+            scan = _subset_scan(y, values, column, segs, method, solver_cfg, dk_cfg)
+        else:
+            scan = _threshold_scan(y, values, segs, min_bucket, column.name)
+        ids, cost, n_left, n_right, candidate = scan
+        builders.append(candidate)
+        ok = (n_left >= min_bucket) & (n_right >= min_bucket)
+        k = np.flatnonzero(ok & ((winner[ids] < 0) | (cost < best_cost[ids])))
+        best_cost[ids[k]] = cost[k]
+        winner[ids[k]] = j
+        pick[ids[k]] = k
+    return [None if j < 0 else builders[j](k) for j, k in zip(winner.tolist(), pick.tolist())]
 
 
 def best_split(
@@ -188,35 +416,8 @@ def best_split(
     dk_cfg: Optional[DinkelbachConfig] = None,
     min_bucket: int = 1,
 ) -> Optional[SplitCandidate]:
-    """Minimum-cost candidate across all eligible variables.
+    """Minimum-cost candidate across all eligible variables of one node.
 
-    Ties break toward the earlier schema column. Constant columns, and for
-    ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES`` levels, are
-    skipped. Categorical candidates that leave a child below ``min_bucket``
-    are dropped rather than re-searched, identically for every method, so
-    method comparisons stay aligned.
+    The one-segment case of :func:`best_splits`, whose rules it follows.
     """
-    y = data.response[indices]
-    best: Optional[SplitCandidate] = None
-    for column in data.schema:
-        values = data.column(column.name)[indices]
-        if values.min() == values.max():
-            continue
-        if column.kind == "categorical":
-            if method == "greedy":
-                cand = best_categorical_split_greedy(y, values, column)
-            elif method == "exhaustive":
-                if np.count_nonzero(np.bincount(values)) > EXHAUSTIVE_MAX_CATEGORIES:
-                    continue
-                cand = best_categorical_split_exhaustive(y, values, column)
-            else:
-                cand = best_categorical_split_qubo(y, values, column, solver_cfg, dk_cfg)
-            if cand.n_left < min_bucket or cand.n_right < min_bucket:
-                continue
-        else:
-            cand = best_numeric_split(y, values, column.name, min_bucket)
-            if cand is None:
-                continue
-        if best is None or cand.cost < best.cost:
-            best = cand
-    return best
+    return best_splits(data, [indices], method, solver_cfg, dk_cfg, min_bucket)[0]

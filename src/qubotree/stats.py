@@ -23,8 +23,18 @@ class NodeStats:
 
     @classmethod
     def from_values(cls, values) -> "NodeStats":
+        return cls.of_runs(values, [len(values)])[0]
+
+    @classmethod
+    def of_runs(cls, values, sizes) -> list:
+        """The stats of each consecutive run of ``sizes`` values, in order."""
         values = np.asarray(values, dtype=np.float64)
-        return cls(len(values), math.fsum(values), math.fsum(values * values))
+        sums, squares = values.tolist(), (values * values).tolist()
+        out, end = [], 0
+        for n in sizes:
+            start, end = end, end + n
+            out.append(cls(n, math.fsum(sums[start:end]), math.fsum(squares[start:end])))
+        return out
 
     def sse(self) -> float:
         """Sum of squared deviations from the node mean, clamped at 0."""

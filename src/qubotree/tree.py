@@ -1,7 +1,8 @@
-"""Recursive regression-tree construction, prediction, and serialization.
+"""Level-by-level regression-tree construction, prediction, and serialization.
 
-Growth follows the classic recursive scheme: at each node every variable is
-searched with its kind-appropriate splitter and the cheapest candidate wins.
+Growth proceeds one depth level at a time: every variable of every open node
+of a level is searched in one batched call, with its kind-appropriate
+splitter, and each node's cheapest candidate wins.
 Categories a subset rule never saw at training are routed either to the
 complement (right) child or to the larger child, two semantics that only
 diverge on such unseen labels.
@@ -18,7 +19,8 @@ import numpy as np
 from .datasets import ColumnSchema, DataError, Dataset
 from .dinkelbach import DinkelbachConfig
 from .solvers import AnnealConfig, SolverConfig
-from .splitting import SplitCandidate, SplitRule, best_split
+# best_split is not called here; bench/tracing.py wraps it under this name.
+from .splitting import SplitRule, best_split, best_splits  # noqa: F401
 from .stats import NodeStats
 
 ROUTINGS = ("complement", "majority")
@@ -145,12 +147,14 @@ def _left_masker(schema: tuple, data: Dataset):
 
 
 def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
-    """Build a tree on the whole dataset.
+    """Build a tree on the whole dataset, one depth level at a time.
 
     A node becomes a leaf at the depth cap, below ``min_split`` rows, at zero
     variance, when no variable admits a split leaving ``min_bucket`` rows per
     child, or when the best split's SSE reduction relative to the root SSE
-    falls below ``cp``. Accepted splits always strictly reduce SSE.
+    falls below ``cp``. Accepted splits always strictly reduce SSE. The
+    splits of all open nodes of a level are searched by one
+    :func:`best_splits` call; node ids are then numbered in preorder.
     """
     cfg = cfg or GrowConfig()
     if data.response is None or data.n_rows == 0:
@@ -158,40 +162,61 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
     response = data.response
     root_sse = NodeStats.from_values(response).sse()
     left_mask = _left_masker(data.schema, data)
-    counter = [0]
 
-    def build(indices: np.ndarray, depth: int) -> TreeNode:
-        node_id = counter[0]
-        counter[0] += 1
-        y = response[indices]
-        stats = NodeStats.from_values(y)
-        prediction = stats.sum / stats.n
-        sse = stats.sse()
-
-        candidate: Optional[SplitCandidate] = None
-        if depth < cfg.max_depth and stats.n >= cfg.min_split and sse > 0.0:
-            candidate = best_split(
-                data,
-                indices,
-                method=cfg.categorical_method,
-                solver_cfg=cfg.solver,
-                dk_cfg=cfg.dinkelbach,
-                min_bucket=cfg.min_bucket,
-            )
-        if candidate is not None:
-            reduction = sse - candidate.cost
+    # Nodes in breadth-first order, and the splits of the inner ones: each
+    # maps to its rule and the position of its left child; the right child
+    # comes next.
+    nodes, splits = [], {}
+    level = [np.arange(data.n_rows)]
+    depth = 0
+    while level:
+        first = len(nodes)
+        level_stats = NodeStats.of_runs(response[np.concatenate(level)], map(len, level))
+        nodes += [(stats, stats.sse()) for stats in level_stats]
+        searched = [
+            k for k, (stats, sse) in enumerate(nodes[first:])
+            if depth < cfg.max_depth and stats.n >= cfg.min_split and sse > 0.0
+        ]
+        candidates = best_splits(
+            data,
+            [level[k] for k in searched],
+            method=cfg.categorical_method,
+            solver_cfg=cfg.solver,
+            dk_cfg=cfg.dinkelbach,
+            min_bucket=cfg.min_bucket,
+        )
+        children = []
+        for k, candidate in zip(searched, candidates):
+            if candidate is None:
+                continue
+            reduction = nodes[first + k][1] - candidate.cost
             if reduction <= 0.0 or (root_sse > 0.0 and reduction / root_sse < cfg.cp):
-                candidate = None
-        if candidate is None:
-            return TreeNode(node_id, stats.n, prediction, sse)
+                continue
+            splits[first + k] = candidate.rule, first + len(level) + len(children)
+            mask = left_mask(candidate.rule, level[k])
+            children += [level[k][mask], level[k][~mask]]
+        level = children
+        depth += 1
+    return RegressionTree(_link(nodes, splits), data.schema, cfg, data.n_rows, data.response_name)
 
-        mask = left_mask(candidate.rule, indices)
-        left = build(indices[mask], depth + 1)
-        right = build(indices[~mask], depth + 1)
-        return TreeNode(node_id, stats.n, prediction, sse, candidate.rule, left, right)
 
-    root = build(np.arange(data.n_rows), 0)
-    return RegressionTree(root, data.schema, cfg, data.n_rows, data.response_name)
+def _link(nodes: list, splits: dict) -> TreeNode:
+    """The root TreeNode of ``grow``'s breadth-first nodes, ids numbered in preorder."""
+    ids = [0] * len(nodes)
+    stack, next_id = [0], 0
+    while stack:
+        k = stack.pop()
+        ids[k] = next_id
+        next_id += 1
+        if k in splits:
+            left = splits[k][1]
+            stack += [left + 1, left]
+    built = [None] * len(nodes)
+    for k in reversed(range(len(nodes))):  # children come after their parent
+        (stats, sse), (rule, left) = nodes[k], splits.get(k, (None, None))
+        kids = (None, None) if rule is None else (built[left], built[left + 1])
+        built[k] = TreeNode(ids[k], stats.n, stats.sum / stats.n, sse, rule, *kids)
+    return built[0]
 
 
 def _routing(tree: RegressionTree, routing: Optional[str]) -> str:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qubotree import ColumnSchema, Dataset, generate_datagen, generate_df
+
+# Property tests draw the same examples on every run, with a bounded count
+# and no per-example deadline, so tier-1 stays deterministic and its wall
+# time stays bounded.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("tier1")
 
 # Hand-checkable node used across modules: four categories holding the
 # responses {0,2}, {10}, {12,14}, {1}. Parent variance 1149/36, best split

@@ -128,8 +128,11 @@ def test_parse_and_infer_schema(tmp_path):
         ("b", "categorical"),
         ("c", "binary"),
     ]
-    with pytest.raises(DataError):
-        parse_schema("a:wat")
+    for spec in ("x:numeric", "x: numeric", "x : numeric", "x :numeric", " x:numeric ", "x\t:\tnumeric"):
+        assert parse_schema(spec) == [ColumnSchema("x", "numeric")]
+    for spec in ("a:wat", "a: wat", " :numeric", "a:numeric:binary", "a"):
+        with pytest.raises(DataError):
+            parse_schema(spec)
     path = _write(tmp_path, "a,b,c,Y\n1.5,red,0,2\n2.5,blue,1,3\n")
     inferred = {c.name: c.kind for c in infer_schema(path, "Y")}
     assert inferred == {"a": "numeric", "b": "categorical", "c": "binary"}

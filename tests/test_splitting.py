@@ -301,7 +301,8 @@ def test_best_split_propagates_splitter_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("splitter bug")
 
-    monkeypatch.setattr(splitting, "best_numeric_split", broken)
-    data = _dataset([("x", "numeric", [0.0, 1.0, 2.0])], [0.0, 1.0, 5.0])
+    # A node with three categories goes through the per-node splitter.
+    monkeypatch.setattr(splitting, "best_categorical_split_qubo", broken)
+    data = _dataset([("c", "categorical", ["a", "b", "c"])], [0.0, 1.0, 5.0])
     with pytest.raises(ValueError, match="splitter bug"):
         best_split(data, np.arange(3))
