@@ -155,7 +155,8 @@ def best_categorical_split_greedy(
 class _Segments:
     """Consecutive runs of rows, one per node, as the batched scans see them.
 
-    ``seg[i]`` is the segment of row i and ``pos[i]`` its place in it.
+    ``seg[i]`` is the segment of row i, ``pos[i]`` its place in it and
+    ``after[i]`` the number of rows that follow it there.
     ``cumsum`` lays the segments out in zero-padded blocks of a power-of-two
     width, grouped by width, so that one ``np.cumsum`` along a block row is
     the running sum of exactly one segment: the same sequential sums that
@@ -168,6 +169,7 @@ class _Segments:
         self.starts = self.ends - sizes
         self.seg = np.repeat(np.arange(len(sizes)), sizes)
         self.pos = np.arange(len(self.seg)) - self.starts[self.seg]
+        self.after = sizes[self.seg] - self.pos - 1
         widths = 2 ** np.ceil(np.log2(sizes)).astype(np.int64)
         by_width = np.argsort(widths, kind="stable")
         padded_ends = np.cumsum(widths[by_width])
@@ -183,14 +185,15 @@ class _Segments:
         """The rows of segments ``first`` to ``last``, both included."""
         return slice(self.starts[first], self.ends[last])
 
-    def cumsum(self, values: np.ndarray) -> np.ndarray:
-        """Running sums of the (rows, k) ``values`` restarted at every segment."""
-        buf = np.zeros((self.padded, values.shape[1]))
+    def cumsum(self, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Running sums of the 1-D ``values``, restarted at every segment,
+        read at the rows ``at``."""
+        buf = np.zeros(self.padded)
         buf[self.dest] = values
         for lo, count, width in self.blocks:
-            block = buf[lo : lo + count * width].reshape(count, width, -1)
+            block = buf[lo : lo + count * width].reshape(count, width)
             np.cumsum(block, axis=1, out=block)
-        return buf[self.dest]
+        return buf.take(self.dest[at])
 
 
 def _first_minima(costs: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -211,20 +214,20 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     """
     order = np.lexsort((x, segs.seg))
     xs, ys = x[order], y[order]
-    pos = segs.pos[:-1]
-    n = segs.sizes[segs.seg[:-1]]
-    cuts = np.flatnonzero((xs[:-1] < xs[1:]) & (pos >= min_bucket - 1) & (pos < n - min_bucket))
+    cuts = np.flatnonzero(
+        (xs[:-1] < xs[1:]) & (segs.pos[:-1] >= min_bucket - 1) & (segs.after[:-1] >= min_bucket)
+    )
     if len(cuts) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0), empty, empty, None
 
-    sums = segs.cumsum(np.stack((ys, ys * ys), axis=1))
-    sl, ql = sums[:, 0], sums[:, 1]
     owner = segs.seg[cuts]
-    last = segs.ends[owner] - 1
+    # Each running sum at every cut, then at its segment's last row: the total.
+    at = np.concatenate((cuts, segs.ends[owner] - 1))
+    (sl, s), (ql, q) = (np.split(segs.cumsum(v, at), 2) for v in (ys, ys * ys))
     nl = (segs.pos[cuts] + 1).astype(np.float64)
     n_node = segs.sizes[owner].astype(np.float64)
-    costs = _two_child_sse(nl, sl[cuts], ql[cuts], n_node, sl[last], ql[last])
+    costs = _two_child_sse(nl, sl, ql, n_node, s, q)
     best = _first_minima(costs, owner)
     at = cuts[best]
     threshold = 0.5 * (xs[at] + xs[at + 1])
