@@ -16,6 +16,8 @@ import time
 from contextlib import nullcontext
 from typing import Optional
 
+import numpy as np
+
 from .datasets import (
     DataError,
     Dataset,
@@ -152,7 +154,11 @@ def cmd_predict(args) -> int:
     tree = load_model(args.model)
     data = load_csv(args.data, tree.schema, None)
     preds = predict_many(tree, data, args.routing)
-    _write_rows(args.out, ["prediction"], [[p] for p in preds.tolist()])
+    # Each distinct value is formatted once. Distinct bit patterns, not
+    # distinct values, so 0.0 and -0.0 keep their own text.
+    bits, inverse = np.unique(preds.view(np.int64), return_inverse=True)
+    texts = np.array([float.__repr__(p) for p in bits.view(np.float64).tolist()], dtype=object)
+    _write_rows(args.out, ["prediction"], zip(texts[inverse]))
     if args.out:
         print(f"wrote {len(preds)} predictions to {args.out}")
     return 0

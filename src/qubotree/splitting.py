@@ -160,7 +160,8 @@ class _Segments:
     ``cumsum`` lays the segments out in zero-padded blocks of a power-of-two
     width, grouped by width, so that one ``np.cumsum`` along a block row is
     the running sum of exactly one segment: the same sequential sums that
-    ``np.cumsum`` gives the segment alone, in at most twice its rows.
+    ``np.cumsum`` gives the segment alone, in at most twice its rows; a
+    segment alone in its width class is summed over its own rows.
     """
 
     def __init__(self, sizes: np.ndarray):
@@ -179,7 +180,10 @@ class _Segments:
         self.padded = int(padded_ends[-1])
         width, count = np.unique(widths, return_counts=True)
         block_ends = np.cumsum(width * count)
-        self.blocks = list(zip((block_ends - width * count).tolist(), count.tolist(), width.tolist()))
+        # A width class of one segment is summed over its real rows only:
+        # that segment is the last of its class in the by_width order.
+        span = np.where(count == 1, sizes[by_width][np.cumsum(count) - 1], width)
+        self.blocks = list(zip((block_ends - width * count).tolist(), count.tolist(), span.tolist()))
 
     def rows(self, first: int, last: int) -> slice:
         """The rows of segments ``first`` to ``last``, both included."""
@@ -190,8 +194,8 @@ class _Segments:
         read at the rows ``at``."""
         buf = np.zeros(self.padded)
         buf[self.dest] = values
-        for lo, count, width in self.blocks:
-            block = buf[lo : lo + count * width].reshape(count, width)
+        for lo, count, span in self.blocks:
+            block = buf[lo : lo + count * span].reshape(count, span)
             np.cumsum(block, axis=1, out=block)
         return buf.take(self.dest[at])
 

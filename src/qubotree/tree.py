@@ -11,7 +11,9 @@ diverge on such unseen labels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -407,13 +409,16 @@ def tree_from_dict(doc: dict) -> RegressionTree:
             max_iterations=raw["max_iterations"],
         ),
     )
-    by_id = {entry["id"]: entry for entry in doc["nodes"]}
-
-    def build(node_id: int) -> TreeNode:
-        entry = by_id[node_id]
+    # Children are built before their parents, in decreasing id order, so
+    # a child id must be greater than its parent's: no cycle and no recursion.
+    built = {}
+    for entry in sorted(doc["nodes"], key=lambda e: e["id"], reverse=True):
         raw_rule = entry["rule"]
         if raw_rule is None:
-            return TreeNode(entry["id"], entry["n"], entry["prediction"], entry["sse"])
+            built[entry["id"]] = TreeNode(entry["id"], entry["n"], entry["prediction"], entry["sse"])
+            continue
+        if not entry["id"] < min(entry["left"], entry["right"]):
+            raise DataError(f"node {entry['id']}: child ids must be greater than the node's own id")
         rule = SplitRule(
             raw_rule["variable"],
             raw_rule["kind"],
@@ -421,19 +426,90 @@ def tree_from_dict(doc: dict) -> RegressionTree:
             tuple(raw_rule["right_categories"]),
             raw_rule["threshold"],
         )
-        return TreeNode(
+        built[entry["id"]] = TreeNode(
             entry["id"], entry["n"], entry["prediction"], entry["sse"],
-            rule, build(entry["left"]), build(entry["right"]),
+            rule, built[entry["left"]], built[entry["right"]],
         )
+    return RegressionTree(built[doc["nodes"][0]["id"]], schema, cfg, doc["n_train"], doc["response"])
 
-    root = build(doc["nodes"][0]["id"])
-    return RegressionTree(root, schema, cfg, doc["n_train"], doc["response"])
+
+# One entry of the "nodes" list, a leaf or an inner node, laid out as
+# json.dumps(indent=1, sort_keys=True) lays it out.
+_LEAF = """  {
+   "id": %d,
+   "left": null,
+   "n": %d,
+   "prediction": %s,
+   "right": null,
+   "rule": null,
+   "sse": %s
+  }"""
+_INNER = """  {
+   "id": %d,
+   "left": %d,
+   "n": %d,
+   "prediction": %s,
+   "right": %d,
+   "rule": {
+    "kind": %s,
+    "left_categories": %s,
+    "right_categories": %s,
+    "threshold": %s,
+    "variable": %s
+   },
+   "sse": %s
+  }"""
+
+
+def _float_json(x: float) -> str:
+    """A float as json writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _labels_json(labels: list) -> str:
+    """A rule's label list as json writes it at its depth in a node."""
+    if not labels:
+        return "[]"
+    return "[\n     " + ",\n     ".join(map(encode_basestring_ascii, labels)) + "\n    ]"
+
+
+def _node_json(entry: dict) -> str:
+    rule = entry["rule"]
+    if rule is None:
+        return _LEAF % (entry["id"], entry["n"], _float_json(entry["prediction"]), _float_json(entry["sse"]))
+    threshold = rule["threshold"]
+    return _INNER % (
+        entry["id"], entry["left"], entry["n"], _float_json(entry["prediction"]), entry["right"],
+        encode_basestring_ascii(rule["kind"]),
+        _labels_json(rule["left_categories"]),
+        _labels_json(rule["right_categories"]),
+        "null" if threshold is None else _float_json(threshold),
+        encode_basestring_ascii(rule["variable"]),
+        _float_json(entry["sse"]),
+    )
 
 
 def save_model(tree: RegressionTree, path: str) -> None:
+    """Write ``tree_to_dict(tree)`` as ``json.dump(..., indent=1, sort_keys=True)`` would.
+
+    json's pure-Python indenting encoder is slow on large trees, so only the
+    header goes through json; the nodes are formatted from fixed templates
+    and streamed.
+    """
+    doc = tree_to_dict(tree)
+    nodes = doc["nodes"]
+    doc["nodes"] = []
+    # At indent 1 a raw newline and one space start only top-level keys.
+    head, _, tail = json.dumps(doc, indent=1, sort_keys=True).partition('\n "nodes": []')
+    chunks = map(_node_json, nodes)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '\n "nodes": [\n' + next(chunks))
+        fh.writelines(",\n" + chunk for chunk in chunks)
+        fh.write("\n ]" + tail + "\n")
 
 
 def load_model(path: str) -> RegressionTree:

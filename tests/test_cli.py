@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -441,3 +442,18 @@ def test_eval_baseline_with_zero_mse_fails(tmp_path, small_csv, capsys):
     assert code == 2
     assert "error: baseline MSE is 0, relative MSE is undefined" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("node, side, target", [(2, "left", 0), (0, "right", 0)], ids=("earlier", "itself"))
+def test_cyclic_model_file_exits_2(tmp_path, capsys, node, side, target):
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    with open(os.path.join(golden, "train_model.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["nodes"][node][side] = target
+    model = tmp_path / "cyclic.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(["predict", "--model", str(model), "--data", os.path.join(golden, "df100.csv")], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"error: {model}: malformed model file: node {node}: child ids must be greater than the node's own id"
+    )

@@ -199,35 +199,48 @@ MAX = GrowConfig.max_tree()
 
 
 @pytest.mark.parametrize(
-    "maker, cfg, leaves, digest",
+    "maker, cfg, leaves, digest, model_digest",
     [
-        (generate_df, MAX, 968, "c6516781db3c3368df994d5a5c699dc83fde5d90461c5b348d9a70673fa1fbf2"),
-        (generate_datagen, MAX, 601, "516d214a1e2314e46c57b98c7aef27a92e94c0173635a5fdc1f3bd11cc93e809"),
+        (generate_df, MAX, 968, "c6516781db3c3368df994d5a5c699dc83fde5d90461c5b348d9a70673fa1fbf2",
+         "3f408ff7087173c9ceb94d024ca5dd588992e6420f01e454851aeb67cc85b4f9"),
+        (generate_datagen, MAX, 601, "516d214a1e2314e46c57b98c7aef27a92e94c0173635a5fdc1f3bd11cc93e809",
+         "6ec13e5997f18c1ff2d86afc9fb35f3c98efd2718c0919cdde964deaf45cae8d"),
         (generate_df, GrowConfig.max_tree(categorical_method="greedy"), 968,
-         "caa2571f631b4d383e992043a4af49610c127f143909cf6a1d05299dd57e3b44"),
+         "caa2571f631b4d383e992043a4af49610c127f143909cf6a1d05299dd57e3b44",
+         "cb310f3ea77de3e21eb433f2c68ce26bb94322d4468dfc0653025663a5f23427"),
         (generate_df, GrowConfig.max_tree(categorical_method="exhaustive"), 968,
-         "5446e19a546db0c3a3c36dfd3d7d8ad36588012c4133209973aa0e432ee8032b"),
+         "5446e19a546db0c3a3c36dfd3d7d8ad36588012c4133209973aa0e432ee8032b",
+         "b2b365de88e9794de51d20f19d455c8acac7eba288c9c771b8e7774add4b5d25"),
         # The default stopping rules: the cp gate ends growth at 5 leaves.
-        (generate_df, GrowConfig(), 5, "71a32036d035ff8ffce5f61cfa0e0717b6c4c4e4e7c884fd296915a27f68770a"),
+        (generate_df, GrowConfig(), 5, "71a32036d035ff8ffce5f61cfa0e0717b6c4c4e4e7c884fd296915a27f68770a",
+         "042841843bc86aff05bd3174a3cda29a237cf6b041c9c1df7fcab357b0af3f9d"),
         # min_bucket=7 drops 8 of the 62 categorical candidates of this tree.
         (generate_datagen, GrowConfig(cp=0.001), 24,
-         "c233315a453f61448e83e7c39978931aa73307dbd2db509b25c054d10787bb7c"),
+         "c233315a453f61448e83e7c39978931aa73307dbd2db509b25c054d10787bb7c",
+         "445813c872cba8a86fcb469bfe5bee531dbe0c716a49cd886bbf0d547e2eaffd"),
         # The depth cap, and annealing: Dealer's 40 levels exceed the exact solver's 22.
         (_highcard, GrowConfig.max_tree(max_depth=3), 6,
-         "3eef8b95c7d75a90d64dcee9f4e1eb388bf91b5adf933a3c3020ae6a1b571f74"),
+         "3eef8b95c7d75a90d64dcee9f4e1eb388bf91b5adf933a3c3020ae6a1b571f74",
+         "d432b66062d9661bf33cb81eaf86b89ca3e50e40ae4950bc1fb6e91d3dd38a56"),
         # Exhaustive search skips Dealer: it is above the 22-level cap.
         (_highcard, GrowConfig.max_tree(max_depth=3, categorical_method="exhaustive"), 8,
-         "e3db73018913f9f387c247188c01129b63b5e7e4dd1a0c77e6cfbf2cf44d55f0"),
+         "e3db73018913f9f387c247188c01129b63b5e7e4dd1a0c77e6cfbf2cf44d55f0",
+         "211831bcfbed7724fb3423acfec0f52b3c30546b86cb761536a8bef7a6eb008e"),
     ],
     ids=("df", "datagen", "df-greedy", "df-exhaustive", "df-default", "datagen-cp0.001",
          "highcard-depth3", "highcard-exhaustive-depth3"),
 )
-def test_max_tree_describe_is_pinned(maker, cfg, leaves, digest):
+def test_max_tree_describe_is_pinned(tmp_path, maker, cfg, leaves, digest, model_digest):
     # A change to how splits are searched must keep every split, cost and
-    # prediction of these trees: the text of describe() is hashed.
+    # prediction of these trees: the text of describe() is hashed. So are
+    # their model files, whose bytes are those json.dump(doc, indent=1,
+    # sort_keys=True) writes.
     tree = grow(maker(3000, 5), cfg)
     assert tree.leaf_count() == leaves
     assert hashlib.sha256(describe(tree).encode()).hexdigest() == digest
+    path = tmp_path / "model.json"
+    save_model(tree, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == model_digest
 
 
 @pytest.mark.parametrize(
