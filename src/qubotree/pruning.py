@@ -44,56 +44,6 @@ class PruneStep:
         return prune_to_leaf(self.base, chain.from_iterable(self.history[: self.index + 1]))
 
 
-class _Work:
-    """Mutable pruning state over one immutable tree."""
-
-    def __init__(self, tree: RegressionTree, n_train: int):
-        self.n_train = n_train
-        self.root_id = tree.root.id
-        self.node: dict = {}
-        self.parent: dict = {self.root_id: None}
-        self.leaves_under: dict = {}
-        self.leaf_sse: dict = {}
-        self.internal: set = set()
-        # Reversed preorder visits both children of a node before the node.
-        for node, _ in reversed(list(preorder(tree.root))):
-            self.node[node.id] = node
-            if node.is_leaf:
-                self.leaves_under[node.id] = 1
-                self.leaf_sse[node.id] = node.sse
-                continue
-            left, right = node.left.id, node.right.id
-            self.internal.add(node.id)
-            self.parent[left] = self.parent[right] = node.id
-            self.leaves_under[node.id] = self.leaves_under[left] + self.leaves_under[right]
-            self.leaf_sse[node.id] = self.leaf_sse[left] + self.leaf_sse[right]
-
-    def g(self, node_id: int) -> float:
-        node = self.node[node_id]
-        extra_leaves = self.leaves_under[node_id] - 1
-        return (node.sse - self.leaf_sse[node_id]) / self.n_train / extra_leaves
-
-    def collapse(self, node_id: int) -> None:
-        """Make node_id a leaf; fix ancestor aggregates and drop its internals."""
-        node = self.node[node_id]
-        delta_leaves = 1 - self.leaves_under[node_id]
-        delta_sse = node.sse - self.leaf_sse[node_id]
-        self.internal.difference_update(sub.id for sub, _ in preorder(node))
-        self.leaves_under[node_id] = 1
-        self.leaf_sse[node_id] = node.sse
-        up = self.parent[node_id]
-        while up is not None:
-            self.leaves_under[up] += delta_leaves
-            self.leaf_sse[up] += delta_sse
-            up = self.parent[up]
-
-    def train_risk(self) -> float:
-        return self.leaf_sse[self.root_id] / self.n_train
-
-    def total_leaves(self) -> int:
-        return self.leaves_under[self.root_id]
-
-
 def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
     """Nested subtree ladder ending at the root-only tree.
 
@@ -101,61 +51,78 @@ def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
     across datasets. All co-minimal weakest links collapse simultaneously,
     including any cascade that re-attains the same alpha, which keeps the
     alpha sequence strictly increasing after the initial zero step. A
-    lazy-deletion heap serves the current minimum g. Step trees are not
-    built here: ``PruneStep.tree`` builds one when it is read.
+    lazy-deletion heap serves the current minimum g, ties going to the
+    smaller node id. Step trees are not built here: ``PruneStep.tree``
+    builds one when it is read.
+
+    The ladder runs on a preorder table: position 0 is the root, the subtree
+    of position i spans positions ``i .. i + size[i] - 1``, its left child is
+    at i + 1 and its right child at i + 1 + size[i + 1]. A collapse clears
+    that span of ``internal`` and walks up ``parent``.
     """
     n_train = n_train if n_train is not None else tree.n_train
-    work = _Work(tree, n_train)
-    g_now = {t: work.g(t) for t in work.internal}
-    heap = [(g, t) for t, g in g_now.items()]
+    nodes = [node for node, _ in preorder(tree.root)]
+    size = [1] * len(nodes)
+    parent = [-1] * len(nodes)
+    leaves = [1] * len(nodes)
+    leaf_sse = [node.sse for node in nodes]
+    internal = [not node.is_leaf for node in nodes]
+    # Reversed preorder visits both children of a node before the node.
+    for i in reversed(range(len(nodes))):
+        if internal[i]:
+            left = i + 1
+            right = left + size[left]
+            size[i] = 1 + size[left] + size[right]
+            parent[left] = parent[right] = i
+            leaves[i] = leaves[left] + leaves[right]
+            leaf_sse[i] = leaf_sse[left] + leaf_sse[right]
+
+    def g(i: int) -> float:
+        return (nodes[i].sse - leaf_sse[i]) / n_train / (leaves[i] - 1)
+
+    g_now = [g(i) if internal[i] else None for i in range(len(nodes))]
+    heap = [(g_i, nodes[i].id, i) for i, g_i in enumerate(g_now) if internal[i]]
     heapq.heapify(heap)
     steps = []
     history = []
 
     def peek():
         while heap:
-            g, t = heap[0]
-            if t in work.internal and g == g_now.get(t):
-                return g, t
+            g_i, _, i = heap[0]
+            if internal[i] and g_i == g_now[i]:
+                return g_i
             heapq.heappop(heap)
         return None
 
     def collapse_at(threshold: float):
         newly = []
         while True:
-            top = peek()
-            if top is None or top[0] > threshold:
+            g_min = peek()
+            if g_min is None or g_min > threshold:
                 break
-            _, t = top
-            heapq.heappop(heap)
-            work.collapse(t)
-            g_now.pop(t, None)
-            newly.append(t)
-            up = work.parent[t]
-            while up is not None:
-                if up in work.internal:
-                    g_now[up] = work.g(up)
-                    heapq.heappush(heap, (g_now[up], up))
-                up = work.parent[up]
+            _, node_id, i = heapq.heappop(heap)
+            newly.append(node_id)
+            delta_leaves = 1 - leaves[i]
+            delta_sse = nodes[i].sse - leaf_sse[i]
+            internal[i : i + size[i]] = [False] * size[i]
+            leaves[i] = 1
+            leaf_sse[i] = nodes[i].sse
+            # Every ancestor of a node still internal is internal too.
+            up = parent[i]
+            while up >= 0:
+                leaves[up] += delta_leaves
+                leaf_sse[up] += delta_sse
+                g_now[up] = g(up)
+                heapq.heappush(heap, (g_now[up], nodes[up].id, up))
+                up = parent[up]
         return newly
 
     def emit(alpha: float, newly):
         history.append(tuple(sorted(newly)))
-        steps.append(
-            PruneStep(
-                alpha,
-                work.total_leaves(),
-                work.train_risk(),
-                history[-1],
-                tree,
-                history,
-                len(steps),
-            )
-        )
+        steps.append(PruneStep(alpha, leaves[0], leaf_sse[0] / n_train, history[-1], tree, history, len(steps)))
 
     emit(0.0, collapse_at(0.0))
-    while peek() is not None:
-        alpha = peek()[0]
+    while (alpha := peek()) is not None:
         emit(alpha, collapse_at(alpha * (1.0 + 1e-12)))
     return steps
 

@@ -409,16 +409,29 @@ def tree_from_dict(doc: dict) -> RegressionTree:
             max_iterations=raw["max_iterations"],
         ),
     )
+    nodes = doc["nodes"]
+    if not nodes:
+        raise DataError("the node list is empty")
     # Children are built before their parents, in decreasing id order, so
     # a child id must be greater than its parent's: no cycle and no recursion.
-    built = {}
-    for entry in sorted(doc["nodes"], key=lambda e: e["id"], reverse=True):
+    # With every other node the child of exactly one node, the nodes then
+    # form one tree under the first.
+    built, children = {}, set()
+    for entry in sorted(nodes, key=lambda e: e["id"], reverse=True):
+        if entry["id"] in built:
+            raise DataError(f"node {entry['id']}: id appears more than once")
         raw_rule = entry["rule"]
         if raw_rule is None:
             built[entry["id"]] = TreeNode(entry["id"], entry["n"], entry["prediction"], entry["sse"])
             continue
         if not entry["id"] < min(entry["left"], entry["right"]):
             raise DataError(f"node {entry['id']}: child ids must be greater than the node's own id")
+        for child in (entry["left"], entry["right"]):
+            if child not in built:
+                raise DataError(f"node {child}: not in the node list")
+            if child in children:
+                raise DataError(f"node {child}: child of more than one node")
+            children.add(child)
         rule = SplitRule(
             raw_rule["variable"],
             raw_rule["kind"],
@@ -430,7 +443,11 @@ def tree_from_dict(doc: dict) -> RegressionTree:
             entry["id"], entry["n"], entry["prediction"], entry["sse"],
             rule, built[entry["left"]], built[entry["right"]],
         )
-    return RegressionTree(built[doc["nodes"][0]["id"]], schema, cfg, doc["n_train"], doc["response"])
+    root = built[nodes[0]["id"]]
+    orphans = built.keys() - children - {root.id}
+    if orphans:
+        raise DataError(f"node {min(orphans)}: neither the root nor any node's child")
+    return RegressionTree(root, schema, cfg, doc["n_train"], doc["response"])
 
 
 # One entry of the "nodes" list, a leaf or an inner node, laid out as
@@ -529,16 +546,22 @@ def prune_to_leaf(tree: RegressionTree, collapse_ids) -> RegressionTree:
     Untouched subtrees are shared, not copied.
     """
     targets = frozenset(collapse_ids)
-
-    def walk(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return node
+    # Inner nodes in preorder, not below a target; rebuilt children first.
+    inner = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            inner.append(node)
+            if node.id not in targets:
+                stack += [node.right, node.left]
+    rebuilt = {}
+    for node in reversed(inner):
         if node.id in targets:
-            return replace(node, rule=None, left=None, right=None)
-        left = walk(node.left)
-        right = walk(node.right)
-        if left is node.left and right is node.right:
-            return node
-        return replace(node, left=left, right=right)
-
-    return replace(tree, root=walk(tree.root))
+            rebuilt[node.id] = replace(node, rule=None, left=None, right=None)
+            continue
+        left = rebuilt.get(node.left.id, node.left)
+        right = rebuilt.get(node.right.id, node.right)
+        if left is not node.left or right is not node.right:
+            rebuilt[node.id] = replace(node, left=left, right=right)
+    return replace(tree, root=rebuilt.get(tree.root.id, tree.root))

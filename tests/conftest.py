@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qubotree import ColumnSchema, Dataset, generate_datagen, generate_df
+from qubotree import ColumnSchema, Dataset, GrowConfig, generate_datagen, generate_df
+from qubotree.splitting import SplitRule
+from qubotree.tree import RegressionTree, TreeNode
 
 # Property tests draw the same examples on every run, with a bounded count
 # and no per-example deadline, so tier-1 stays deterministic and its wall
@@ -41,6 +43,15 @@ def df_20k():
 @pytest.fixture(scope="session")
 def datagen_10k():
     return generate_datagen(10000, 123)
+
+
+def chain_tree(inner: int) -> RegressionTree:
+    """A tree of ``inner`` inner nodes in one chain: node 2k splits into leaf 2k+1 and node 2k+2."""
+    node = TreeNode(2 * inner, 1, 0.0, 0.0)
+    for k in reversed(range(inner)):
+        rule = SplitRule("x", "threshold", threshold=float(k))
+        node = TreeNode(2 * k, inner - k + 1, 1.0, 1.0, rule, TreeNode(2 * k + 1, 1, 2.0, 0.0), node)
+    return RegressionTree(node, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
 
 
 def random_category_instance(rng, max_m=12, max_n=200):

@@ -444,16 +444,61 @@ def test_eval_baseline_with_zero_mse_fails(tmp_path, small_csv, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("node, side, target", [(2, "left", 0), (0, "right", 0)], ids=("earlier", "itself"))
-def test_cyclic_model_file_exits_2(tmp_path, capsys, node, side, target):
+def _predict_with_edited_golden_model(tmp_path, capsys, edit):
+    """Run ``predict`` with the golden model after ``edit(nodes)``; exit code, stdout, last stderr line."""
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     with open(os.path.join(golden, "train_model.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["nodes"][node][side] = target
-    model = tmp_path / "cyclic.json"
+    edit(doc["nodes"])
+    model = tmp_path / "edited.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = _run(["predict", "--model", str(model), "--data", os.path.join(golden, "df100.csv")], capsys)
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1] == (
-        f"error: {model}: malformed model file: node {node}: child ids must be greater than the node's own id"
+    return code, out, err.splitlines()[-1].replace(str(model), "<model>")
+
+
+@pytest.mark.parametrize("node, side, target", [(2, "left", 0), (0, "right", 0)], ids=("earlier", "itself"))
+def test_cyclic_model_file_exits_2(tmp_path, capsys, node, side, target):
+    def edit(nodes):
+        nodes[node][side] = target
+
+    assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (
+        2, "", f"error: <model>: malformed model file: node {node}: child ids must be greater than the node's own id"
+    )
+
+
+def _empty(nodes):
+    nodes.clear()
+
+
+def _duplicate_id(nodes):
+    nodes.append(dict(nodes[54], prediction=0.0))
+
+
+def _two_parents(nodes):
+    # Node 2 keeps its children (3, 32); node 0 takes 32 too, and node 1 hangs loose.
+    nodes[0]["left"], nodes[0]["right"] = 2, 32
+
+
+def _dangling_child(nodes):
+    nodes[0]["right"] = 99
+
+
+def _orphan(nodes):
+    nodes.append(dict(nodes[1], id=55))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_empty, "the node list is empty"),
+        (_duplicate_id, "node 54: id appears more than once"),
+        (_two_parents, "node 32: child of more than one node"),
+        (_dangling_child, "node 99: not in the node list"),
+        (_orphan, "node 55: neither the root nor any node's child"),
+    ],
+    ids=("empty", "duplicate-id", "two-parents", "dangling-child", "orphan"),
+)
+def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message):
+    assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (
+        2, "", f"error: <model>: malformed model file: {message}"
     )

@@ -13,6 +13,8 @@ from qubotree import AnnealConfig, ColumnSchema, DinkelbachConfig, GrowConfig, S
 from qubotree.splitting import SplitRule
 from qubotree.tree import RegressionTree, TreeNode, tree_to_dict
 
+from conftest import chain_tree
+
 # Labels json has to escape: non-ASCII, quotes, backslashes, control
 # characters, and the text that marks where the header's node list goes.
 LABELS = st.one_of(
@@ -71,13 +73,8 @@ def test_save_model_writes_what_json_dump_writes(tree):
 
 
 def test_chain_deeper_than_the_recursion_limit_round_trips(tmp_path):
-    # Inner node 2k splits into leaf 2k+1 and node 2k+2.
     inner = sys.getrecursionlimit() + 100
-    node = TreeNode(2 * inner, 1, 0.0, 0.0)
-    for k in reversed(range(inner)):
-        rule = SplitRule("x", "threshold", threshold=float(k))
-        node = TreeNode(2 * k, inner - k + 1, 1.0, 1.0, rule, TreeNode(2 * k + 1, 1, 2.0, 0.0), node)
-    tree = RegressionTree(node, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
+    tree = chain_tree(inner)
     path = str(tmp_path / "chain.json")
     save_model(tree, path)
     back = load_model(path)

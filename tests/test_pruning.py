@@ -1,7 +1,10 @@
+import heapq
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qubotree import (
     DataError,
@@ -9,6 +12,7 @@ from qubotree import (
     SplitSpecification,
     evaluate_mse,
     evaluate_protocol,
+    generate_datagen,
     generate_df,
     grow,
     ladder_mse,
@@ -16,7 +20,9 @@ from qubotree import (
     select_subtree,
 )
 from qubotree.datasets import ColumnSchema, Dataset
-from qubotree.tree import tree_to_dict
+from qubotree.tree import preorder, prune_to_leaf, tree_from_dict, tree_to_dict
+
+from conftest import chain_tree
 
 
 def _dataset(x, y):
@@ -264,8 +270,6 @@ def test_select_subtree_tie_prefers_fewer_leaves():
 def test_protocol_datagen_scale():
     # Heavy-tailed severities make deep trees memorize noise: the selected
     # subtree stays tiny while the maximal tree has thousands of leaves.
-    from qubotree import generate_datagen
-
     data = generate_datagen(50000, 123)
     report = evaluate_protocol(data, SplitSpecification(seed=123))
     root, best, _, max_row = report.rows
@@ -290,3 +294,178 @@ def test_protocol_report_structure_and_ordering():
     assert best.validation_mse <= max_row.validation_mse
     # Root training MSE equals the training response variance.
     assert test_best.test_mse <= best.test_mse
+
+
+# The dict-and-set ladder that preceded the preorder table, kept verbatim as
+# the reference the table-based prune_sequence must match bit for bit.
+class _Work:
+    """Mutable pruning state over one immutable tree."""
+
+    def __init__(self, tree, n_train):
+        self.n_train = n_train
+        self.root_id = tree.root.id
+        self.node = {}
+        self.parent = {self.root_id: None}
+        self.leaves_under = {}
+        self.leaf_sse = {}
+        self.internal = set()
+        for node, _ in reversed(list(preorder(tree.root))):
+            self.node[node.id] = node
+            if node.is_leaf:
+                self.leaves_under[node.id] = 1
+                self.leaf_sse[node.id] = node.sse
+                continue
+            left, right = node.left.id, node.right.id
+            self.internal.add(node.id)
+            self.parent[left] = self.parent[right] = node.id
+            self.leaves_under[node.id] = self.leaves_under[left] + self.leaves_under[right]
+            self.leaf_sse[node.id] = self.leaf_sse[left] + self.leaf_sse[right]
+
+    def g(self, node_id):
+        node = self.node[node_id]
+        extra_leaves = self.leaves_under[node_id] - 1
+        return (node.sse - self.leaf_sse[node_id]) / self.n_train / extra_leaves
+
+    def collapse(self, node_id):
+        node = self.node[node_id]
+        delta_leaves = 1 - self.leaves_under[node_id]
+        delta_sse = node.sse - self.leaf_sse[node_id]
+        self.internal.difference_update(sub.id for sub, _ in preorder(node))
+        self.leaves_under[node_id] = 1
+        self.leaf_sse[node_id] = node.sse
+        up = self.parent[node_id]
+        while up is not None:
+            self.leaves_under[up] += delta_leaves
+            self.leaf_sse[up] += delta_sse
+            up = self.parent[up]
+
+
+def _reference_ladder(tree):
+    """``(alpha, leaves, train_risk, collapsed)`` per step of the reference ladder."""
+    work = _Work(tree, tree.n_train)
+    g_now = {t: work.g(t) for t in work.internal}
+    heap = [(g, t) for t, g in g_now.items()]
+    heapq.heapify(heap)
+    steps = []
+
+    def peek():
+        while heap:
+            g, t = heap[0]
+            if t in work.internal and g == g_now.get(t):
+                return g, t
+            heapq.heappop(heap)
+        return None
+
+    def collapse_at(threshold):
+        newly = []
+        while True:
+            top = peek()
+            if top is None or top[0] > threshold:
+                break
+            _, t = top
+            heapq.heappop(heap)
+            work.collapse(t)
+            g_now.pop(t, None)
+            newly.append(t)
+            up = work.parent[t]
+            while up is not None:
+                if up in work.internal:
+                    g_now[up] = work.g(up)
+                    heapq.heappush(heap, (g_now[up], up))
+                up = work.parent[up]
+        return newly
+
+    def emit(alpha, newly):
+        risk = work.leaf_sse[work.root_id] / work.n_train
+        steps.append((alpha, work.leaves_under[work.root_id], risk, tuple(sorted(newly))))
+
+    emit(0.0, collapse_at(0.0))
+    while peek() is not None:
+        alpha = peek()[0]
+        emit(alpha, collapse_at(alpha * (1.0 + 1e-12)))
+    return steps
+
+
+def _reference_prune_to_leaf(tree, collapse_ids):
+    """The recursive walk that preceded ``prune_to_leaf``'s explicit stack."""
+    targets = frozenset(collapse_ids)
+
+    def walk(node):
+        if node.is_leaf:
+            return node
+        if node.id in targets:
+            return replace(node, rule=None, left=None, right=None)
+        left = walk(node.left)
+        right = walk(node.right)
+        if left is node.left and right is node.right:
+            return node
+        return replace(node, left=left, right=right)
+
+    return replace(tree, root=walk(tree.root))
+
+
+def _renumbered(tree):
+    """The same tree through ``tree_from_dict`` with ids numbered breadth-first, not in preorder."""
+    doc = tree_to_dict(tree)
+    entries = {e["id"]: e for e in doc["nodes"]}
+    order = [tree.root.id]
+    for node_id in order:  # grows while it is read
+        if entries[node_id]["left"] is not None:
+            order += [entries[node_id]["left"], entries[node_id]["right"]]
+    new_id = {old: new for new, old in enumerate(order)}
+    new_id[None] = None
+    nodes = [
+        dict(entries[old], id=new_id[old], left=new_id[entries[old]["left"]], right=new_id[entries[old]["right"]])
+        for old in order
+    ]
+    return tree_from_dict({**doc, "nodes": nodes})
+
+
+def _assert_ladder_matches_reference(tree):
+    steps = prune_sequence(tree)
+    got = [(s.alpha.hex(), s.leaves, s.train_risk.hex(), s.collapsed) for s in steps]
+    reference = _reference_ladder(tree)
+    assert got == [(a.hex(), leaves, r.hex(), c) for a, leaves, r, c in reference]
+    for k in sorted({0, len(steps) // 2, len(steps) - 1}):
+        collapsed = [t for _, _, _, ids in reference[: k + 1] for t in ids]
+        assert steps[k].tree == _reference_prune_to_leaf(tree, collapsed)
+
+
+@st.composite
+def coarse_grown_trees(draw):
+    """Max trees on a few rows whose responses sit on a coarse grid, so g values tie."""
+    n = draw(st.integers(2, 60))
+    column = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    data = Dataset(
+        (ColumnSchema("x", "numeric"), ColumnSchema("c", "categorical", ("a", "b", "c", "d"))),
+        {"x": np.asarray(draw(column), dtype=np.float64), "c": np.asarray(draw(column))},
+        10.0 * np.asarray(draw(column), dtype=np.float64),
+    )
+    return grow(data, GrowConfig.max_tree(categorical_method="greedy"))
+
+
+@given(coarse_grown_trees())
+def test_ladder_matches_reference_on_tied_trees(tree):
+    _assert_ladder_matches_reference(tree)
+    _assert_ladder_matches_reference(_renumbered(tree))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: generate_df(1500, 11), lambda: generate_df(1500, 12), lambda: generate_datagen(1500, 13)],
+    ids=("df-11", "df-12", "datagen-13"),
+)
+def test_ladder_matches_reference_on_grown_trees(make):
+    tree = grow(make(), GrowConfig.max_tree())
+    _assert_ladder_matches_reference(tree)
+    _assert_ladder_matches_reference(_renumbered(tree))
+
+
+def test_pruning_a_chain_deeper_than_the_recursion_limit():
+    inner = sys.getrecursionlimit() + 100
+    tree = chain_tree(inner)
+    steps = prune_sequence(tree)
+    assert [s.leaves for s in steps] == [inner + 1, 1]
+    assert steps[0].tree.leaf_count() == inner + 1
+    assert steps[1].tree.root.is_leaf
+    deepest = 2 * (inner - 1)
+    assert prune_to_leaf(tree, [deepest]).leaf_count() == inner
