@@ -104,8 +104,8 @@ class SplitSpecification:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.fractions) != 3 or any(f <= 0 for f in self.fractions):
-            raise DataError("fractions must be three positive numbers")
+        if len(self.fractions) != 3 or not all(f > 0 for f in self.fractions):  # a NaN fails too
+            raise DataError(f"fractions must be three positive numbers, got {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-12:
             raise DataError("fractions must sum to 1")
 

@@ -46,10 +46,13 @@ class DinkelbachConfig:
     def __post_init__(self):
         if self.mode not in ("upper_bound", "zero", "custom"):
             raise ValueError(f"unknown initialization mode {self.mode!r}")
-        if self.mode == "custom" and (self.custom_value is None or self.custom_value < 0):
-            raise ValueError("custom mode needs a nonnegative custom_value")
-        if self.rel_tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("need rel_tolerance > 0 and max_iterations >= 1")
+        if self.mode == "custom" and self.custom_value is None:
+            raise ValueError("custom mode needs a custom_value")
+        if self.custom_value is not None and not (np.isfinite(self.custom_value) and self.custom_value >= 0):
+            raise ValueError(f"custom_value must be finite and >= 0, got {self.custom_value!r}")
+        if not (np.isfinite(self.rel_tolerance) and self.rel_tolerance > 0) or self.max_iterations < 1:
+            got = (self.rel_tolerance, self.max_iterations)
+            raise ValueError(f"need finite rel_tolerance > 0 and max_iterations >= 1, got {got}")
 
     def initial_lambda(self, node: NodeStats) -> float:
         if self.mode == "zero":

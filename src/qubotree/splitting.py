@@ -1,19 +1,18 @@
 """Best-split search per variable.
 
-Categorical variables go through the ratio-iteration QUBO pipeline, started
-at the sorted-means scan's split so that one solve certifies it (the scan on
-its own and an exhaustive-partition searcher are the baselines); numeric and
-binary variables use the classic sorted threshold scan. All subset rules are
-canonicalized so the left side contains the category with the smallest mean
-response.
-
 ``best_splits`` searches many nodes at once, each column for all of them in
 one pass, with each node's own arithmetic; ``best_split`` is its one-node
-case.
+case. Numeric and binary variables use the sorted threshold scan. For a
+categorical variable one pass sums the category cells of every node, and one
+sorted-means scan, optimal for squared error, splits them all: the greedy
+baseline, and the split that the ratio-iteration QUBO pipeline's first solve
+certifies; an exhaustive-partition searcher is the other baseline. Subset
+rules put the category with the smallest mean response on the left.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,100 +55,6 @@ def _two_child_sse(nl, sl, ql, n, s, q):
     sse_l = np.maximum(ql - sl * sl / nl, 0.0)
     sse_r = np.maximum((q - ql) - (s - sl) ** 2 / (n - nl), 0.0)
     return sse_l + sse_r
-
-
-def _subset_candidate(
-    column: ColumnSchema,
-    aggs: CategoryStats,
-    left_mask: np.ndarray,
-    cost: float,
-    trace: Optional[IterationTrace] = None,
-) -> SplitCandidate:
-    """Assemble a canonical subset rule: smallest-mean category goes left."""
-    if not left_mask[int(np.argmin(aggs.sum / aggs.n))]:
-        left_mask = ~left_mask
-    left_labels = tuple(column.categories[i] for i in aggs.index[left_mask])
-    right_labels = tuple(column.categories[i] for i in aggs.index[~left_mask])
-    rule = SplitRule(column.name, "subset", left_labels, right_labels)
-    n_left = int(aggs.n[left_mask].sum())
-    return SplitCandidate(rule, float(cost), n_left, int(aggs.n.sum()) - n_left, trace)
-
-
-def _sorted_scan(aggs: CategoryStats, node: NodeStats) -> tuple:
-    """Fisher's sorted-means prefix scan: the best left mask and its cost.
-
-    For squared error the best prefix of the categories sorted by mean is an
-    optimal subset split (Fisher 1958).
-    """
-    order = np.argsort(aggs.sum / aggs.n, kind="stable")
-    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
-    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
-    best = int(np.argmin(costs))
-    left_mask = np.zeros(len(aggs), dtype=bool)
-    left_mask[order[: best + 1]] = True
-    return left_mask, costs[best]
-
-
-def best_categorical_split_qubo(
-    y: np.ndarray,
-    codes: np.ndarray,
-    column: ColumnSchema,
-    solver_cfg: Optional[SolverConfig] = None,
-    dk_cfg: Optional[DinkelbachConfig] = None,
-    warm: bool = True,
-) -> SplitCandidate:
-    """Optimal subset split via the iterative binary quadratic pipeline.
-
-    ``warm`` starts the ratio iteration at the sorted scan's split, so one
-    solve certifies it (none with two categories); ``warm=False`` runs the
-    cold iteration from ``dk_cfg.mode``.
-    """
-    aggs, node = aggregate_categories(codes, y, len(column.categories))
-    if len(aggs) < 2:
-        raise ValueError(f"{column.name}: need at least two observed categories")
-    v = build_v_matrix(aggs)
-    start = _sorted_scan(aggs, node)[0] if warm else None
-    q, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, dk_cfg, start)
-    left_mask = np.array(q, dtype=bool)
-    return _subset_candidate(column, aggs, left_mask, lam, trace)
-
-
-def best_categorical_split_exhaustive(
-    y: np.ndarray, codes: np.ndarray, column: ColumnSchema
-) -> SplitCandidate:
-    """Ground-truth subset split by direct enumeration of all partitions.
-
-    Costs come straight from per-category sums, independently of the
-    quadratic-form machinery, so this doubles as an oracle for it.
-    """
-    aggs, node = aggregate_categories(codes, y, len(column.categories))
-    m = len(aggs)
-    if not 2 <= m <= EXHAUSTIVE_MAX_CATEGORIES:
-        raise ValueError(
-            f"{column.name}: exhaustive search takes 2..{EXHAUSTIVE_MAX_CATEGORIES} categories, got {m}"
-        )
-
-    best_cost = np.inf
-    best_bits = None
-    for bits in assignment_chunks(m):
-        costs = _two_child_sse(
-            bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq, node.n, node.sum, node.sum_sq
-        )
-        i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_bits = bits[i].astype(bool)
-    return _subset_candidate(column, aggs, best_bits, best_cost)
-
-
-def best_categorical_split_greedy(
-    y: np.ndarray, codes: np.ndarray, column: ColumnSchema
-) -> SplitCandidate:
-    """Classical shortcut: sort categories by mean response, scan prefixes."""
-    aggs, node = aggregate_categories(codes, y, len(column.categories))
-    if len(aggs) < 2:
-        raise ValueError(f"{column.name}: need at least two observed categories")
-    return _subset_candidate(column, aggs, *_sorted_scan(aggs, node))
 
 
 class _Segments:
@@ -246,23 +151,38 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     return owner[best], cost, n_left, n_right, candidate
 
 
-def _two_level_costs(method: str, n, s, q, left) -> np.ndarray:
-    """Cost of the one split of nodes with two observed categories, per node.
+def _sorted_means_scan(cells: _Segments, n, s, q, totals) -> tuple:
+    """Fisher's sorted-means prefix scan of many nodes at once (Fisher 1958).
+
+    ``cells`` holds each node's observed categories, two or more, in code
+    order, with counts ``n``, response sums ``s`` and sums of squares ``q``;
+    ``totals`` holds each node's own ``n, s, q``. Returns each node's cost
+    and the left mask over the cells: the cheapest prefix of its categories
+    stably sorted by mean (the first of equal ones), which holds the
+    smallest mean and, for squared error, is an optimal subset split.
+    """
+    order = np.lexsort((s / n, cells.seg))
+    cuts = np.flatnonzero(cells.after > 0)
+    owner = cells.seg[cuts]
+    nl, sl, ql = (cells.cumsum(v[order], cuts) for v in (n, s, q))
+    costs = _two_child_sse(nl, sl, ql, *(t[owner] for t in totals))
+    best = _first_minima(costs, owner)
+    left = np.empty(len(order), dtype=bool)
+    left[order] = cells.pos <= cells.pos[cuts[best]][cells.seg]
+    return costs[best], left
+
+
+def _two_level_costs(n, s, q) -> np.ndarray:
+    """``qubo`` cost of the one split of nodes with two observed categories.
 
     Row k of the (nodes, 2) arrays ``n``, ``s`` and ``q`` holds each
-    category's count, response sum and sum of squares, in code order;
-    ``left[k]`` is the column of its smaller-mean category. ``greedy``
-    prices the split as ``_sorted_scan`` does; ``qubo`` as
-    ``dinkelbach_split`` started there: ``eval_fractional`` at q = (1, 0),
-    and 0.0 at zero parent variance. The arithmetic is theirs, operation
-    for operation (a product with a 0/1 bit is exact), so the costs are
-    equal to the bit.
+    category's count, response sum and sum of squares, in code order. Priced
+    as ``dinkelbach_split`` started there prices it (``eval_fractional`` at
+    q = (1, 0), 0.0 at zero parent variance), operation for operation, a
+    product with a 0/1 bit being exact, so the costs are equal to the bit.
     """
     (n0, n1), (s0, s1), (q0, q1) = n.T, s.T, q.T
     n_node, s_node, q_node = n0 + n1, s0 + s1, q0 + q1
-    if method == "greedy":
-        side = np.arange(len(left))
-        return _two_child_sse(n[side, left], s[side, left], q[side, left], n_node, s_node, q_node)
     mean = s_node / n_node
     var = q_node / n_node - mean * mean
     var = np.where(var > 0.0, var, 0.0)  # node_variance
@@ -283,73 +203,147 @@ def _two_level_costs(method: str, n, s, q, left) -> np.ndarray:
 _MAX_BINS = 1 << 18
 
 
-def _subset_scan(y, codes, column, segs, method, solver_cfg, dk_cfg):
-    """Subset split of every segment where the column has two or more categories.
-
-    Returns ``(ids, cost, n_left, n_right, candidate)`` like
-    ``_threshold_scan``. Segments with exactly two observed categories are
-    priced together by ``_two_level_costs``; the others, and every segment
-    under ``exhaustive``, go through the per-node ``best_categorical_split_*``.
-    Per-segment category sums accumulate in each node's own row order, as
-    ``aggregate_categories`` does.
-    """
-    m = len(column.categories)
+def _category_cells(y, codes, m: int, segs: _Segments):
+    """Count, response sum and sum of squares of every (segment, observed
+    category) pair, by segment, then code: ``(seg, code, n, s, q)``. Each sum
+    accumulates in its segment's row order, as ``aggregate_categories`` does."""
     n_seg = len(segs.sizes)
-    levels = np.zeros(n_seg, dtype=np.int64)
-    none = np.zeros((0, 2))
-    two = [(np.zeros(0, dtype=np.int64), none.astype(np.int64), none, none, none)]
+    parts = []
     step = max(1, _MAX_BINS // m)
     for lo in range(0, n_seg, step):
         hi = min(n_seg, lo + step)
         rows = segs.rows(lo, hi - 1)
         key = (segs.seg[rows] - lo) * m + codes[rows]
         bins = (hi - lo) * m
-        count = np.bincount(key, minlength=bins).reshape(hi - lo, m)
-        seen = count > 0
-        levels[lo:hi] = seen.sum(axis=1)
-        ids = np.flatnonzero(levels[lo:hi] == 2)
-        if method == "exhaustive" or len(ids) == 0:
-            continue
         w = y[rows]
-        sums = np.bincount(key, weights=w, minlength=bins).reshape(hi - lo, m)
-        sums_sq = np.bincount(key, weights=w * w, minlength=bins).reshape(hi - lo, m)
-        pair = np.nonzero(seen[ids])[1].reshape(-1, 2)
-        at = ids[:, None]
-        two.append((ids + lo, pair, count[at, pair].astype(np.float64), sums[at, pair], sums_sq[at, pair]))
-    ids2, pair, n, s, q = (np.concatenate(part) for part in zip(*two))
-    # The smaller-mean category goes left, as ``_subset_candidate`` orients it.
-    left = (s[:, 1] / n[:, 1] < s[:, 0] / n[:, 0]).astype(np.int64)
-    cost2 = _two_level_costs(method, n, s, q, left)
-    side = np.arange(len(ids2))
-    n_left2 = n[side, left].astype(np.int64)
-    n_right2 = n[side, 1 - left].astype(np.int64)
+        count = np.bincount(key, minlength=bins)
+        seen = np.flatnonzero(count)
+        sums = (np.bincount(key, weights=v, minlength=bins)[seen] for v in (w, w * w))
+        parts.append((seen // m + lo, seen % m, count[seen].astype(np.float64), *sums))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
-    if method == "exhaustive":
-        alone = np.flatnonzero((levels >= 2) & (levels <= EXHAUSTIVE_MAX_CATEGORIES))
+
+def _subset_candidate(column: ColumnSchema, index, left_mask, n, cost, trace=None) -> SplitCandidate:
+    """The subset rule of a node's observed category codes ``index``, with
+    counts ``n``, split by ``left_mask``, which holds the smallest mean."""
+    labels = (tuple(column.categories[i] for i in index[side].tolist()) for side in (left_mask, ~left_mask))
+    rule = SplitRule(column.name, "subset", *labels)
+    n_left = int(n[left_mask].sum())
+    return SplitCandidate(rule, float(cost), n_left, int(n.sum()) - n_left, trace)
+
+
+def _search_one(method: str, aggs: CategoryStats, node: NodeStats, start, solver_cfg, dk_cfg) -> tuple:
+    """One node's ``qubo`` ratio iteration from ``start``, or its ``exhaustive``
+    search (straight from the category sums, so an oracle for the former):
+    the left mask, turned to hold the smallest mean, its cost and the trace."""
+    trace = None
+    if method == "qubo":
+        q, cost, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, solver_cfg, dk_cfg, start)
     else:
-        alone = np.flatnonzero(levels >= 3)
-    cands = []
-    for i in alone.tolist():
-        rows = segs.rows(i, i)
-        if method == "greedy":
-            cands.append(best_categorical_split_greedy(y[rows], codes[rows], column))
-        elif method == "exhaustive":
-            cands.append(best_categorical_split_exhaustive(y[rows], codes[rows], column))
-        else:
-            cands.append(best_categorical_split_qubo(y[rows], codes[rows], column, solver_cfg, dk_cfg))
+        cost = np.inf
+        for bits in assignment_chunks(len(aggs)):
+            nl, sl, ql = bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq
+            costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+            i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
+            if costs[i] < cost:
+                cost, q = float(costs[i]), bits[i]
+    mask = np.array(q, dtype=bool)
+    return (mask if mask[int(np.argmin(aggs.sum / aggs.n))] else ~mask), cost, trace
+
+
+def _subset_scan(y, codes, column, segs, method, solver_cfg, dk_cfg):
+    """Subset split of every segment where the column has two or more
+    categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
+
+    Returns ``(ids, cost, n_left, n_right, candidate)`` like
+    ``_threshold_scan``. One sorted-means scan splits every segment:
+    ``greedy`` keeps that split; ``qubo`` prices it in closed form where it
+    is the only split and starts the ratio iteration there elsewhere;
+    ``exhaustive`` enumerates every partition instead.
+    """
+    seg, code, n, s, q = _category_cells(y, codes, len(column.categories), segs)
+    levels = np.bincount(seg, minlength=len(segs.sizes))
+    ok = (levels >= 2) & (levels <= (EXHAUSTIVE_MAX_CATEGORIES if method == "exhaustive" else np.inf))
+    ids = np.flatnonzero(ok)
+    if len(ids) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros(0), empty, empty, None
+    code, n, s, q = (v[ok[seg]] for v in (code, n, s, q))
+    cells = _Segments(levels[ids])
+    # Node totals as ``aggregate_categories`` forms them, by math.fsum of the
+    # cell sums; the sum of two floats is already correctly rounded.
+    tn, ts, tq = (np.add.reduceat(v, cells.starts) for v in (n, s, q))
+    for k in np.flatnonzero(cells.sizes > 2).tolist():
+        r = cells.rows(k, k)
+        ts[k], tq[k] = math.fsum(s[r]), math.fsum(q[r])
+    cost, left = _sorted_means_scan(cells, n, s, q, (tn, ts, tq))
+
+    alone, traces = [], {}  # the segments searched one at a time
+    if method == "qubo":
+        two = cells.sizes == 2
+        cost[two] = _two_level_costs(*(v[two[cells.seg]].reshape(-1, 2) for v in (n, s, q)))
+        alone = np.flatnonzero(~two).tolist()
+    elif method == "exhaustive":
+        alone = range(len(ids))
+    for k in alone:
+        r = cells.rows(k, k)
+        aggs = CategoryStats(code[r], n[r], s[r], q[r])
+        node = NodeStats(int(tn[k]), float(ts[k]), float(tq[k]))
+        left[r], cost[k], traces[k] = _search_one(method, aggs, node, left[r], solver_cfg, dk_cfg)
+    n_left = np.add.reduceat(np.where(left, n, 0.0), cells.starts).astype(np.int64)
 
     def candidate(k: int) -> SplitCandidate:
-        if k >= len(ids2):
-            return cands[k - len(ids2)]
-        labels = [column.categories[c] for c in pair[k]]
-        rule = SplitRule(column.name, "subset", (labels[left[k]],), (labels[1 - left[k]],))
-        return SplitCandidate(rule, float(cost2[k]), int(n_left2[k]), int(n_right2[k]))
+        r = cells.rows(k, k)
+        return _subset_candidate(column, code[r], left[r], n[r], cost[k], traces.get(k))
 
-    ids = np.concatenate((ids2, alone))
-    cost = np.concatenate((cost2, [c.cost for c in cands]))
-    n_left = np.concatenate((n_left2, np.array([c.n_left for c in cands], dtype=np.int64)))
-    n_right = np.concatenate((n_right2, np.array([c.n_right for c in cands], dtype=np.int64)))
-    return ids, cost, n_left, n_right, candidate
+    return ids, cost, n_left, tn.astype(np.int64) - n_left, candidate
+
+
+def best_categorical_split_qubo(
+    y: np.ndarray, codes: np.ndarray, column: ColumnSchema, solver_cfg: Optional[SolverConfig] = None,
+    dk_cfg: Optional[DinkelbachConfig] = None, warm: bool = True,
+) -> SplitCandidate:
+    """Optimal subset split via the iterative binary quadratic pipeline.
+
+    ``warm`` starts the ratio iteration at the sorted-means scan's split, so
+    one solve certifies it (none with two categories); ``warm=False`` runs
+    the cold iteration from ``dk_cfg.mode``. Either way the candidate
+    carries the node's iteration trace.
+    """
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    if len(aggs) < 2:
+        raise ValueError(f"{column.name}: need at least two observed categories")
+    start = None
+    if warm:
+        totals = [np.array([v], dtype=np.float64) for v in (node.n, node.sum, node.sum_sq)]
+        start = _sorted_means_scan(_Segments(np.array([len(aggs)])), aggs.n, aggs.sum, aggs.sum_sq, totals)[1]
+    mask, lam, trace = _search_one("qubo", aggs, node, start, solver_cfg, dk_cfg)
+    return _subset_candidate(column, aggs.index, mask, aggs.n, lam, trace)
+
+
+def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
+    """The subset split of one node by ``_subset_scan``; ValueError without one."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if len(codes) == 0:
+        raise ValueError("empty node")
+    one = _Segments(np.array([len(codes)]))
+    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, one, method, None, None)
+    if len(ids):
+        return candidate(0)
+    if method == "exhaustive":
+        m = np.count_nonzero(np.bincount(codes))
+        raise ValueError(f"{column.name}: exhaustive search takes 2..{EXHAUSTIVE_MAX_CATEGORIES} categories, got {m}")
+    raise ValueError(f"{column.name}: need at least two observed categories")
+
+
+def best_categorical_split_exhaustive(y: np.ndarray, codes: np.ndarray, column: ColumnSchema) -> SplitCandidate:
+    """Ground-truth subset split by direct enumeration of all partitions."""
+    return _one_node(y, codes, column, "exhaustive")
+
+
+def best_categorical_split_greedy(y: np.ndarray, codes: np.ndarray, column: ColumnSchema) -> SplitCandidate:
+    """Classical shortcut: sort categories by mean response, scan prefixes."""
+    return _one_node(y, codes, column, "greedy")
 
 
 def best_numeric_split(

@@ -8,6 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from qubotree import ColumnSchema, Dataset
 from qubotree import splitting
+from qubotree.dinkelbach import dinkelbach_split
+from qubotree.solvers import assignment_chunks
 from qubotree.splitting import (
     EXHAUSTIVE_MAX_CATEGORIES,
     SplitCandidate,
@@ -20,12 +22,64 @@ from qubotree.splitting import (
     best_split,
     best_splits,
 )
+from qubotree.stats import aggregate_categories, build_v_matrix
 
 SPLITTERS = {
     "qubo": best_categorical_split_qubo,
     "greedy": best_categorical_split_greedy,
     "exhaustive": best_categorical_split_exhaustive,
 }
+
+
+def subset_candidate(column, aggs, left_mask, cost, trace=None):
+    """Reference rule assembly: the smallest-mean category goes left."""
+    if not left_mask[int(np.argmin(aggs.sum / aggs.n))]:
+        left_mask = ~left_mask
+    left_labels = tuple(column.categories[i] for i in aggs.index[left_mask])
+    right_labels = tuple(column.categories[i] for i in aggs.index[~left_mask])
+    n_left = int(aggs.n[left_mask].sum())
+    rule = SplitRule(column.name, "subset", left_labels, right_labels)
+    return SplitCandidate(rule, float(cost), n_left, int(aggs.n.sum()) - n_left, trace)
+
+
+def sorted_scan(aggs, node):
+    """Reference sorted-means scan of one node: its own stable sort and cumsum."""
+    order = np.argsort(aggs.sum / aggs.n, kind="stable")
+    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
+    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+    best = int(np.argmin(costs))
+    left_mask = np.zeros(len(aggs), dtype=bool)
+    left_mask[order[: best + 1]] = True
+    return left_mask, costs[best]
+
+
+def greedy_reference(y, codes, column):
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    return subset_candidate(column, aggs, *sorted_scan(aggs, node))
+
+
+def qubo_reference(y, codes, column):
+    """The ratio iteration of one node, started at the reference scan's split."""
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, start=sorted_scan(aggs, node)[0])
+    return subset_candidate(column, aggs, np.array(q, dtype=bool), lam, trace)
+
+
+def exhaustive_reference(y, codes, column):
+    """Reference enumeration of every partition of one node, first minimum first."""
+    aggs, node = aggregate_categories(codes, y, len(column.categories))
+    best_cost, best_bits = np.inf, None
+    for bits in assignment_chunks(len(aggs)):
+        costs = _two_child_sse(
+            bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq, node.n, node.sum, node.sum_sq
+        )
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost, best_bits = float(costs[i]), bits[i].astype(bool)
+    return subset_candidate(column, aggs, best_bits, best_cost)
+
+
+REFERENCES = {"qubo": qubo_reference, "greedy": greedy_reference, "exhaustive": exhaustive_reference}
 
 
 def numeric_split_loop(y, x, variable, min_bucket=1):
@@ -45,7 +99,7 @@ def numeric_split_loop(y, x, variable, min_bucket=1):
     return SplitCandidate(rule, float(costs[best]), int(nl[best]), n - int(nl[best]))
 
 
-def one_node(data, indices, method, min_bucket, numeric):
+def one_node(data, indices, method, min_bucket, numeric, splitters):
     """Reference search of one node: column by column, the first minimum wins."""
     y = data.response[indices]
     best = None
@@ -56,7 +110,7 @@ def one_node(data, indices, method, min_bucket, numeric):
         if column.kind == "categorical":
             if method == "exhaustive" and np.count_nonzero(np.bincount(values)) > EXHAUSTIVE_MAX_CATEGORIES:
                 continue
-            cand = SPLITTERS[method](y, values, column)
+            cand = splitters[method](y, values, column)
             if cand.n_left < min_bucket or cand.n_right < min_bucket:
                 continue
         else:
@@ -125,9 +179,9 @@ def test_batched_search_equals_one_node_at_a_time(case):
     with mock.patch.object(splitting, "_MAX_BINS", 3 if few_bins else splitting._MAX_BINS):
         batched = [key(c) for c in best_splits(data, segments, method, min_bucket=min_bucket)]
     alone = [key(best_split(data, rows, method, min_bucket=min_bucket)) for rows in segments]
-    reference = [key(one_node(data, rows, method, min_bucket, best_numeric_split)) for rows in segments]
-    loop = [key(one_node(data, rows, method, min_bucket, numeric_split_loop)) for rows in segments]
-    assert batched == alone == reference == loop
+    public = [key(one_node(data, rows, method, min_bucket, best_numeric_split, SPLITTERS)) for rows in segments]
+    loop = [key(one_node(data, rows, method, min_bucket, numeric_split_loop, REFERENCES)) for rows in segments]
+    assert batched == alone == public == loop
 
 
 def test_zero_variance_two_category_node_costs_zero():
@@ -138,24 +192,51 @@ def test_zero_variance_two_category_node_costs_zero():
     assert best_categorical_split_qubo(y, data.column("c"), data.schema[0]).cost == 0.0
 
 
+def assert_nodes_price_like_the_references(codes, y, sizes, m):
+    """Every node priced in one call, with the category bins in one pass and
+    in many, and one node at a time by the public and the reference splitters
+    (whose candidates, qubo's traces included, must be equal too)."""
+    column = ColumnSchema("c", "categorical", tuple(f"k{i}" for i in range(m)))
+    data = Dataset((column,), {"c": codes}, y)
+    segments = np.split(np.arange(len(y)), np.cumsum(sizes)[:-1])
+    for method in sorted(REFERENCES):
+        reference = [REFERENCES[method](y[rows], codes[rows], column) for rows in segments]
+        public = [SPLITTERS[method](y[rows], codes[rows], column) for rows in segments]
+        assert public == reference
+        assert [key(c) for c in public] == [key(c) for c in reference]
+        for bins in (splitting._MAX_BINS, 2 * m + 1):
+            with mock.patch.object(splitting, "_MAX_BINS", bins):
+                assert [key(c) for c in best_splits(data, segments, method)] == [key(c) for c in reference]
+
+
+def near_constant(rng, y, sizes):
+    """A third of the nodes sit around 1e10, two 1e-5 steps apart."""
+    far = np.repeat(rng.random(len(sizes)) < 1 / 3, sizes)
+    y[far] = 1e10 + 1e-5 * rng.integers(0, 2, size=int(far.sum()))
+    return y
+
+
 def test_two_category_nodes_price_like_the_per_node_splitters():
-    # 1500 random two-category nodes, a third of them near-constant around
-    # 1e10, priced in one call and one node at a time.
     rng = np.random.default_rng(5)
     sizes = rng.integers(2, 12, size=1500)
     n = int(sizes.sum())
     codes = rng.integers(0, 2, size=n)
     codes[np.cumsum(sizes) - sizes] = 0  # every node sees both categories
     codes[np.cumsum(sizes) - 1] = 1
-    y = rng.normal(5000.0, 3000.0, size=n)
-    far = np.repeat(rng.random(len(sizes)) < 1 / 3, sizes)
-    y[far] = 1e10 + 1e-5 * rng.integers(0, 2, size=int(far.sum()))
-    column = ColumnSchema("c", "categorical", ("k0", "k1", "k2"))
-    data = Dataset((column,), {"c": codes}, y)
-    segments = np.split(np.arange(n), np.cumsum(sizes)[:-1])
-    for method in ("qubo", "greedy"):
-        batched = [key(c) for c in best_splits(data, segments, method)]
-        assert batched == [key(SPLITTERS[method](y[rows], codes[rows], column)) for rows in segments]
+    y = near_constant(rng, rng.normal(5000.0, 3000.0, size=n), sizes)
+    assert_nodes_price_like_the_references(codes, y, sizes, 3)
+
+
+def test_many_category_nodes_price_like_the_per_node_splitters():
+    # Nodes that see 3 to 6 of 8 declared categories, each at least once.
+    rng = np.random.default_rng(7)
+    parts = []
+    for _ in range(400):
+        seen = rng.choice(8, size=rng.integers(3, 7), replace=False)
+        parts.append(np.concatenate((seen, rng.choice(seen, size=rng.integers(0, 10)))))
+    sizes = np.array([len(p) for p in parts])
+    y = near_constant(rng, rng.normal(5000.0, 3000.0, size=int(sizes.sum())), sizes)
+    assert_nodes_price_like_the_references(np.concatenate(parts), y, sizes, 8)
 
 
 def test_segments_must_be_non_empty():

@@ -275,6 +275,20 @@ def test_protocol_rejects_bad_fractions(tmp_path, small_csv, capsys):
     assert code == 2 and "error: --fractions must be comma-separated numbers" in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", ["--cp", "nan", "--out", "model.json"]), ("protocol", ["--fractions", "nan,0.5,0.5"])],
+    ids=("train-cp", "protocol-fractions"),
+)
+def test_nan_setting_exits_2_naming_it(tmp_path, small_csv, capsys, command, flags):
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    argv = [command, "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount", *flags]
+    code, _, err = _run(argv, capsys)
+    last = err.splitlines()[-1]
+    assert code == 2 and last.startswith("error: ") and "nan" in last
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_config_file_defaults_and_unknown_key(tmp_path, small_csv, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max-depth = 2\nseed = 4\n", encoding="utf-8")
@@ -444,12 +458,14 @@ def test_eval_baseline_with_zero_mse_fails(tmp_path, small_csv, capsys):
     assert not report.exists()
 
 
-def _predict_with_edited_golden_model(tmp_path, capsys, edit):
-    """Run ``predict`` with the golden model after ``edit(nodes)``; exit code, stdout, last stderr line."""
+def _predict_with_edited_golden_model(tmp_path, capsys, edit, config=()):
+    """Run ``predict`` with the golden model after ``edit(nodes)`` and with the
+    ``config`` settings; exit code, stdout, last stderr line."""
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     with open(os.path.join(golden, "train_model.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     edit(doc["nodes"])
+    doc["config"].update(config)
     model = tmp_path / "edited.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = _run(["predict", "--model", str(model), "--data", os.path.join(golden, "df100.csv")], capsys)
@@ -502,3 +518,8 @@ def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message
     assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (
         2, "", f"error: <model>: malformed model file: {message}"
     )
+
+
+def test_model_file_with_nan_cp_exits_2(tmp_path, capsys):
+    code, out, err = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, {"cp": float("nan")})
+    assert (code, out) == (2, "") and err.startswith("error: <model>: malformed model file: ") and "nan" in err

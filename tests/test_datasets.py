@@ -195,6 +195,8 @@ def test_split_specification_validation():
         SplitSpecification((0.5, 0.5, 0.25))
     with pytest.raises(DataError):
         SplitSpecification((0.5, -0.25, 0.75))
+    with pytest.raises(DataError, match="nan"):  # NaN is not <= 0 either
+        SplitSpecification((float("nan"), 0.5, 0.5))
 
 
 def test_dataset_immutable():

@@ -151,6 +151,13 @@ def test_config_validation():
         dinkelbach_split(v1, aggs1, node1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=("nan", "inf"))
+@pytest.mark.parametrize("setting", ["rel_tolerance", "custom_value"])
+def test_config_rejects_nan_and_infinite_settings(setting, value):
+    with pytest.raises(ValueError, match=str(value)):
+        DinkelbachConfig(**{"mode": "custom", "custom_value": 1.0, setting: value})
+
+
 def test_max_iterations_returns_best_so_far(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)

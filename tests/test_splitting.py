@@ -301,8 +301,25 @@ def test_best_split_propagates_splitter_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("splitter bug")
 
-    # A node with three categories goes through the per-node splitter.
-    monkeypatch.setattr(splitting, "best_categorical_split_qubo", broken)
+    # A node with three categories runs its own ratio iteration.
+    monkeypatch.setattr(splitting, "dinkelbach_split", broken)
     data = _dataset([("c", "categorical", ["a", "b", "c"])], [0.0, 1.0, 5.0])
     with pytest.raises(ValueError, match="splitter bug"):
         best_split(data, np.arange(3))
+
+
+@pytest.mark.parametrize(
+    "splitter, codes, message",
+    [
+        (best_categorical_split_greedy, [0, 0, 0], "c: need at least two observed categories"),
+        (best_categorical_split_qubo, [0, 0, 0], "c: need at least two observed categories"),
+        (best_categorical_split_exhaustive, [0, 0, 0], r"c: exhaustive search takes 2\.\.22 categories, got 1$"),
+        (best_categorical_split_exhaustive, list(range(23)), r"c: exhaustive search takes 2\.\.22 categories, got 23$"),
+        (best_categorical_split_greedy, [], "empty node"),
+    ],
+    ids=("greedy-one", "qubo-one", "exhaustive-one", "exhaustive-23", "greedy-empty"),
+)
+def test_per_node_splitters_reject_nodes_they_cannot_split(splitter, codes, message):
+    column = ColumnSchema("c", "categorical", tuple(f"L{i}" for i in range(30)))
+    with pytest.raises(ValueError, match=message):
+        splitter(np.arange(len(codes), dtype=np.float64), np.array(codes, dtype=np.int64), column)

@@ -74,6 +74,8 @@ def test_config_validation():
         GrowConfig(routing="sideways")
     with pytest.raises(ValueError):
         GrowConfig(max_depth=-1)
+    with pytest.raises(ValueError, match="nan"):  # NaN is not < 0 either
+        GrowConfig(cp=float("nan"))
 
 
 def test_child_counts_and_sse_decomposition():
