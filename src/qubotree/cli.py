@@ -119,8 +119,13 @@ def _grow_config(args) -> GrowConfig:
     )
 
 
+def _output(path: Optional[str]):
+    """The file at ``path`` opened for writing, or stdout when there is none."""
+    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
 def _write_rows(path: Optional[str], header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -158,7 +163,9 @@ def cmd_predict(args) -> int:
     # distinct values, so 0.0 and -0.0 keep their own text.
     bits, inverse = np.unique(preds.view(np.int64), return_inverse=True)
     texts = np.array([float.__repr__(p) for p in bits.view(np.float64).tolist()], dtype=object)
-    _write_rows(args.out, ["prediction"], zip(texts[inverse]))
+    # A float's repr never needs CSV quoting, so joined lines are the bytes csv.writer would write.
+    with _output(args.out) as fh:
+        fh.write("\n".join(["prediction", *texts[inverse].tolist()]) + "\n")
     if args.out:
         print(f"wrote {len(preds)} predictions to {args.out}")
     return 0

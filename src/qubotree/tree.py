@@ -62,9 +62,9 @@ class GrowConfig:
     dinkelbach: DinkelbachConfig = field(default_factory=DinkelbachConfig)
 
     def __post_init__(self):
-        if self.max_depth < 0 or not self.cp >= 0 or self.min_bucket < 1:  # a NaN cp fails too
+        if self.max_depth < 0 or not 0 <= self.cp < math.inf or self.min_bucket < 1:  # a NaN cp fails too
             got = (self.max_depth, self.cp, self.min_bucket)
-            raise ValueError(f"need max_depth, cp >= 0 and min_bucket >= 1, got {got}")
+            raise ValueError(f"need max_depth >= 0, a finite cp >= 0 and min_bucket >= 1, got {got}")
         if self.min_split < 2 * self.min_bucket:
             raise ValueError("min_split must be at least 2 * min_bucket")
         if self.routing not in ROUTINGS:

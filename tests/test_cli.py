@@ -523,3 +523,39 @@ def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message
 def test_model_file_with_nan_cp_exits_2(tmp_path, capsys):
     code, out, err = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, {"cp": float("nan")})
     assert (code, out) == (2, "") and err.startswith("error: <model>: malformed model file: ") and "nan" in err
+
+
+def test_malformed_headers_fields_and_schemas_exit_2(tmp_path, capsys):
+    ok = tmp_path / "ok.csv"
+    ok.write_text("a,b,Y\n1,x,2\n2,y,3\n", encoding="utf-8")
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("a,a,Y\n1,2,3\n2,3,4\n", encoding="utf-8")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,Y\n" + "x" * 131073 + ",1\n", encoding="utf-8")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("a,b,Y\n1,x,2\n2,y,3\n\n3,z,4\n", encoding="utf-8")
+    cases = [
+        (repeated, "auto", f"error: {repeated}: header names column 'a' more than once"),
+        (ok, "a:numeric,a:numeric", "error: the schema names column 'a' more than once"),
+        (ok, "a:numeric,Y:numeric", "error: the schema lists the response column 'Y' as a feature"),
+        (wide, "auto", f"error: {wide}: line 2: field larger than field limit (131072)"),
+        (blank, "auto", f"error: {blank}: row 2: expected 3 cells, got 0"),
+        (blank, "a:numeric,b:categorical", f"error: {blank}: row 2: expected 3 cells, got 0"),
+    ]
+    for data, schema, message in cases:
+        code, out, err = _run(["train", "--data", str(data), "--schema", schema, "--response", "Y",
+                               "--out", str(tmp_path / "m.json")], capsys)
+        assert (code, out, err.splitlines()[-1]) == (2, "", message), (data, schema)
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_rejects_an_infinite_cp(tmp_path, small_csv, capsys):
+    model = tmp_path / "m.json"
+    code, out, err = _run(["train", "--data", small_csv, "--schema", SCHEMA, "--cp", "inf", "--out", str(model)], capsys)
+    assert (code, out) == (2, "") and "finite cp" in err.splitlines()[-1]
+    assert not model.exists()
+
+
+def test_model_file_with_infinite_cp_exits_2(tmp_path, capsys):
+    code, out, err = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, {"cp": float("inf")})
+    assert (code, out) == (2, "") and err.startswith("error: <model>: malformed model file: ") and "inf" in err

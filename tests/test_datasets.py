@@ -1,10 +1,17 @@
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qubotree import (
     ColumnSchema,
     DataError,
+    Dataset,
     SplitSpecification,
+    datasets,
     infer_schema,
     load_csv,
     parse_schema,
@@ -18,6 +25,163 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _row_wise_finite(path, name, values):
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        raise DataError(f"{path}: row {bad[0]}: non-finite value {values[bad[0]]!r} in {name!r}")
+    return arr
+
+
+def row_wise_load_csv(path, schema, response_column):
+    """The reference loader: every cell converted and checked in a Python loop, one row at a time."""
+    with datasets._read_csv(path) as (header, reader):
+        positions = {name: i for i, name in enumerate(header)}
+        for col in schema:
+            if col.name not in positions:
+                raise DataError(f"{path}: header is missing schema column {col.name!r}")
+        if response_column is not None and response_column not in positions:
+            raise DataError(f"{path}: header is missing response column {response_column!r}")
+
+        raw = {col.name: [] for col in schema}
+        codes = {col.name: {} for col in schema if col.kind == "categorical"}
+        cat_order = {col.name: [] for col in schema if col.kind == "categorical"}
+        response = [] if response_column is not None else None
+
+        for row_idx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {row_idx}: expected {len(header)} cells, got {len(row)}")
+            for col in schema:
+                cell = row[positions[col.name]]
+                if cell == "":
+                    raise DataError(f"{path}: row {row_idx}: missing value in {col.name!r}")
+                if col.kind == "categorical":
+                    table = codes[col.name]
+                    if cell not in table:
+                        table[cell] = len(table)
+                        cat_order[col.name].append(cell)
+                    raw[col.name].append(table[cell])
+                else:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {row_idx}: non-numeric cell {cell!r} in {col.name!r}"
+                        ) from None
+                    if col.kind == "binary" and value not in (0.0, 1.0):
+                        raise DataError(
+                            f"{path}: row {row_idx}: binary column {col.name!r} got {cell!r}"
+                        )
+                    raw[col.name].append(value)
+            if response is not None:
+                cell = row[positions[response_column]]
+                try:
+                    response.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {row_idx}: non-numeric response {cell!r}"
+                    ) from None
+
+    n = len(next(iter(raw.values()))) if raw else (len(response) if response else 0)
+    if n == 0:
+        raise DataError(f"{path}: no data rows")
+
+    final_schema = []
+    columns = {}
+    for col in schema:
+        if col.kind == "categorical":
+            final_schema.append(ColumnSchema(col.name, "categorical", tuple(cat_order[col.name])))
+            columns[col.name] = np.asarray(raw[col.name], dtype=np.int64)
+        else:
+            final_schema.append(col)
+            columns[col.name] = _row_wise_finite(path, col.name, raw[col.name])
+    resp = None if response is None else _row_wise_finite(path, response_column, response)
+    if resp is not None:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(resp @ resp):
+                raise DataError(f"{path}: the sum of squares of {response_column!r} overflows float64")
+    return Dataset(tuple(final_schema), columns, resp, response_column or "y")
+
+
+# Cells each kind accepts, with the ones where Python's float() and numpy's
+# string parsing differ (underscores, surrounding space, a signed zero).
+GOOD_CELLS = {
+    "numeric": st.one_of(
+        st.sampled_from(["0", "2.5", " 1.5", "-0.0", "1_000", "1e3", "7 ", "-3.25", "5e-324"]),
+        st.floats(-1e9, 1e9).map(repr),
+    ),
+    "binary": st.sampled_from(["0", "1", "1.0", "-0.0", " 0", "0e0"]),
+    "categorical": st.sampled_from(["a", "b", "c", " a", "1", "\u00e9", "nan"]),
+}
+GOOD_CELLS["response"] = GOOD_CELLS["numeric"]
+BAD_CELLS = ["", "x", "2", "nan", "inf", "-inf", "1e200"]
+
+
+@st.composite
+def small_csvs(draw):
+    """A header-first CSV of 1 to 10 rows, and the schema and response to load it with.
+
+    Up to three cells are replaced by bad ones, and one row may be made
+    short, long or blank.
+    """
+    kinds = draw(st.lists(st.sampled_from(datasets.KINDS), min_size=1, max_size=3))
+    schema = [ColumnSchema(f"c{i}", kind) for i, kind in enumerate(kinds)]
+    names = [c.name for c in schema]
+    at = draw(st.integers(0, len(names)))
+    names.insert(at, "Y")
+    kinds = kinds[:at] + ["response"] + kinds[at:]
+    rows = draw(st.lists(st.tuples(*(GOOD_CELLS[kind] for kind in kinds)).map(list), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    fault = draw(st.sampled_from([None, None, None, "short", "long", "blank"]))
+    if fault is not None:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row] = {"short": rows[row][:-1], "long": rows[row] + ["9"], "blank": []}[fault]
+    text = "".join(",".join(cells) + "\n" for cells in [names, *rows])
+    return text, schema, draw(st.sampled_from(["Y", None]))
+
+
+def _outcome(loader, path, schema, response):
+    try:
+        return loader(path, schema, response)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(small_csvs(), st.integers(1, 3))
+def test_block_loader_equals_row_wise_loader(case, block_rows):
+    text, schema, response = case
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        want = _outcome(row_wise_load_csv, path, schema, response)
+        with mock.patch.object(datasets, "_BLOCK_ROWS", block_rows):
+            got = _outcome(load_csv, path, schema, response)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.schema == want.schema and got.response_name == want.response_name
+    for col in want.schema:
+        assert got.column(col.name).dtype == want.column(col.name).dtype
+        assert got.column(col.name).tobytes() == want.column(col.name).tobytes()
+    if response is None:
+        assert got.response is None
+    else:
+        assert got.response.dtype == np.float64 and got.response.tobytes() == want.response.tobytes()
+
+
+def test_block_loader_keeps_labels_first_seen_in_a_later_block(tmp_path):
+    path = _write(tmp_path, "c,Y\nb,1\nb,2\na,3\nc,4\na,5\n")
+    schema = [ColumnSchema("c", "categorical")]
+    with mock.patch.object(datasets, "_BLOCK_ROWS", 2):
+        data = load_csv(path, schema, "Y")
+    assert data.schema[0].categories == ("b", "a", "c")
+    assert data.column("c").tolist() == [0, 0, 1, 2, 1]
 
 
 def test_load_csv_basic(tmp_path):
@@ -149,6 +313,45 @@ def test_infer_schema_reads_every_cell(tmp_path, n):
     # A 2 after n binary-looking cells makes the column numeric.
     rows = "".join(f"{i % 2},{i}\n" for i in range(n)) + "2,1\n"
     assert infer_schema(_write(tmp_path, "b,Y\n" + rows, "late.csv"), "Y") == [ColumnSchema("b", "numeric")]
+
+
+def test_infer_schema_reports_a_short_row_like_load_csv(tmp_path):
+    # A blank line is a row of no cells; auto-sniffing must not read past it.
+    path = _write(tmp_path, "a,b,Y\n1,x,2\n2,y,3\n\n3,z,4\n")
+    message = "row 2: expected 3 cells, got 0"
+    with pytest.raises(DataError, match=message):
+        infer_schema(path, "Y")
+    with pytest.raises(DataError, match=message):
+        load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("b", "categorical")], "Y")
+
+
+def test_header_naming_a_column_twice_is_rejected(tmp_path):
+    path = _write(tmp_path, "a,b,a,Y\n1,2,3,4\n")
+    with pytest.raises(DataError, match="header names column 'a' more than once"):
+        infer_schema(path, "Y")
+    with pytest.raises(DataError, match="header names column 'a' more than once"):
+        load_csv(path, [ColumnSchema("b", "numeric")], "Y")
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ([ColumnSchema("a", "numeric"), ColumnSchema("a", "categorical")], "the schema names column 'a' more than once"),
+        ([ColumnSchema("a", "numeric"), ColumnSchema("Y", "numeric")],
+         "the schema lists the response column 'Y' as a feature"),
+    ],
+    ids=("repeated", "response"),
+)
+def test_schema_naming_a_column_twice_or_the_response_is_rejected(tmp_path, schema, message):
+    path = _write(tmp_path, "a,Y\n1,2\n")
+    with pytest.raises(DataError, match=message):
+        load_csv(path, schema, "Y")
+
+
+def test_field_over_the_tokenizer_limit_names_the_line(tmp_path):
+    path = _write(tmp_path, "a,Y\n1,2\n" + "x" * 131073 + ",3\n")
+    with pytest.raises(DataError, match=r"data.csv: line 3: field larger than field limit"):
+        load_csv(path, [ColumnSchema("a", "categorical")], "Y")
 
 
 def test_partition_sizes_exact():

@@ -7,9 +7,12 @@ import os
 import sys
 import tempfile
 
+import pytest
 from hypothesis import given, strategies as st
 
-from qubotree import AnnealConfig, ColumnSchema, DinkelbachConfig, GrowConfig, SolverConfig, load_model, save_model
+from qubotree import (
+    AnnealConfig, ColumnSchema, DataError, DinkelbachConfig, GrowConfig, SolverConfig, load_model, save_model,
+)
 from qubotree.splitting import SplitRule
 from qubotree.tree import RegressionTree, TreeNode, tree_to_dict
 
@@ -80,3 +83,14 @@ def test_chain_deeper_than_the_recursion_limit_round_trips(tmp_path):
     back = load_model(path)
     assert back.depth() == inner
     assert tree_to_dict(back) == tree_to_dict(tree)
+
+
+@pytest.mark.parametrize("cp", ["Infinity", "1e999"])
+def test_infinite_cp_is_a_malformed_model_file(tmp_path, cp):
+    path = tmp_path / "model.json"
+    save_model(chain_tree(1), str(path))
+    text = path.read_text(encoding="utf-8")
+    assert '"cp": 0.0,' in text
+    path.write_text(text.replace('"cp": 0.0,', f'"cp": {cp},'), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed model file: need .* a finite cp >= 0"):
+        load_model(str(path))
