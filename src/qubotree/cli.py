@@ -1,9 +1,10 @@
 """Command-line surface: generate, train, predict, eval, protocol, trace, compare.
 
-Every command is deterministic given its flags and seed; wall-clock timings
-go to stderr so output files are byte-identical across reruns. A config file
-of ``key = value`` lines supplies defaults, CLI flags override it, and the
-fully resolved configuration is logged to stderr on every run.
+Every command is deterministic given its flags, ``--seed`` included where the
+command draws random numbers; wall-clock timings go to stderr so output
+files are byte-identical across reruns. A config file of ``key = value``
+lines supplies defaults, CLI flags override it, and the fully resolved
+configuration is logged to stderr on every run.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _log(msg: str) -> None:
 def _config_flags(args) -> list:
     """The ``--config`` file's entries as flags, checked against the command's options."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.config}: not UTF-8 text: {exc}") from None
@@ -98,14 +99,14 @@ def _load_data(args) -> Dataset:
 
 
 def _search_config(args, **grow) -> GrowConfig:
-    """The split-search settings the flags select; ``grow`` adds train's and protocol's stopping rules.
+    """The split-search settings the flags select; ``grow`` adds train's and
+    protocol's stopping rules, or trace's and compare's ratio-iteration start.
 
     The settings are checked before any data is loaded, and a bad value is a user error.
     """
     try:
         return GrowConfig(
             solver=SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed)),
-            dinkelbach=DinkelbachConfig(mode=args.init),
             **grow,
         )
     except ValueError as exc:
@@ -227,29 +228,19 @@ def _column_stats(args):
 
 
 def cmd_trace(args) -> int:
-    cfg = _search_config(args)
+    cfg = _search_config(args, dinkelbach=DinkelbachConfig(mode=args.init))
     _, column, aggs, node = _column_stats(args)
     v = build_v_matrix(aggs)
     _, lam, trace = dinkelbach_split(v, aggs, node, cfg.solver, cfg.dinkelbach)
-    rows = trace.rows()
-    if args.format == "json":
-        doc = {"column": args.column, "converged": trace.converged, "lambda_star": lam, "rows": rows}
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
-    else:
-        header = ["iteration", "lambda_initial", "binary_vector", "score", "lambda_final"]
-        _write_rows(args.out, header, [[r[k] for k in header] for r in rows])
+    header = ["iteration", "lambda_initial", "binary_vector", "score", "lambda_final"]
+    _write_rows(args.out, header, [[r[k] for k in header] for r in trace.rows()])
     labels = ",".join(column.categories[i] for i in aggs.index)
     print(f"column={args.column} categories=({labels}) converged={trace.converged} lambda_star={lam!r}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _search_config(args)
+    cfg = _search_config(args, dinkelbach=DinkelbachConfig(mode=args.init))
     data, column, aggs, _ = _column_stats(args)
     y, codes = data.response, data.column(args.column)
     limit = min(args.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
@@ -276,7 +267,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file of flag defaults")
     parser.add_argument("--threads", type=int, default=None,
                         help="reserved: execution is sequential, so results are identical for any value")
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
@@ -288,10 +278,15 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
+    parser.add_argument("--seed", type=int, default=0, help="annealing seed; protocol's partition seed too")
+
+
+def _add_column(parser: argparse.ArgumentParser) -> None:
+    """Trace's and compare's options: one column and the cold ratio iteration's start."""
+    parser.add_argument("--column", required=True)
     parser.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound",
-                        help="start of the ratio iteration in trace and compare; grown trees start "
-                             "at the sorted-means split and do not depend on it (train still records "
-                             "it in the model)")
+                        help="start of the ratio iteration: the parent bound n * Var, or zero")
+    _add_search(parser)
 
 
 def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig) -> None:
@@ -319,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("df", "datagen"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="data seed")
     _add_common(p)
     p.set_defaults(func=cmd_generate)
 
@@ -354,17 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="ratio-iteration convergence table for one column")
     _add_data(p)
-    p.add_argument("--column", required=True)
-    _add_search(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_column(p)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="qubo vs exhaustive vs greedy on one column")
     _add_data(p)
-    p.add_argument("--column", required=True)
-    _add_search(p)
+    _add_column(p)
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_compare)

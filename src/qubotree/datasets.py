@@ -125,7 +125,7 @@ def _read_csv(path: str):
     ``csv.field_size_limit()``) raise DataError naming the path.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

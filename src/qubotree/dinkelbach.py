@@ -109,13 +109,11 @@ def dinkelbach_split(
     all-zeros vector and lam resets to the parent bound.
 
     A non-trivial ``start`` assignment replaces ``dk_cfg.mode``: lam starts at
-    its cost. With two categories the start is the only split and comes back,
-    first bit set, as one converged step without a solve. Otherwise the first
-    solve is a certificate: an objective within tolerance of zero proves lam
-    optimal, a negative one continues the iteration from the solver's
-    assignment, and a positive one (the solver missed the incumbent's own
-    value of zero) stops the iteration, which returns the best assignment
-    seen, non-converged.
+    its cost, and the first solve is a certificate: an objective within
+    tolerance of zero proves lam optimal, a negative one continues the
+    iteration from the solver's assignment, and a positive one (the solver
+    missed the incumbent's own value of zero) stops the iteration, which
+    returns the best assignment seen, non-converged.
 
     On a zero-variance node there is nothing to split; the best-so-far
     assignment is returned flagged non-converged with lam_star = 0.
@@ -141,13 +139,7 @@ def dinkelbach_split(
     else:
         flip = 1 - int(start[0])  # first bit set, as the exact solver returns it
         best_q = tuple(int(b) ^ flip for b in start)
-        parts = eval_fractional(v, aggs, node, best_q)
-        lam = best_ratio = parts.ratio()
-        if m == 2:
-            f_val = parts.numerator - lam * parts.denominator
-            trace.steps.append(TraceStep(1, lam, best_q, f_val, lam, lam))
-            trace.converged = True
-            return best_q, lam, trace
+        lam = best_ratio = eval_fractional(v, aggs, node, best_q).ratio()
 
     for k in range(1, dk_cfg.max_iterations + 1):
         problem = build_qubo(v, aggs, node, lam)

@@ -44,15 +44,15 @@ class PruneStep:
         return prune_to_leaf(self.base, chain.from_iterable(self.history[: self.index + 1]))
 
 
-def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
+def prune_sequence(tree: RegressionTree):
     """Nested subtree ladder ending at the root-only tree.
 
-    Risks are normalized by the training count so alphas are comparable
-    across datasets. All co-minimal weakest links collapse simultaneously,
-    including any cascade that re-attains the same alpha, which keeps the
-    alpha sequence strictly increasing after the initial zero step. A
-    lazy-deletion heap serves the current minimum g, ties going to the
-    smaller node id. Step trees are not built here: ``PruneStep.tree``
+    Risks are normalized by the training count ``tree.n_train`` so alphas
+    are comparable across datasets. All co-minimal weakest links collapse
+    simultaneously, including any cascade that re-attains the same alpha,
+    which keeps the alpha sequence strictly increasing after the initial
+    zero step. A lazy-deletion heap serves the current minimum g, ties going
+    to the smaller node id. Step trees are not built here: ``PruneStep.tree``
     builds one when it is read.
 
     The ladder runs on a preorder table: position 0 is the root, the subtree
@@ -60,7 +60,7 @@ def prune_sequence(tree: RegressionTree, n_train: Optional[int] = None):
     at i + 1 and its right child at i + 1 + size[i + 1]. A collapse clears
     that span of ``internal`` and walks up ``parent``.
     """
-    n_train = n_train if n_train is not None else tree.n_train
+    n_train = tree.n_train
     nodes = [node for node, _ in preorder(tree.root)]
     size = [1] * len(nodes)
     parent = [-1] * len(nodes)
@@ -145,19 +145,6 @@ class SelectionReport:
     @property
     def chosen(self) -> StepEvaluation:
         return self.rows[self.chosen_index]
-
-    def rows_as_dicts(self):
-        return [
-            {
-                "index": r.index,
-                "alpha": r.alpha,
-                "leaves": r.leaves,
-                "train_mse": r.train_risk,
-                "validation_mse": r.validation_mse,
-                "test_mse": r.test_mse,
-            }
-            for r in self.rows
-        ]
 
 
 def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarray:
@@ -259,7 +246,7 @@ def evaluate_protocol(
     cfg = cfg or GrowConfig.max_tree()
     train, validation, test = partition(data, split_spec)
     max_tree = grow(train, cfg)
-    steps = prune_sequence(max_tree, train.n_rows)
+    steps = prune_sequence(max_tree)
     selection = select_subtree(steps, validation, test)
     rows, chosen = selection.rows, selection.chosen_index
     test_best = int(np.argmin([r.test_mse for r in rows]))

@@ -51,9 +51,6 @@ class Rng:
         self._state = (self._state + n * _GAMMA) & _MASK
         return words
 
-    def next_u64(self) -> int:
-        return int(self._block(1)[0])
-
     def uniform01(self, n: int) -> np.ndarray:
         """Doubles in [0, 1), 53-bit resolution."""
         return (self._block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -77,10 +74,6 @@ class Rng:
 
     def lognormal(self, mu: float, sigma: float, n: int) -> np.ndarray:
         return np.exp(self.normal(mu, sigma, n))
-
-    def exponential(self, n: int) -> np.ndarray:
-        u = ((self._block(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        return -np.log(u)
 
     def gamma(self, shape: float, scale: float, n: int) -> np.ndarray:
         """Marsaglia-Tsang squeeze for shape >= 1."""

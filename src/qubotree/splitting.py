@@ -306,9 +306,9 @@ def best_categorical_split_qubo(
     """Optimal subset split via the iterative binary quadratic pipeline.
 
     ``warm`` starts the ratio iteration at the sorted-means scan's split, so
-    one solve certifies it (none with two categories); ``warm=False`` runs
-    the cold iteration from ``dk_cfg.mode``. Either way the candidate
-    carries the node's iteration trace.
+    one solve certifies it; ``warm=False`` runs the cold iteration from
+    ``dk_cfg.mode``. Either way the candidate carries the node's iteration
+    trace.
     """
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     if len(aggs) < 2:

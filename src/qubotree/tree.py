@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -379,6 +380,41 @@ def tree_to_dict(tree: RegressionTree) -> dict:
     return doc
 
 
+_NODE_FIELDS = itemgetter("id", "n", "prediction", "sse", "rule")
+_RULE_FIELDS = itemgetter("variable", "kind", "left_categories", "right_categories", "threshold")
+
+
+def _finite(x) -> bool:
+    """Whether ``x`` is a number that converts to a finite float."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> SplitRule:
+    """A node's rule as the model file gives it, checked against the model's schema."""
+    variable, kind, left, right, threshold = _RULE_FIELDS(raw)
+    left, right = tuple(left), tuple(right)
+    if kind not in ("threshold", "subset"):
+        raise DataError(f"node {node_id}: unknown rule kind {kind!r}")
+    if variable not in columns:
+        raise DataError(f"node {node_id}: rule variable {variable!r} is not in the schema")
+    column_kind, labels = columns[variable]
+    if (kind == "subset") != (column_kind == "categorical"):
+        raise DataError(f"node {node_id}: {kind} rule on {column_kind} column {variable!r}")
+    if kind == "threshold":
+        if left or right or not _finite(threshold):
+            raise DataError(f"node {node_id}: a threshold rule takes a finite threshold and no labels")
+    else:
+        sides = labels.intersection(left + right)
+        if not (left and right and len(sides) == len(left) + len(right)):
+            raise DataError(
+                f"node {node_id}: a subset rule takes two disjoint, non-empty lists of {variable!r} categories"
+            )
+    return SplitRule(variable, kind, left, right, threshold)
+
+
 def tree_from_dict(doc: dict) -> RegressionTree:
     if not isinstance(doc, dict) or doc.get("format") != "qubotree-model":
         raise DataError("not a qubotree model document")
@@ -413,37 +449,32 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     nodes = doc["nodes"]
     if not nodes:
         raise DataError("the node list is empty")
+    columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
     # Children are built before their parents, in decreasing id order, so
     # a child id must be greater than its parent's: no cycle and no recursion.
     # With every other node the child of exactly one node, the nodes then
     # form one tree under the first.
     built, children = {}, set()
-    for entry in sorted(nodes, key=lambda e: e["id"], reverse=True):
-        if entry["id"] in built:
-            raise DataError(f"node {entry['id']}: id appears more than once")
-        raw_rule = entry["rule"]
+    for entry in sorted(nodes, key=itemgetter("id"), reverse=True):
+        node_id, n, prediction, sse, raw_rule = _NODE_FIELDS(entry)
+        if node_id in built:
+            raise DataError(f"node {node_id}: id appears more than once")
+        if type(n) is not int or n < 1 or not (_finite(prediction) and _finite(sse)):
+            raise DataError(f"node {node_id}: needs an int n >= 1 and finite numbers as prediction and sse")
         if raw_rule is None:
-            built[entry["id"]] = TreeNode(entry["id"], entry["n"], entry["prediction"], entry["sse"])
+            built[node_id] = TreeNode(node_id, n, prediction, sse)
             continue
-        if not entry["id"] < min(entry["left"], entry["right"]):
-            raise DataError(f"node {entry['id']}: child ids must be greater than the node's own id")
-        for child in (entry["left"], entry["right"]):
+        left, right = entry["left"], entry["right"]
+        if not node_id < min(left, right):
+            raise DataError(f"node {node_id}: child ids must be greater than the node's own id")
+        for child in (left, right):
             if child not in built:
                 raise DataError(f"node {child}: not in the node list")
             if child in children:
                 raise DataError(f"node {child}: child of more than one node")
             children.add(child)
-        rule = SplitRule(
-            raw_rule["variable"],
-            raw_rule["kind"],
-            tuple(raw_rule["left_categories"]),
-            tuple(raw_rule["right_categories"]),
-            raw_rule["threshold"],
-        )
-        built[entry["id"]] = TreeNode(
-            entry["id"], entry["n"], entry["prediction"], entry["sse"],
-            rule, built[entry["left"]], built[entry["right"]],
-        )
+        rule = _rule_from_dict(node_id, raw_rule, columns)
+        built[node_id] = TreeNode(node_id, n, prediction, sse, rule, built[left], built[right])
     root = built[nodes[0]["id"]]
     orphans = built.keys() - children - {root.id}
     if orphans:

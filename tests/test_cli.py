@@ -1,9 +1,12 @@
+import argparse
+import csv
+import io
 import json
 import os
 
 import pytest
 
-from qubotree.cli import main
+from qubotree.cli import build_parser, main
 
 SCHEMA = "Brand:categorical,Color:categorical,Mileage_km:numeric,HasClaim:binary"
 
@@ -155,12 +158,12 @@ def test_trace_command(tmp_path, small_csv, capsys):
     # Zero-init trace starts from the all-zeros row.
     code, out, _ = _run(
         ["trace", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount",
-         "--column", "Brand", "--init", "zero", "--format", "json"],
+         "--column", "Brand", "--init", "zero"],
         capsys,
     )
     assert code == 0
-    doc = json.loads(out[: out.rindex("}") + 1])
-    assert doc["rows"][0]["binary_vector"] == "(" + ",".join(["0"] * 10) + ")"
+    first = next(csv.DictReader(io.StringIO(out)))
+    assert first["binary_vector"] == "(" + ",".join(["0"] * 10) + ")"
 
 
 def test_trace_constant_response_not_converged(tmp_path, capsys):
@@ -311,6 +314,19 @@ def test_config_file_defaults_and_unknown_key(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code != 0 and "unknown config key" in err
+
+
+def test_csv_and_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "marked.csv"
+    data.write_text("c,x,Y\na,1,2\nb,2,3\na,3,5\nb,4,4\n", encoding="utf-8-sig")
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_text("max-depth = 1\n", encoding="utf-8-sig")
+    model = tmp_path / "m.json"
+    code, _, err = _run(["train", "--config", str(cfg), "--data", str(data), "--schema", "c:categorical,x:numeric",
+                         "--response", "Y", "--out", str(model)], capsys)
+    assert code == 0, err
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert doc["schema"][0]["name"] == "c" and doc["config"]["max_depth"] == 1
 
 
 def test_cli_flag_overrides_config(tmp_path, small_csv, capsys):
@@ -559,3 +575,106 @@ def test_train_rejects_an_infinite_cp(tmp_path, small_csv, capsys):
 def test_model_file_with_infinite_cp_exits_2(tmp_path, capsys):
     code, out, err = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, {"cp": float("inf")})
     assert (code, out) == (2, "") and err.startswith("error: <model>: malformed model file: ") and "inf" in err
+
+
+def _set_rule(node, **fields):
+    def edit(nodes):
+        nodes[node]["rule"].update(fields)
+
+    return edit
+
+
+def _set_node(node, **fields):
+    def edit(nodes):
+        nodes[node].update(fields)
+
+    return edit
+
+
+# Node 1 is a leaf, node 2 splits Brand by subsets and node 5 splits Mileage_km at a threshold.
+@pytest.mark.parametrize(
+    "edit, config, message",
+    [
+        (_set_rule(5, variable="Gearbox"), {}, "node 5: rule variable 'Gearbox' is not in the schema"),
+        (_set_rule(2, variable="Mileage_km"), {}, "node 2: subset rule on numeric column 'Mileage_km'"),
+        (_set_rule(5, kind="oblique"), {}, "node 5: unknown rule kind 'oblique'"),
+        (_set_rule(5, threshold=None), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
+        (_set_rule(5, threshold=float("inf")), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
+        (_set_rule(5, left_categories=["BMW"]), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
+        (_set_rule(2, kind="threshold", threshold=0.5, left_categories=[], right_categories=[]), {},
+         "node 2: threshold rule on categorical column 'Brand'"),
+        (_set_rule(2, left_categories=[]), {},
+         "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
+        (_set_rule(2, left_categories=["Ford", "BMW"]), {},
+         "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
+        (_set_rule(2, left_categories=["Ford", "Ford"]), {},
+         "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
+        (_set_rule(2, left_categories=["Ford", "Tesla"]), {},
+         "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
+        (_set_node(1, prediction="0.0"), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+        (_set_node(1, sse=float("nan")), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+        (_set_node(1, n="212"), {"routing": "majority"},
+         "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+        (_set_node(1, n=0), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+        (_set_node(1, n=212.0), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+    ],
+    ids=(
+        "unknown-variable", "subset-on-numeric", "unknown-kind", "null-threshold", "infinite-threshold",
+        "threshold-with-labels", "threshold-on-categorical", "empty-side", "overlapping-sides",
+        "repeated-label", "unknown-label", "string-prediction", "nan-sse", "string-n", "zero-n", "float-n",
+    ),
+)
+def test_model_file_that_does_not_fit_its_schema_exits_2(tmp_path, capsys, edit, config, message):
+    assert _predict_with_edited_golden_model(tmp_path, capsys, edit, config) == (
+        2, "", f"error: <model>: malformed model file: {message}"
+    )
+
+
+# Every option of every command. An option that changes no output has no place
+# here: a new one must be added to this table on purpose.
+CLI_OPTIONS = {
+    "generate": "--kind --n --out --seed --config --threads",
+    "train": "--data --schema --response --max-depth --min-split --min-bucket --cp --routing --method "
+             "--exact-threshold --seed --out --describe --config --threads",
+    "predict": "--model --data --routing --out --config --threads",
+    "eval": "--model --data --routing --response --baseline --out --config --threads",
+    "protocol": "--data --schema --response --max-depth --min-split --min-bucket --cp --routing --method "
+                "--exact-threshold --seed --fractions --out --config --threads",
+    "trace": "--data --schema --response --column --init --exact-threshold --seed --out --config --threads",
+    "compare": "--data --schema --response --column --init --exact-threshold --seed --out --config --threads",
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert got == {name: options.split() for name, options in CLI_OPTIONS.items()}
+
+
+# Options that changed no output of their command and were removed.
+REMOVED = [("train", "init", "zero"), ("protocol", "init", "zero"), ("predict", "seed", "3"),
+           ("eval", "seed", "3"), ("trace", "format", "json")]
+
+
+@pytest.mark.parametrize("command, key, value", REMOVED, ids=[f"{c}-{k}" for c, k, _ in REMOVED])
+def test_removed_option_exits_2_as_flag_and_as_config_key(tmp_path, capsys, command, key, value):
+    data = str(tmp_path / "absent.csv")  # never read: the options are checked first
+    required = {
+        "train": ["--data", data, "--out", str(tmp_path / "m.json")],
+        "protocol": ["--data", data],
+        "predict": ["--model", str(tmp_path / "m.json"), "--data", data],
+        "eval": ["--model", str(tmp_path / "m.json"), "--data", data],
+        "trace": ["--data", data, "--column", "c"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, f"--{key}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    code, out, err = _run([command, *required, "--config", str(cfg)], capsys)
+    assert (code, out, err.splitlines()[-1]) == (2, "", f"error: unknown config key {key!r}")

@@ -325,6 +325,21 @@ def test_infer_schema_reports_a_short_row_like_load_csv(tmp_path):
         load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("b", "categorical")], "Y")
 
 
+def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    text = "c,x,Y\na,1,2\nb,2,3\na,3,5\n"
+    plain = _write(tmp_path, text)
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    schema = infer_schema(plain, "Y")
+    assert infer_schema(str(marked), "Y") == schema
+    want, got = load_csv(plain, schema, "Y"), load_csv(str(marked), schema, "Y")
+    assert got.schema == want.schema and got.schema[0].name == "c"
+    for name in ("c", "x"):
+        assert np.array_equal(got.column(name), want.column(name))
+    assert np.array_equal(got.response, want.response)
+
+
 def test_header_naming_a_column_twice_is_rejected(tmp_path):
     path = _write(tmp_path, "a,b,a,Y\n1,2,3,4\n")
     with pytest.raises(DataError, match="header names column 'a' more than once"):

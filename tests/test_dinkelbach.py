@@ -198,13 +198,13 @@ def test_warm_split_matches_cold_iteration():
             assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
 
 
-def test_warm_start_with_two_categories_runs_no_solve(monkeypatch):
+def test_warm_start_with_two_categories_is_one_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     codes = np.array([0, 0, 1, 1, 1])
     y = np.array([5.0, 6.0, 1.0, 2.0, 0.0])
     v, aggs, node = _setup(codes, y, 2)
     q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1))
-    assert calls == []
+    assert calls == [2]
     assert q == (1, 0)  # first bit set, as the exact solver returns it
     assert lam == pytest.approx(2.5, rel=1e-12)
     assert trace.converged and len(trace.steps) == 1

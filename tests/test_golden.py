@@ -2,9 +2,10 @@
 
 ``tests/golden/df300.csv`` holds 300 ``generate --kind df --seed 7`` rows to
 train on and ``df100.csv`` 100 fresh ``--seed 8`` rows to predict; the depth-6
-model routes one of them differently under the two routings. Each case runs
-one command in-process and compares its stdout and output file with the
-goldens of the same names under ``tests/golden/``. After a change that is
+model routes one of them differently under the two routings. Both files, and
+a small ``datagen`` file, are goldens of ``generate`` cases too. Each case
+runs one command in-process and compares its stdout and output file with
+the goldens of the same names under ``tests/golden/``. After a change that is
 meant to alter outputs, rewrite the goldens with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -27,6 +28,12 @@ MODEL = os.path.join(GOLDEN, "train_model.json")
 # name -> (argv, golden files). A "*.stdout" golden holds the stdout; any
 # other golden holds the file the command wrote to the "{out}" argument.
 CASES = {
+    "generate_df300": (["generate", "--kind", "df", "--n", "300", "--seed", "7", "--out", "{out}"], ("df300.csv",)),
+    "generate_df100": (["generate", "--kind", "df", "--n", "100", "--seed", "8", "--out", "{out}"], ("df100.csv",)),
+    "generate_datagen": (
+        ["generate", "--kind", "datagen", "--n", "60", "--seed", "11", "--out", "{out}"],
+        ("datagen60.csv",),
+    ),
     "train": (
         [
             "train", "--data", DATA, "--max-depth", "6", "--cp", "0", "--min-split", "2",
@@ -83,9 +90,10 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 def _rewrite_goldens() -> None:
-    # train first: the predict cases read the model it writes.
+    # generate first, since the rest read the data it writes, then train:
+    # the predict cases read the model it writes.
     with tempfile.TemporaryDirectory() as workdir:
-        for name in sorted(CASES, key=lambda n: n != "train"):
+        for name in sorted(CASES, key=lambda n: (not n.startswith("generate"), n != "train")):
             for file_name, data in run_case(name, workdir).items():
                 with open(os.path.join(GOLDEN, file_name), "wb") as fh:
                     fh.write(data)

@@ -130,7 +130,7 @@ def test_repruning_from_any_step_gives_suffix():
     _, tree = _random_tree(104, n=200)
     steps = prune_sequence(tree)
     mid = len(steps) // 2
-    again = prune_sequence(steps[mid].tree, tree.n_train)
+    again = prune_sequence(steps[mid].tree)
     suffix = steps[mid:]
     assert len(again) == len(suffix)
     for a, b in zip(again[1:], suffix[1:]):  # alphas below mid differ only at step 0
@@ -239,14 +239,6 @@ def test_protocol_rejects_an_empty_validation_part():
     data = generate_df(40, 3)
     with pytest.raises(DataError, match="empty validation set"):
         evaluate_protocol(data, SplitSpecification((0.98, 0.01, 0.01), seed=3))
-
-
-def test_selection_report_serializable(worked_dataset):
-    stump = grow(worked_dataset, GrowConfig(max_depth=1, min_split=2, min_bucket=1, cp=0.0))
-    report = select_subtree(prune_sequence(stump), worked_dataset)
-    rows = report.rows_as_dicts()
-    assert [r["leaves"] for r in rows] == [2, 1]
-    assert set(rows[0]) == {"index", "alpha", "leaves", "train_mse", "validation_mse", "test_mse"}
 
 
 def test_select_subtree_single_step(worked_dataset):
