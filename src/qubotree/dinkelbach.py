@@ -33,33 +33,20 @@ class DinkelbachConfig:
     """Initialization mode, stopping tolerance, and iteration cap.
 
     ``mode`` is "upper_bound" (start at the parent bound, guaranteeing a
-    monotone non-increasing lam sequence), "zero", or "custom" with
-    ``custom_value``. The tolerance is relative to lam * d(q) so it tracks
-    the data scale.
+    monotone non-increasing lam sequence) or "zero". The tolerance is
+    relative to lam * d(q) so it tracks the data scale.
     """
 
     mode: str = "upper_bound"
-    custom_value: Optional[float] = None
     rel_tolerance: float = 1e-9
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.mode not in ("upper_bound", "zero", "custom"):
+        if self.mode not in ("upper_bound", "zero"):
             raise ValueError(f"unknown initialization mode {self.mode!r}")
-        if self.mode == "custom" and self.custom_value is None:
-            raise ValueError("custom mode needs a custom_value")
-        if self.custom_value is not None and not (np.isfinite(self.custom_value) and self.custom_value >= 0):
-            raise ValueError(f"custom_value must be finite and >= 0, got {self.custom_value!r}")
         if not (np.isfinite(self.rel_tolerance) and self.rel_tolerance > 0) or self.max_iterations < 1:
             got = (self.rel_tolerance, self.max_iterations)
             raise ValueError(f"need finite rel_tolerance > 0 and max_iterations >= 1, got {got}")
-
-    def initial_lambda(self, node: NodeStats) -> float:
-        if self.mode == "zero":
-            return 0.0
-        if self.mode == "custom":
-            return float(self.custom_value)
-        return lambda_upper_bound(node)
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ def dinkelbach_split(
     best_q: Optional[tuple] = None
     best_ratio = np.inf
     if start is None:
-        lam = dk_cfg.initial_lambda(node)
+        lam = 0.0 if dk_cfg.mode == "zero" else upper
     else:
         flip = 1 - int(start[0])  # first bit set, as the exact solver returns it
         best_q = tuple(int(b) ^ flip for b in start)

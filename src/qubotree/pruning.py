@@ -230,7 +230,6 @@ class ProtocolReport:
     rows: tuple
     chosen_index: int
     steps_count: int
-    selected_tree: RegressionTree = field(repr=False, compare=False, default=None)
 
 
 def evaluate_protocol(
@@ -271,4 +270,4 @@ def evaluate_protocol(
         report_row("test_best", test_best),
         report_row("max", 0),
     )
-    return ProtocolReport(cfg.categorical_method, out_rows, chosen, len(steps), trees[chosen])
+    return ProtocolReport(cfg.categorical_method, out_rows, chosen, len(steps))

@@ -373,7 +373,6 @@ def tree_to_dict(tree: RegressionTree) -> dict:
         "anneal_sweeps": cfg.solver.anneal.sweeps,
         "anneal_t_init": cfg.solver.anneal.t_init,
         "anneal_t_final": cfg.solver.anneal.t_final,
-        "dinkelbach_custom_value": cfg.dinkelbach.custom_value,
     }
     # Unset (None) settings are not written, so default models keep their bytes.
     doc["config"].update((key, value) for key, value in optional.items() if value is not None)
@@ -392,8 +391,9 @@ def _finite(x) -> bool:
         return False
 
 
-def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> SplitRule:
-    """A node's rule as the model file gives it, checked against the model's schema."""
+def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> tuple:
+    """A node's rule as the model file gives it, checked against the model's
+    schema, as ``SplitRule``'s fields: a caller that only checks builds no rule."""
     variable, kind, left, right, threshold = _RULE_FIELDS(raw)
     left, right = tuple(left), tuple(right)
     if kind not in ("threshold", "subset"):
@@ -412,7 +412,37 @@ def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> SplitRule:
             raise DataError(
                 f"node {node_id}: a subset rule takes two disjoint, non-empty lists of {variable!r} categories"
             )
-    return SplitRule(variable, kind, left, right, threshold)
+        if threshold is not None:
+            raise DataError(f"node {node_id}: a subset rule takes no threshold")
+    return variable, kind, left, right, threshold
+
+
+def _checked_nodes(doc: dict, schema: tuple):
+    """Check a model document's header and nodes as both ``save_model`` and
+    ``load_model`` require, yielding each node as ``(id, n, prediction, sse,
+    rule fields, left, right)`` in decreasing id order; a leaf's last three
+    are None. Whether the nodes form one tree is left to ``tree_from_dict``:
+    a tree built of ``TreeNode``s always does.
+    """
+    got = version, n_train, response = doc["version"], doc["n_train"], doc["response"]
+    if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:
+        raise DataError(f"needs version 1, an int n_train >= 1 and a string as response, got {got!r}")
+    columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
+    previous = None
+    for entry in sorted(doc["nodes"], key=itemgetter("id"), reverse=True):
+        node_id, n, prediction, sse, raw_rule = _NODE_FIELDS(entry)
+        if node_id == previous:  # sorted, so equal ids are neighbours
+            raise DataError(f"node {node_id}: id appears more than once")
+        previous = node_id
+        if type(n) is not int or n < 1 or not (_finite(prediction) and _finite(sse)):
+            raise DataError(f"node {node_id}: needs an int n >= 1 and finite numbers as prediction and sse")
+        if raw_rule is None:
+            yield node_id, n, prediction, sse, None, None, None
+            continue
+        left, right = entry["left"], entry["right"]
+        if not node_id < min(left, right):
+            raise DataError(f"node {node_id}: child ids must be greater than the node's own id")
+        yield node_id, n, prediction, sse, _rule_from_dict(node_id, raw_rule, columns), left, right
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
@@ -441,7 +471,6 @@ def tree_from_dict(doc: dict) -> RegressionTree:
         ),
         dinkelbach=DinkelbachConfig(
             mode=raw["dinkelbach_mode"],
-            custom_value=raw.get("dinkelbach_custom_value"),
             rel_tolerance=raw["rel_tolerance"],
             max_iterations=raw["max_iterations"],
         ),
@@ -449,32 +478,21 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     nodes = doc["nodes"]
     if not nodes:
         raise DataError("the node list is empty")
-    columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
     # Children are built before their parents, in decreasing id order, so
     # a child id must be greater than its parent's: no cycle and no recursion.
     # With every other node the child of exactly one node, the nodes then
     # form one tree under the first.
     built, children = {}, set()
-    for entry in sorted(nodes, key=itemgetter("id"), reverse=True):
-        node_id, n, prediction, sse, raw_rule = _NODE_FIELDS(entry)
-        if node_id in built:
-            raise DataError(f"node {node_id}: id appears more than once")
-        if type(n) is not int or n < 1 or not (_finite(prediction) and _finite(sse)):
-            raise DataError(f"node {node_id}: needs an int n >= 1 and finite numbers as prediction and sse")
-        if raw_rule is None:
-            built[node_id] = TreeNode(node_id, n, prediction, sse)
-            continue
-        left, right = entry["left"], entry["right"]
-        if not node_id < min(left, right):
-            raise DataError(f"node {node_id}: child ids must be greater than the node's own id")
-        for child in (left, right):
-            if child not in built:
-                raise DataError(f"node {child}: not in the node list")
-            if child in children:
-                raise DataError(f"node {child}: child of more than one node")
-            children.add(child)
-        rule = _rule_from_dict(node_id, raw_rule, columns)
-        built[node_id] = TreeNode(node_id, n, prediction, sse, rule, built[left], built[right])
+    for node_id, n, prediction, sse, rule, left, right in _checked_nodes(doc, schema):
+        if rule is not None:
+            for child in (left, right):
+                if child not in built:
+                    raise DataError(f"node {child}: not in the node list")
+                if child in children:
+                    raise DataError(f"node {child}: child of more than one node")
+                children.add(child)
+            rule, left, right = SplitRule(*rule), built[left], built[right]
+        built[node_id] = TreeNode(node_id, n, prediction, sse, rule, left, right)
     root = built[nodes[0]["id"]]
     orphans = built.keys() - children - {root.id}
     if orphans:
@@ -510,15 +528,6 @@ _INNER = """  {
   }"""
 
 
-def _float_json(x: float) -> str:
-    """A float as json writes it."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
-
-
 def _labels_json(labels: list) -> str:
     """A rule's label list as json writes it at its depth in a node."""
     if not labels:
@@ -527,29 +536,33 @@ def _labels_json(labels: list) -> str:
 
 
 def _node_json(entry: dict) -> str:
+    # Checked nodes hold finite floats, which float.__repr__ writes as json does.
     rule = entry["rule"]
     if rule is None:
-        return _LEAF % (entry["id"], entry["n"], _float_json(entry["prediction"]), _float_json(entry["sse"]))
+        return _LEAF % (entry["id"], entry["n"], float.__repr__(entry["prediction"]), float.__repr__(entry["sse"]))
     threshold = rule["threshold"]
     return _INNER % (
-        entry["id"], entry["left"], entry["n"], _float_json(entry["prediction"]), entry["right"],
+        entry["id"], entry["left"], entry["n"], float.__repr__(entry["prediction"]), entry["right"],
         encode_basestring_ascii(rule["kind"]),
         _labels_json(rule["left_categories"]),
         _labels_json(rule["right_categories"]),
-        "null" if threshold is None else _float_json(threshold),
+        "null" if threshold is None else float.__repr__(threshold),
         encode_basestring_ascii(rule["variable"]),
-        _float_json(entry["sse"]),
+        float.__repr__(entry["sse"]),
     )
 
 
 def save_model(tree: RegressionTree, path: str) -> None:
     """Write ``tree_to_dict(tree)`` as ``json.dump(..., indent=1, sort_keys=True)`` would.
 
-    json's pure-Python indenting encoder is slow on large trees, so only the
-    header goes through json; the nodes are formatted from fixed templates
-    and streamed.
+    A tree that ``load_model`` would reject raises DataError before the file
+    is opened. json's pure-Python indenting encoder is slow on large trees,
+    so only the header goes through json; the nodes are formatted from fixed
+    templates and streamed.
     """
     doc = tree_to_dict(tree)
+    for _ in _checked_nodes(doc, tree.schema):
+        pass
     nodes = doc["nodes"]
     doc["nodes"] = []
     # At indent 1 a raw newline and one space start only top-level keys.

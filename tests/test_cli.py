@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -474,14 +475,16 @@ def test_eval_baseline_with_zero_mse_fails(tmp_path, small_csv, capsys):
     assert not report.exists()
 
 
-def _predict_with_edited_golden_model(tmp_path, capsys, edit, config=()):
-    """Run ``predict`` with the golden model after ``edit(nodes)`` and with the
-    ``config`` settings; exit code, stdout, last stderr line."""
+def _predict_with_edited_golden_model(tmp_path, capsys, edit, config=(), fields=()):
+    """Run ``predict`` with the golden model after ``edit(nodes)``, with the
+    ``config`` settings and the top-level ``fields``; exit code, stdout, last
+    stderr line."""
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     with open(os.path.join(golden, "train_model.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     edit(doc["nodes"])
     doc["config"].update(config)
+    doc.update(fields)
     model = tmp_path / "edited.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = _run(["predict", "--model", str(model), "--data", os.path.join(golden, "df100.csv")], capsys)
@@ -534,6 +537,35 @@ def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message
     assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (
         2, "", f"error: <model>: malformed model file: {message}"
     )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"version": 2}, {"version": "1"}, {"n_train": "abc"}, {"n_train": 0}, {"n_train": 300.0},
+     {"response": 7}, {"response": None}],
+    ids=("version-2", "string-version", "string-n_train", "zero-n_train", "float-n_train",
+         "int-response", "null-response"),
+)
+def test_model_file_with_bad_tree_fields_exits_2(tmp_path, capsys, fields):
+    got = tuple(({"version": 1, "n_train": 300, "response": "ClaimAmount"} | fields).values())
+    assert _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, fields=fields) == (
+        2, "", "error: <model>: malformed model file: needs version 1, an int n_train >= 1 and a string as "
+               f"response, got {got!r}"
+    )
+
+
+def test_model_file_with_the_removed_custom_dinkelbach_mode_exits_2(tmp_path, capsys):
+    config = {"dinkelbach_mode": "custom", "dinkelbach_custom_value": 12.5}
+    assert _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, config) == (
+        2, "", "error: <model>: malformed model file: unknown initialization mode 'custom'"
+    )
+
+
+def test_model_file_with_a_stray_custom_value_key_predicts_as_without(tmp_path, capsys):
+    config = {"dinkelbach_custom_value": 1.0}
+    stray = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, config)
+    plain = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None)
+    assert stray[:2] == plain[:2] and plain[0] == 0
 
 
 def test_model_file_with_nan_cp_exits_2(tmp_path, capsys):
@@ -611,6 +643,7 @@ def _set_node(node, **fields):
          "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
         (_set_rule(2, left_categories=["Ford", "Tesla"]), {},
          "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
+        (_set_rule(2, threshold=0.5), {}, "node 2: a subset rule takes no threshold"),
         (_set_node(1, prediction="0.0"), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
         (_set_node(1, sse=float("nan")), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
         (_set_node(1, n="212"), {"routing": "majority"},
@@ -621,7 +654,8 @@ def _set_node(node, **fields):
     ids=(
         "unknown-variable", "subset-on-numeric", "unknown-kind", "null-threshold", "infinite-threshold",
         "threshold-with-labels", "threshold-on-categorical", "empty-side", "overlapping-sides",
-        "repeated-label", "unknown-label", "string-prediction", "nan-sse", "string-n", "zero-n", "float-n",
+        "repeated-label", "unknown-label", "subset-with-threshold", "string-prediction", "nan-sse", "string-n",
+        "zero-n", "float-n",
     ),
 )
 def test_model_file_that_does_not_fit_its_schema_exits_2(tmp_path, capsys, edit, config, message):
@@ -653,6 +687,15 @@ def test_each_command_takes_exactly_its_options():
         for name, sub in commands.choices.items()
     }
     assert got == {name: options.split() for name, options in CLI_OPTIONS.items()}
+
+
+def test_readme_option_table_lists_each_commands_options():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", fh.read(), re.MULTILINE)
+    assert dict(rows) == {
+        name: options.replace(" --config --threads", "") for name, options in CLI_OPTIONS.items()
+    }
 
 
 # Options that changed no output of their command and were removed.

@@ -113,10 +113,9 @@ def test_lambda_sequence_monotone_with_upper_bound_init():
 def test_fixed_point_resolving_at_lambda_star(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
-    _, lam, _ = dinkelbach_split(v, aggs, node)
-    q2, lam2, trace2 = dinkelbach_split(
-        v, aggs, node, dk_cfg=DinkelbachConfig(mode="custom", custom_value=lam)
-    )
+    q, lam, _ = dinkelbach_split(v, aggs, node)
+    q2, lam2, trace2 = dinkelbach_split(v, aggs, node, start=q)
+    assert q2 == q
     assert lam2 == pytest.approx(lam, rel=1e-12)
     assert len(trace2.steps) == 1
     assert trace2.converged
@@ -142,7 +141,7 @@ def test_trace_rows_format(worked_node):
 def test_config_validation():
     with pytest.raises(ValueError):
         DinkelbachConfig(mode="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown initialization mode 'custom'"):
         DinkelbachConfig(mode="custom")
     with pytest.raises(ValueError):
         DinkelbachConfig(rel_tolerance=0.0)
@@ -152,10 +151,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=("nan", "inf"))
-@pytest.mark.parametrize("setting", ["rel_tolerance", "custom_value"])
+@pytest.mark.parametrize("setting", ["rel_tolerance"])
 def test_config_rejects_nan_and_infinite_settings(setting, value):
     with pytest.raises(ValueError, match=str(value)):
-        DinkelbachConfig(**{"mode": "custom", "custom_value": 1.0, setting: value})
+        DinkelbachConfig(**{setting: value})
 
 
 def test_max_iterations_returns_best_so_far(worked_node):

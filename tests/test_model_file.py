@@ -6,15 +6,17 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qubotree import (
-    AnnealConfig, ColumnSchema, DataError, DinkelbachConfig, GrowConfig, SolverConfig, load_model, save_model,
+    AnnealConfig, ColumnSchema, DataError, DinkelbachConfig, GrowConfig, SolverConfig, describe, load_model,
+    save_model,
 )
 from qubotree.splitting import SplitRule
-from qubotree.tree import RegressionTree, TreeNode, tree_to_dict
+from qubotree.tree import RegressionTree, TreeNode, tree_from_dict, tree_to_dict
 
 from conftest import chain_tree
 
@@ -24,55 +26,128 @@ LABELS = st.one_of(
     st.sampled_from(['\n "nodes": []', 'say "hi"', "back\\slash", "tab\tnul\x00", "Citroën", "\U0001f600"]),
     st.text(max_size=6),
 )
-FLOATS = st.one_of(
-    st.sampled_from([1e-07, 1e16, -0.0, 5e-324, math.inf, -math.inf, math.nan]),
-    st.floats(),
-)
+FINITE = st.one_of(st.sampled_from([1e-07, 1e16, -0.0, 5e-324]), st.floats(allow_nan=False, allow_infinity=False))
+FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.floats())
+
+# A tree breaks at most one of these: a field of one node, of its rule, or of the tree.
+NODE_FAULTS = {
+    "id": st.integers(-1, 4),
+    "n": st.sampled_from([0, -3, 2.0, True, "5", None]),
+    "prediction": FLOATS,
+    "sse": FLOATS,
+}
+RULE_FAULTS = {
+    "variable": LABELS,
+    "kind": st.sampled_from(["threshold", "subset", "oblique"]),
+    "left_categories": st.lists(LABELS, max_size=3).map(tuple),
+    "right_categories": st.lists(LABELS, max_size=3).map(tuple),
+    "threshold": st.none() | FLOATS,
+}
+TREE_FAULTS = {
+    "n_train": st.sampled_from([0, -1, 1.5, True, "7", None]),
+    "response": st.sampled_from([7, None, 1.5, ["y"]]),
+}
+FAULT_NAMES = sorted(NODE_FAULTS.keys() | RULE_FAULTS.keys() | TREE_FAULTS.keys())
 
 
-def _node(draw, ids, depth) -> TreeNode:
-    head = (next(ids), draw(st.integers(0, 10**9)), draw(FLOATS), draw(FLOATS))
-    if depth == 3 or not draw(st.booleans()):
-        return TreeNode(*head)
-    if draw(st.booleans()):
-        rule = SplitRule(draw(LABELS), "threshold", threshold=draw(FLOATS))
-    else:
-        sides = st.lists(LABELS, max_size=3).map(tuple)
-        rule = SplitRule(draw(LABELS), "subset", draw(sides), draw(sides))
-    return TreeNode(*head, rule, _node(draw, ids, depth + 1), _node(draw, ids, depth + 1))
+def _rule(draw, schema):
+    """A rule that fits ``schema``, or None where no column can split."""
+    splittable = [c for c in schema if c.kind != "categorical" or len(c.categories) >= 2]
+    if not splittable:
+        return None
+    col = draw(st.sampled_from(splittable))
+    if col.kind != "categorical":
+        return SplitRule(col.name, "threshold", threshold=draw(FINITE))
+    labels = draw(st.permutations(col.categories))
+    cut = draw(st.integers(1, len(labels) - 1))
+    end = draw(st.integers(cut + 1, len(labels)))  # labels past end are unseen at this node
+    return SplitRule(col.name, "subset", tuple(labels[:cut]), tuple(labels[cut:end]))
+
+
+def _node(draw, schema, ids, depth, fault) -> TreeNode:
+    node_id = next(ids)
+    fields = dict(id=node_id, n=draw(st.integers(1, 10**9)), prediction=draw(FINITE), sse=draw(FINITE))
+    if depth == 0 or depth < 3 and draw(st.booleans()):
+        fields["rule"] = _rule(draw, schema)
+    name, where = fault
+    if where == node_id and name in NODE_FAULTS:
+        fields[name] = draw(NODE_FAULTS[name])
+    if where == node_id and name in RULE_FAULTS and fields.get("rule") is not None:
+        fields["rule"] = replace(fields["rule"], **{name: draw(RULE_FAULTS[name])})
+    if fields.get("rule") is None:
+        return TreeNode(**fields)
+    kids = _node(draw, schema, ids, depth + 1, fault), _node(draw, schema, ids, depth + 1, fault)
+    return TreeNode(**fields, left=kids[0], right=kids[1])
 
 
 @st.composite
 def trees(draw) -> RegressionTree:
+    """Trees that fit their schema, or that break one rule of a model file."""
     schema = tuple(
         ColumnSchema(name, "categorical", tuple(draw(st.lists(LABELS, max_size=3, unique=True))))
-        if draw(st.booleans()) else ColumnSchema(name, "numeric")
-        for name in draw(st.lists(LABELS, max_size=3, unique=True))
+        if draw(st.booleans()) else ColumnSchema(name, draw(st.sampled_from(["numeric", "binary"])))
+        for name in draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
     )
     anneal = AnnealConfig(
         sweeps=draw(st.none() | st.integers(1, 10**6)),
         t_init=draw(st.none() | st.floats(2.0, 100.0)),
         t_final=draw(st.none() | st.floats(1e-3, 1.0)),
     )
-    custom = draw(st.none() | st.floats(0.0, 1e6))
-    dinkelbach = DinkelbachConfig() if custom is None else DinkelbachConfig(mode="custom", custom_value=custom)
+    dinkelbach = DinkelbachConfig(mode=draw(st.sampled_from(["upper_bound", "zero"])))
     cfg = GrowConfig(cp=draw(st.floats(0.0, 1.0)), solver=SolverConfig(anneal=anneal), dinkelbach=dinkelbach)
-    root = _node(draw, itertools.count(), 0)
-    return RegressionTree(root, schema, cfg, draw(st.integers(0, 10**9)), draw(LABELS))
+    fault = draw(st.none() | st.sampled_from(FAULT_NAMES)), draw(st.integers(0, 4))  # name, node id
+    root = _node(draw, schema, itertools.count(), 0, fault)
+    head = {"n_train": draw(st.integers(1, 10**9)), "response": draw(LABELS)}
+    if fault[0] in TREE_FAULTS:
+        head[fault[0]] = draw(TREE_FAULTS[fault[0]])
+    return RegressionTree(root, schema, cfg, head["n_train"], head["response"])
 
 
-def _saved(tree: RegressionTree) -> bytes:
-    with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "model.json")
-        save_model(tree, path)
-        with open(path, "rb") as fh:
-            return fh.read()
+def _loads(text: str) -> bool:
+    try:
+        tree_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError):  # what load_model reports as a malformed file
+        return False
+    return True
 
 
 @given(trees())
 def test_save_model_writes_what_json_dump_writes(tree):
+    """save_model refuses exactly what would not load, writes json's bytes
+    otherwise, and its file loads back to a tree that saves the same bytes."""
     expected = json.dumps(tree_to_dict(tree), indent=1, sort_keys=True) + "\n"
-    assert _saved(tree) == expected.encode("utf-8")
+    with tempfile.TemporaryDirectory() as workdir:
+        path, again = os.path.join(workdir, "model.json"), os.path.join(workdir, "again.json")
+        if not _loads(expected):
+            with pytest.raises(DataError):
+                save_model(tree, path)
+            assert not os.path.exists(path)
+            return
+        save_model(tree, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+        back = load_model(path)
+        save_model(back, again)
+        with open(again, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+    assert describe(back) == describe(tree)
+
+
+def test_failed_save_leaves_the_existing_file(tmp_path):
+    # A NaN leaf prediction and a rule on a column the schema lacks, as a
+    # hand-built tree may have them.
+    rule = SplitRule("absent", "threshold", threshold=1.0)
+    root = TreeNode(0, 3, 1.0, 2.0, rule, TreeNode(1, 1, math.nan, 0.0), TreeNode(2, 2, 1.0, 0.5))
+    tree = RegressionTree(root, (ColumnSchema("x", "numeric"),), GrowConfig(), 3)
+    path = tmp_path / "model.json"
+    save_model(chain_tree(2), str(path))
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="node 1: needs an int n >= 1 and finite numbers"):
+        save_model(tree, str(path))
+    tree = replace(tree, root=replace(root, left=replace(root.left, prediction=1.0)))
+    with pytest.raises(DataError, match="node 0: rule variable 'absent' is not in the schema"):
+        save_model(tree, str(path))
+    assert path.read_bytes() == before
 
 
 def test_chain_deeper_than_the_recursion_limit_round_trips(tmp_path):

@@ -447,11 +447,11 @@ def test_model_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "solver, dinkelbach",
     [
-        (SolverConfig(), DinkelbachConfig(mode="custom", custom_value=0.0)),
+        (SolverConfig(), DinkelbachConfig(mode="zero")),
         (SolverConfig(anneal=AnnealConfig(sweeps=50)), DinkelbachConfig()),
         (
             SolverConfig(exact_threshold=3, anneal=AnnealConfig(seed=9, restarts=2, t_init=5.0, t_final=0.25)),
-            DinkelbachConfig(mode="custom", custom_value=12.5, max_iterations=7),
+            DinkelbachConfig(mode="zero", rel_tolerance=1e-6, max_iterations=7),
         ),
     ],
 )
@@ -466,7 +466,7 @@ def test_model_round_trip_keeps_the_whole_config(tmp_path, solver, dinkelbach):
 def test_default_config_writes_no_unset_keys():
     tree = grow(_routing_fixture(), GrowConfig(max_depth=1))
     doc = tree_to_dict(tree)
-    for key in ("anneal_sweeps", "anneal_t_init", "anneal_t_final", "dinkelbach_custom_value"):
+    for key in ("anneal_sweeps", "anneal_t_init", "anneal_t_final"):
         assert key not in doc["config"]
     # Model files written without those keys still load, with the defaults.
     assert tree_from_dict(json.loads(json.dumps(doc))).config == tree.config
