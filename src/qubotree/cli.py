@@ -277,8 +277,11 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT)
-    parser.add_argument("--seed", type=int, default=0, help="annealing seed; protocol's partition seed too")
+    parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT,
+                        help="most categories trace and compare enumerate; more are annealed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="annealing seed of trace and compare, and protocol's partition seed; "
+                             "grown trees draw no random numbers")
 
 
 def _add_column(parser: argparse.ArgumentParser) -> None:

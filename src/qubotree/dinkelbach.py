@@ -6,7 +6,9 @@ updated to the incumbent ratio. Trivial minimizers (empty child) reset lam to
 the parent bound n * Var, and the loop stops only at a non-trivial
 near-zero objective, so one-sided "splits" can never be reported as optima.
 Started from a known split's cost instead, the first solve is an optimality
-certificate for that split.
+certificate for that split, and every solve is exact at any category count:
+each lam is then the ratio of a real split, so the subproblem's minimum is at
+most zero and lies at a sorted-mean prefix (``solvers.solve_prefixes``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .qubo import build_qubo, eval_fractional
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, solve, solve_prefixes
 from .stats import NodeStats, VMatrix, node_variance
 
 
@@ -100,7 +102,10 @@ def dinkelbach_split(
     tolerance of zero proves lam optimal, a negative one continues the
     iteration from the solver's assignment, and a positive one (the solver
     missed the incumbent's own value of zero) stops the iteration, which
-    returns the best assignment seen, non-converged.
+    returns the best assignment seen, non-converged. Every lam of such a run
+    is the cost of a real split, at most the parent bound, so each step is
+    solved by ``solve_prefixes``, exactly and at any M, and ``solver_cfg``
+    is not read; without a ``start``, ``solve`` dispatches on ``solver_cfg``.
 
     On a zero-variance node there is nothing to split; the best-so-far
     assignment is returned flagged non-converged with lam_star = 0.
@@ -124,13 +129,14 @@ def dinkelbach_split(
     if start is None:
         lam = 0.0 if dk_cfg.mode == "zero" else upper
     else:
-        flip = 1 - int(start[0])  # first bit set, as the exact solver returns it
+        flip = 1 - int(start[0])  # first bit set, as the exact solvers return it
         best_q = tuple(int(b) ^ flip for b in start)
         lam = best_ratio = eval_fractional(v, aggs, node, best_q).ratio()
+        means = aggs.sum / aggs.n
 
     for k in range(1, dk_cfg.max_iterations + 1):
         problem = build_qubo(v, aggs, node, lam)
-        outcome = solve(problem, solver_cfg)
+        outcome = solve(problem, solver_cfg) if start is None else solve_prefixes(problem, means)
         parts = eval_fractional(v, aggs, node, outcome.q)
         f_val = parts.numerator - lam * parts.denominator
         tol = dk_cfg.rel_tolerance * max(1.0, lam * parts.denominator)

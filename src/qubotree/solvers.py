@@ -1,9 +1,11 @@
 """Minimize a binary quadratic form over non-trivial bit vectors.
 
-Two backends: exact enumeration, scored in vectorized chunks, for small
-instances and seeded simulated annealing for larger ones. Both refuse to
-return the all-zeros or all-ones assignment, which never encodes an effective
-split.
+Two general backends: exact enumeration, scored in vectorized chunks, for
+small instances and seeded simulated annealing for larger ones. A third,
+exact at any size, scores only the sorted-mean prefixes, which hold the
+minimum of a split QUBO whenever that minimum is at most zero. All refuse
+to return the all-zeros or all-ones assignment, which never encodes an
+effective split.
 """
 
 from __future__ import annotations
@@ -109,31 +111,77 @@ def assignment_chunks(m: int):
         yield ((patterns[:, None] >> shifts) & 1).astype(np.float64)
 
 
+def _margin(h: np.ndarray) -> float:
+    """Round-off allowance between a vectorized score and ``q @ h @ q``."""
+    return 1e-8 * max(1.0, float(np.abs(h).max()))
+
+
+def _first_minimum(h: np.ndarray, bits: np.ndarray, margin: float, best_q=None, best_f=np.inf):
+    """The lexicographically first exact minimum of ``q @ h @ q`` over the
+    float rows ``bits`` and an incumbent ``(best_q, best_f)``, in any order.
+
+    Rows are scored vectorized; those within ``margin`` of the best score are
+    recomputed exactly, and of equal exact values the lexicographically
+    smaller vector wins.
+    """
+    scores = (bits @ h * bits).sum(axis=1)
+    cut = min(float(scores.min()), best_f) + margin
+    for i in (scores <= cut).nonzero()[0]:
+        q = bits[i]
+        exact = float(q @ h @ q)
+        if exact < best_f or (exact == best_f and q.tolist() < best_q.tolist()):
+            best_f = exact
+            best_q = q
+    return best_q, best_f
+
+
 def solve_exhaustive(p: QuboProblem) -> SolveOutcome:
     """Global minimum over ``assignment_chunks``, relying on a split's flip symmetry.
 
-    Chunks are scored vectorized; rows within a round-off margin of the best
-    score are recomputed exactly, and ties go to the lex-smallest vector.
+    Ties go to the lex-smallest vector, as ``_first_minimum`` picks them.
     """
     m = p.m
     if m < 2:
         raise ValueError("need at least two categories")
     if m > EXACT_MAX_CATEGORIES:
         raise ValueError(f"instance too large for exhaustive enumeration (M={m})")
-    h = p.h
-    best_q = None
-    best_f = np.inf
-    margin = 1e-8 * max(1.0, float(np.abs(h).max()))
+    best_q, best_f = None, np.inf
+    margin = _margin(p.h)
     for bits in assignment_chunks(m):
-        scores = np.einsum("ij,ij->i", bits @ h, bits)
-        cut = min(float(scores.min()), best_f) + margin
-        for i in (scores <= cut).nonzero()[0]:
-            q = bits[i].astype(np.int8)
-            exact = float(q @ h @ q)
-            if exact < best_f:  # rows arrive in lex order: first wins ties
-                best_f = exact
-                best_q = q
-    return SolveOutcome(tuple(best_q.tolist()), best_f, "exhaustive", (1 << (m - 1)) - 1)
+        best_q, best_f = _first_minimum(p.h, bits, margin, best_q, best_f)
+    return SolveOutcome(tuple(best_q.astype(int).tolist()), best_f, "exhaustive", (1 << (m - 1)) - 1)
+
+
+def sorted_prefixes(means) -> np.ndarray:
+    """The M - 1 non-trivial prefixes of the categories stably sorted by
+    ``means``, as float rows in the first-bit-set form of ``assignment_chunks``."""
+    m = len(means)
+    rank = means.argsort(kind="stable").argsort()
+    bits = rank < np.arange(1, m)[:, None]  # row k - 1 holds the k smallest means
+    return (bits == bits[:, :1]).astype(np.float64)  # complement rows without category 0
+
+
+def solve_prefixes(p: QuboProblem, means) -> SolveOutcome:
+    """Minimum of a split QUBO over the sorted-mean prefixes of its categories.
+
+    ``means`` holds each category's mean response. The squared-error split
+    objective is ``nL·nR·(SSE - lam) - N·(s'·q)^2`` with ``nL`` the left
+    count and ``s'_a = n_a(mean_a - mean)``: for ``lam <= SSE`` a concave
+    function of the point ``(nL, s'·q)``, which ranges over a zonotope whose
+    vertices are the sorted-mean prefixes and their complements (Allemand,
+    Fukuda, Liebling & Steiner 2001; Ferrez, Fukuda & Liebling 2005). So
+    whenever the minimum over all non-trivial assignments is at most zero,
+    it lies at a prefix, and this equals ``solve_exhaustive`` at any M: the
+    minimizing rows are among the prefixes, and the same ``_first_minimum``
+    scores them and breaks their ties.
+    """
+    m = p.m
+    if m < 2:
+        raise ValueError("need at least two categories")
+    if len(means) != m:
+        raise ValueError("need one mean per category")
+    best_q, best_f = _first_minimum(p.h, sorted_prefixes(means), _margin(p.h))
+    return SolveOutcome(tuple(best_q.astype(int).tolist()), best_f, "prefixes", m - 1)
 
 
 def _flip_deltas(h: np.ndarray, g: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ case. Numeric and binary variables use the sorted threshold scan. For a
 categorical variable one pass sums the category cells of every node, and one
 sorted-means scan, optimal for squared error, splits them all: the greedy
 baseline, and the split that the ratio-iteration QUBO pipeline's first solve
-certifies; an exhaustive-partition searcher is the other baseline. Subset
-rules put the category with the smallest mean response on the left.
+certifies, exactly at any category count, by scoring the sorted-mean
+prefixes (``solvers.solve_prefixes``); an exhaustive-partition searcher is
+the other baseline. Subset rules put the category with the smallest mean
+response on the left.
 """
 
 from __future__ import annotations
@@ -306,9 +308,10 @@ def best_categorical_split_qubo(
     """Optimal subset split via the iterative binary quadratic pipeline.
 
     ``warm`` starts the ratio iteration at the sorted-means scan's split, so
-    one solve certifies it; ``warm=False`` runs the cold iteration from
-    ``dk_cfg.mode``. Either way the candidate carries the node's iteration
-    trace.
+    one solve, by the prefix solver, certifies it and ``solver_cfg`` is not
+    read; ``warm=False`` runs the cold iteration from ``dk_cfg.mode`` with
+    the solvers ``solver_cfg`` selects. Either way the candidate carries the
+    node's iteration trace.
     """
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     if len(aggs) < 2:

@@ -384,11 +384,9 @@ _RULE_FIELDS = itemgetter("variable", "kind", "left_categories", "right_categori
 
 
 def _finite(x) -> bool:
-    """Whether ``x`` is a number that converts to a finite float."""
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
+    """Whether ``x`` is a finite float: json loads ``0`` as an int and
+    ``true`` as a bool, neither of which a model file writes back as read."""
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> tuple:
@@ -405,7 +403,7 @@ def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> tuple:
         raise DataError(f"node {node_id}: {kind} rule on {column_kind} column {variable!r}")
     if kind == "threshold":
         if left or right or not _finite(threshold):
-            raise DataError(f"node {node_id}: a threshold rule takes a finite threshold and no labels")
+            raise DataError(f"node {node_id}: a threshold rule takes a finite float threshold and no labels")
     else:
         sides = labels.intersection(left + right)
         if not (left and right and len(sides) == len(left) + len(right)):
@@ -431,15 +429,19 @@ def _checked_nodes(doc: dict, schema: tuple):
     previous = None
     for entry in sorted(doc["nodes"], key=itemgetter("id"), reverse=True):
         node_id, n, prediction, sse, raw_rule = _NODE_FIELDS(entry)
+        if type(node_id) is not int:
+            raise DataError(f"node {node_id!r}: ids must be ints")
         if node_id == previous:  # sorted, so equal ids are neighbours
             raise DataError(f"node {node_id}: id appears more than once")
         previous = node_id
         if type(n) is not int or n < 1 or not (_finite(prediction) and _finite(sse)):
-            raise DataError(f"node {node_id}: needs an int n >= 1 and finite numbers as prediction and sse")
+            raise DataError(f"node {node_id}: needs an int n >= 1 and finite floats as prediction and sse")
         if raw_rule is None:
             yield node_id, n, prediction, sse, None, None, None
             continue
         left, right = entry["left"], entry["right"]
+        if type(left) is not int or type(right) is not int:
+            raise DataError(f"node {node_id}: child ids must be ints, got {left!r} and {right!r}")
         if not node_id < min(left, right):
             raise DataError(f"node {node_id}: child ids must be greater than the node's own id")
         yield node_id, n, prediction, sse, _rule_from_dict(node_id, raw_rule, columns), left, right

@@ -501,6 +501,14 @@ def test_cyclic_model_file_exits_2(tmp_path, capsys, node, side, target):
     )
 
 
+def _half_ids(nodes):
+    # Ids that sort and link as before, but that save_model could only write as ints.
+    for node in nodes:
+        for key in ("id", "left", "right"):
+            if node[key] is not None:
+                node[key] += 0.5
+
+
 def _empty(nodes):
     nodes.clear()
 
@@ -526,12 +534,13 @@ def _orphan(nodes):
     "edit, message",
     [
         (_empty, "the node list is empty"),
+        (_half_ids, "node 54.5: ids must be ints"),
         (_duplicate_id, "node 54: id appears more than once"),
         (_two_parents, "node 32: child of more than one node"),
         (_dangling_child, "node 99: not in the node list"),
         (_orphan, "node 55: neither the root nor any node's child"),
     ],
-    ids=("empty", "duplicate-id", "two-parents", "dangling-child", "orphan"),
+    ids=("empty", "half-ids", "duplicate-id", "two-parents", "dangling-child", "orphan"),
 )
 def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message):
     assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (
@@ -630,9 +639,11 @@ def _set_node(node, **fields):
         (_set_rule(5, variable="Gearbox"), {}, "node 5: rule variable 'Gearbox' is not in the schema"),
         (_set_rule(2, variable="Mileage_km"), {}, "node 2: subset rule on numeric column 'Mileage_km'"),
         (_set_rule(5, kind="oblique"), {}, "node 5: unknown rule kind 'oblique'"),
-        (_set_rule(5, threshold=None), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
-        (_set_rule(5, threshold=float("inf")), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
-        (_set_rule(5, left_categories=["BMW"]), {}, "node 5: a threshold rule takes a finite threshold and no labels"),
+        (_set_rule(5, threshold=None), {}, "node 5: a threshold rule takes a finite float threshold and no labels"),
+        (_set_rule(5, threshold=float("inf")), {},
+         "node 5: a threshold rule takes a finite float threshold and no labels"),
+        (_set_rule(5, left_categories=["BMW"]), {},
+         "node 5: a threshold rule takes a finite float threshold and no labels"),
         (_set_rule(2, kind="threshold", threshold=0.5, left_categories=[], right_categories=[]), {},
          "node 2: threshold rule on categorical column 'Brand'"),
         (_set_rule(2, left_categories=[]), {},
@@ -644,18 +655,22 @@ def _set_node(node, **fields):
         (_set_rule(2, left_categories=["Ford", "Tesla"]), {},
          "node 2: a subset rule takes two disjoint, non-empty lists of 'Brand' categories"),
         (_set_rule(2, threshold=0.5), {}, "node 2: a subset rule takes no threshold"),
-        (_set_node(1, prediction="0.0"), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
-        (_set_node(1, sse=float("nan")), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+        (_set_node(1, prediction="0.0"), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_node(1, sse=float("nan")), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
         (_set_node(1, n="212"), {"routing": "majority"},
-         "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
-        (_set_node(1, n=0), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
-        (_set_node(1, n=212.0), {}, "node 1: needs an int n >= 1 and finite numbers as prediction and sse"),
+         "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_node(1, n=0), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_node(1, n=212.0), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_node(1, prediction=0), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_node(1, sse=True), {}, "node 1: needs an int n >= 1 and finite floats as prediction and sse"),
+        (_set_rule(5, threshold=40000), {}, "node 5: a threshold rule takes a finite float threshold and no labels"),
+        (_set_node(2, left=3.0), {}, "node 2: child ids must be ints, got 3.0 and 32"),
     ],
     ids=(
         "unknown-variable", "subset-on-numeric", "unknown-kind", "null-threshold", "infinite-threshold",
         "threshold-with-labels", "threshold-on-categorical", "empty-side", "overlapping-sides",
         "repeated-label", "unknown-label", "subset-with-threshold", "string-prediction", "nan-sse", "string-n",
-        "zero-n", "float-n",
+        "zero-n", "float-n", "int-prediction", "bool-sse", "int-threshold", "float-child-id",
     ),
 )
 def test_model_file_that_does_not_fit_its_schema_exits_2(tmp_path, capsys, edit, config, message):

@@ -12,7 +12,7 @@ from qubotree import (
     dinkelbach_split,
     lambda_upper_bound,
 )
-from qubotree.solvers import SolveOutcome, solve
+from qubotree.solvers import SolveOutcome, solve_prefixes
 
 from conftest import brute_force_best, random_category_instance
 
@@ -168,14 +168,14 @@ def test_max_iterations_returns_best_so_far(worked_node):
     assert lam == pytest.approx(10.0, rel=1e-9)
 
 
-def _count_solves(monkeypatch):
+def _count_certificates(monkeypatch):
     calls = []
 
-    def counted(problem, cfg=None):
+    def counted(problem, means):
         calls.append(problem.m)
-        return solve(problem, cfg)
+        return solve_prefixes(problem, means)
 
-    monkeypatch.setattr(qubotree.dinkelbach, "solve", counted)
+    monkeypatch.setattr(qubotree.dinkelbach, "solve_prefixes", counted)
     return calls
 
 
@@ -198,13 +198,13 @@ def test_warm_split_matches_cold_iteration():
 
 
 def test_warm_start_with_two_categories_is_one_solve(monkeypatch):
-    calls = _count_solves(monkeypatch)
+    calls = _count_certificates(monkeypatch)
     codes = np.array([0, 0, 1, 1, 1])
     y = np.array([5.0, 6.0, 1.0, 2.0, 0.0])
     v, aggs, node = _setup(codes, y, 2)
     q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1))
     assert calls == [2]
-    assert q == (1, 0)  # first bit set, as the exact solver returns it
+    assert q == (1, 0)  # first bit set, as the exact solvers return it
     assert lam == pytest.approx(2.5, rel=1e-12)
     assert trace.converged and len(trace.steps) == 1
     step = trace.steps[0]
@@ -214,7 +214,7 @@ def test_warm_start_with_two_categories_is_one_solve(monkeypatch):
 
 
 def test_warm_start_certificate_is_one_solve(monkeypatch, worked_node):
-    calls = _count_solves(monkeypatch)
+    calls = _count_certificates(monkeypatch)
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
     q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1, 1, 0))
@@ -246,12 +246,13 @@ def test_non_optimal_start_reaches_brute_force_optimum():
 
 
 def test_missed_certificate_returns_the_start(monkeypatch, worked_node):
-    # A solver that misses the start's own zero (as annealing can) proves
-    # nothing: the start comes back, flagged non-converged.
+    # A solver that misses the start's own zero (as annealing could, and as
+    # the prefix solver could only through round-off) proves nothing: the
+    # start comes back, flagged non-converged.
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
-    worse = SolveOutcome((1, 1, 0, 0), 0.0, "annealing", 1)
-    monkeypatch.setattr(qubotree.dinkelbach, "solve", lambda problem, cfg=None: worse)
+    worse = SolveOutcome((1, 1, 0, 0), 0.0, "prefixes", 1)
+    monkeypatch.setattr(qubotree.dinkelbach, "solve_prefixes", lambda problem, means: worse)
     q, lam, trace = dinkelbach_split(v, aggs, node, start=(1, 0, 0, 1))
     assert q == (1, 0, 0, 1)
     assert lam == pytest.approx(10.0, rel=1e-9)

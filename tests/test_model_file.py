@@ -28,20 +28,22 @@ LABELS = st.one_of(
 )
 FINITE = st.one_of(st.sampled_from([1e-07, 1e16, -0.0, 5e-324]), st.floats(allow_nan=False, allow_infinity=False))
 FLOATS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.floats())
+# Numbers json writes without a decimal point, so that they load as ints or bools.
+NOT_FLOATS = st.one_of(st.integers(-2, 2), st.booleans())
 
 # A tree breaks at most one of these: a field of one node, of its rule, or of the tree.
 NODE_FAULTS = {
-    "id": st.integers(-1, 4),
+    "id": st.integers(-1, 4) | st.sampled_from([0.5, 1.0, True]),
     "n": st.sampled_from([0, -3, 2.0, True, "5", None]),
-    "prediction": FLOATS,
-    "sse": FLOATS,
+    "prediction": FLOATS | NOT_FLOATS,
+    "sse": FLOATS | NOT_FLOATS,
 }
 RULE_FAULTS = {
     "variable": LABELS,
     "kind": st.sampled_from(["threshold", "subset", "oblique"]),
     "left_categories": st.lists(LABELS, max_size=3).map(tuple),
     "right_categories": st.lists(LABELS, max_size=3).map(tuple),
-    "threshold": st.none() | FLOATS,
+    "threshold": st.none() | FLOATS | NOT_FLOATS,
 }
 TREE_FAULTS = {
     "n_train": st.sampled_from([0, -1, 1.5, True, "7", None]),
@@ -142,7 +144,7 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
     path = tmp_path / "model.json"
     save_model(chain_tree(2), str(path))
     before = path.read_bytes()
-    with pytest.raises(DataError, match="node 1: needs an int n >= 1 and finite numbers"):
+    with pytest.raises(DataError, match="node 1: needs an int n >= 1 and finite floats"):
         save_model(tree, str(path))
     tree = replace(tree, root=replace(root, left=replace(root.left, prediction=1.0)))
     with pytest.raises(DataError, match="node 0: rule variable 'absent' is not in the schema"):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import qubotree.solvers
 from qubotree import (
     AnnealConfig,
     ColumnSchema,
@@ -186,7 +187,7 @@ def test_grow_deterministic():
 
 def _highcard(n, seed):
     """``generate_df`` rows plus a 40-level ``Dealer`` column: above the exact
-    solver's threshold, so the qubo splitter anneals it at every node."""
+    solver's threshold, where only the prefix certificate solves it exactly."""
     base = generate_df(n, seed)
     rng = np.random.default_rng([seed, 40])
     dealer = rng.integers(40, size=n)
@@ -220,17 +221,21 @@ MAX = GrowConfig.max_tree()
         (generate_datagen, GrowConfig(cp=0.001), 24,
          "c233315a453f61448e83e7c39978931aa73307dbd2db509b25c054d10787bb7c",
          "445813c872cba8a86fcb469bfe5bee531dbe0c716a49cd886bbf0d547e2eaffd"),
-        # The depth cap, and annealing: Dealer's 40 levels exceed the exact solver's 22.
+        # The depth cap, and Dealer's 40 levels, above the exhaustive solver's 22.
         (_highcard, GrowConfig.max_tree(max_depth=3), 6,
          "3eef8b95c7d75a90d64dcee9f4e1eb388bf91b5adf933a3c3020ae6a1b571f74",
          "d432b66062d9661bf33cb81eaf86b89ca3e50e40ae4950bc1fb6e91d3dd38a56"),
+        # Deeper, so certificates at 17 to 40 levels decide many nodes.
+        (_highcard, GrowConfig.max_tree(max_depth=6), 34,
+         "0aa1934dbb4e3b6a8aa44c1590bf3c21b42886e781d511863297dd6cd6bc1070",
+         "cb81eb11103162bffffc0182cb151b025bb01477f43ed670b42ec68350988d19"),
         # Exhaustive search skips Dealer: it is above the 22-level cap.
         (_highcard, GrowConfig.max_tree(max_depth=3, categorical_method="exhaustive"), 8,
          "e3db73018913f9f387c247188c01129b63b5e7e4dd1a0c77e6cfbf2cf44d55f0",
          "211831bcfbed7724fb3423acfec0f52b3c30546b86cb761536a8bef7a6eb008e"),
     ],
     ids=("df", "datagen", "df-greedy", "df-exhaustive", "df-default", "datagen-cp0.001",
-         "highcard-depth3", "highcard-exhaustive-depth3"),
+         "highcard-depth3", "highcard-depth6", "highcard-exhaustive-depth3"),
 )
 def test_max_tree_describe_is_pinned(tmp_path, maker, cfg, leaves, digest, model_digest):
     # A change to how splits are searched must keep every split, cost and
@@ -243,6 +248,27 @@ def test_max_tree_describe_is_pinned(tmp_path, maker, cfg, leaves, digest, model
     path = tmp_path / "model.json"
     save_model(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == model_digest
+
+
+def test_solver_settings_do_not_change_a_grown_tree():
+    # Growth certifies every split with the prefix solver, whatever the
+    # exhaustive solver's threshold or the annealing schedule.
+    data = _highcard(3000, 5)
+    weak = SolverConfig(exact_threshold=2, anneal=AnnealConfig(seed=3, sweeps=1, restarts=1))
+    texts = {
+        describe(grow(data, GrowConfig.max_tree(max_depth=6, solver=solver)))
+        for solver in (SolverConfig(), SolverConfig(exact_threshold=2), weak)
+    }
+    assert len(texts) == 1
+
+
+def test_growth_calls_neither_the_exhaustive_nor_the_annealing_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("growth reached a general QUBO solver")
+
+    monkeypatch.setattr(qubotree.solvers, "solve_exhaustive", refuse)
+    monkeypatch.setattr(qubotree.solvers, "solve_anneal", refuse)
+    assert grow(_highcard(3000, 5), GrowConfig.max_tree(max_depth=6)).leaf_count() == 34
 
 
 @pytest.mark.parametrize(
