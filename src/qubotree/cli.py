@@ -31,7 +31,7 @@ from .datasets import (
 from .dinkelbach import DinkelbachConfig, dinkelbach_split
 from .generators import generate_datagen, generate_df
 from .pruning import evaluate_protocol
-from .solvers import EXACT_THRESHOLD_DEFAULT, AnnealConfig, SolverConfig
+from .solvers import EXACT_MAX_CATEGORIES, EXACT_THRESHOLD_DEFAULT, AnnealConfig, SolverConfig
 from .splitting import (
     EXHAUSTIVE_MAX_CATEGORIES,
     best_categorical_split_exhaustive,
@@ -98,26 +98,25 @@ def _load_data(args) -> Dataset:
     return load_csv(args.data, schema, args.response)
 
 
-def _search_config(args, **grow) -> GrowConfig:
-    """The split-search settings the flags select; ``grow`` adds train's and
-    protocol's stopping rules, or trace's and compare's ratio-iteration start.
-
-    The settings are checked before any data is loaded, and a bad value is a user error.
-    """
+def _settings(build, **values):
+    """``build(**values)``, with a bad value a user error: every command checks
+    its settings this way before it loads any data."""
     try:
-        return GrowConfig(
-            solver=SolverConfig(exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed)),
-            **grow,
-        )
+        return build(**values)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
 
 def _grow_config(args) -> GrowConfig:
-    return _search_config(
-        args, max_depth=args.max_depth, min_split=args.min_split, min_bucket=args.min_bucket,
+    return _settings(
+        GrowConfig, max_depth=args.max_depth, min_split=args.min_split, min_bucket=args.min_bucket,
         cp=args.cp, routing=args.routing, categorical_method=args.method,
     )
+
+
+def _solver_config(args) -> SolverConfig:
+    """The solvers of trace's and compare's cold ratio iteration."""
+    return _settings(SolverConfig, exact_threshold=args.exact_threshold, anneal=AnnealConfig(seed=args.seed))
 
 
 def _output(path: Optional[str]):
@@ -228,10 +227,10 @@ def _column_stats(args):
 
 
 def cmd_trace(args) -> int:
-    cfg = _search_config(args, dinkelbach=DinkelbachConfig(mode=args.init))
+    solver_cfg, dk_cfg = _solver_config(args), DinkelbachConfig(mode=args.init)
     _, column, aggs, node = _column_stats(args)
     v = build_v_matrix(aggs)
-    _, lam, trace = dinkelbach_split(v, aggs, node, cfg.solver, cfg.dinkelbach)
+    _, lam, trace = dinkelbach_split(v, aggs, node, solver_cfg, dk_cfg)
     header = ["iteration", "lambda_initial", "binary_vector", "score", "lambda_final"]
     _write_rows(args.out, header, [[r[k] for k in header] for r in trace.rows()])
     labels = ",".join(column.categories[i] for i in aggs.index)
@@ -240,12 +239,12 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _search_config(args, dinkelbach=DinkelbachConfig(mode=args.init))
+    solver_cfg, dk_cfg = _solver_config(args), DinkelbachConfig(mode=args.init)
     data, column, aggs, _ = _column_stats(args)
     y, codes = data.response, data.column(args.column)
-    limit = min(args.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
+    limit = min(solver_cfg.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
     searches = (
-        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, cfg.solver, cfg.dinkelbach, warm=False)),
+        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, solver_cfg, dk_cfg, warm=False)),
         ("exhaustive", lambda: best_categorical_split_exhaustive(y, codes, column)),
         ("greedy", lambda: best_categorical_split_greedy(y, codes, column)),
     )
@@ -276,23 +275,17 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--response", default="ClaimAmount", help="response column name")
 
 
-def _add_search(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT,
-                        help="most categories trace and compare enumerate; more are annealed")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="annealing seed of trace and compare, and protocol's partition seed; "
-                             "grown trees draw no random numbers")
-
-
 def _add_column(parser: argparse.ArgumentParser) -> None:
-    """Trace's and compare's options: one column and the cold ratio iteration's start."""
+    """Trace's and compare's options: one column and the cold ratio iteration's start and solvers."""
     parser.add_argument("--column", required=True)
     parser.add_argument("--init", choices=("upper_bound", "zero"), default="upper_bound",
                         help="start of the ratio iteration: the parent bound n * Var, or zero")
-    _add_search(parser)
+    parser.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD_DEFAULT,
+                        help=f"most categories enumerated, 1 to {EXACT_MAX_CATEGORIES}; more are annealed")
+    parser.add_argument("--seed", type=int, default=0, help="annealing seed")
 
 
-def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig) -> None:
+def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig, seed_help: str) -> None:
     parser.add_argument("--max-depth", type=int, default=preset.max_depth)
     parser.add_argument("--min-split", type=int, default=preset.min_split)
     parser.add_argument("--min-bucket", type=int, default=preset.min_bucket)
@@ -300,7 +293,7 @@ def _add_grow(parser: argparse.ArgumentParser, preset: GrowConfig) -> None:
     parser.add_argument("--routing", choices=ROUTINGS, default=preset.routing)
     parser.add_argument("--method", choices=CATEGORICAL_METHODS, default=preset.categorical_method,
                         help="categorical split searcher")
-    _add_search(parser)
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a regression tree and save the model")
     _add_data(p)
-    _add_grow(p, GrowConfig())
+    _add_grow(p, GrowConfig(), "accepted and unused: growth draws no random numbers")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--describe", action="store_true", help="print the tree structure")
     _add_common(p)
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="partition, grow, prune, select, and score")
     _add_data(p)
-    _add_grow(p, GrowConfig.max_tree())
+    _add_grow(p, GrowConfig.max_tree(), "partition seed; growth draws no random numbers")
     p.add_argument("--fractions", default="0.5,0.25,0.25")
     p.add_argument("--out", default=None, help="report CSV (stdout otherwise)")
     _add_common(p)

@@ -75,17 +75,17 @@ class AnnealConfig:
 class SolverConfig:
     """Backend dispatch: exact up to the threshold, annealing above.
 
-    The threshold may not exceed ``EXACT_MAX_CATEGORIES``, the largest
-    instance the exact backend takes.
+    The threshold runs from 1, which anneals every instance, to
+    ``EXACT_MAX_CATEGORIES``, the largest instance the exact backend takes.
     """
 
     exact_threshold: int = EXACT_THRESHOLD_DEFAULT
     anneal: AnnealConfig = field(default_factory=AnnealConfig)
 
     def __post_init__(self):
-        if self.exact_threshold > EXACT_MAX_CATEGORIES:
+        if not 1 <= self.exact_threshold <= EXACT_MAX_CATEGORIES:
             raise ValueError(
-                f"exact_threshold must be <= {EXACT_MAX_CATEGORIES}, got {self.exact_threshold}"
+                f"exact_threshold must be between 1 and {EXACT_MAX_CATEGORIES}, got {self.exact_threshold}"
             )
 
 

@@ -234,13 +234,19 @@ def _subset_candidate(column: ColumnSchema, index, left_mask, n, cost, trace=Non
     return SplitCandidate(rule, float(cost), n_left, int(n.sum()) - n_left, trace)
 
 
-def _search_one(method: str, aggs: CategoryStats, node: NodeStats, start, solver_cfg, dk_cfg) -> tuple:
+def _smallest_mean_left(q, aggs: CategoryStats) -> np.ndarray:
+    """The assignment ``q`` as a left mask over the categories that holds the smallest mean."""
+    mask = np.array(q, dtype=bool)
+    return mask if mask[int(np.argmin(aggs.sum / aggs.n))] else ~mask
+
+
+def _search_one(method: str, aggs: CategoryStats, node: NodeStats, start) -> tuple:
     """One node's ``qubo`` ratio iteration from ``start``, or its ``exhaustive``
     search (straight from the category sums, so an oracle for the former):
     the left mask, turned to hold the smallest mean, its cost and the trace."""
     trace = None
     if method == "qubo":
-        q, cost, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, solver_cfg, dk_cfg, start)
+        q, cost, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, start=start)
     else:
         cost = np.inf
         for bits in assignment_chunks(len(aggs)):
@@ -249,11 +255,10 @@ def _search_one(method: str, aggs: CategoryStats, node: NodeStats, start, solver
             i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
             if costs[i] < cost:
                 cost, q = float(costs[i]), bits[i]
-    mask = np.array(q, dtype=bool)
-    return (mask if mask[int(np.argmin(aggs.sum / aggs.n))] else ~mask), cost, trace
+    return _smallest_mean_left(q, aggs), cost, trace
 
 
-def _subset_scan(y, codes, column, segs, method, solver_cfg, dk_cfg):
+def _subset_scan(y, codes, column, segs, method):
     """Subset split of every segment where the column has two or more
     categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
 
@@ -291,7 +296,7 @@ def _subset_scan(y, codes, column, segs, method, solver_cfg, dk_cfg):
         r = cells.rows(k, k)
         aggs = CategoryStats(code[r], n[r], s[r], q[r])
         node = NodeStats(int(tn[k]), float(ts[k]), float(tq[k]))
-        left[r], cost[k], traces[k] = _search_one(method, aggs, node, left[r], solver_cfg, dk_cfg)
+        left[r], cost[k], traces[k] = _search_one(method, aggs, node, left[r])
     n_left = np.add.reduceat(np.where(left, n, 0.0), cells.starts).astype(np.int64)
 
     def candidate(k: int) -> SplitCandidate:
@@ -320,8 +325,8 @@ def best_categorical_split_qubo(
     if warm:
         totals = [np.array([v], dtype=np.float64) for v in (node.n, node.sum, node.sum_sq)]
         start = _sorted_means_scan(_Segments(np.array([len(aggs)])), aggs.n, aggs.sum, aggs.sum_sq, totals)[1]
-    mask, lam, trace = _search_one("qubo", aggs, node, start, solver_cfg, dk_cfg)
-    return _subset_candidate(column, aggs.index, mask, aggs.n, lam, trace)
+    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, solver_cfg, dk_cfg, start)
+    return _subset_candidate(column, aggs.index, _smallest_mean_left(q, aggs), aggs.n, lam, trace)
 
 
 def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
@@ -330,7 +335,7 @@ def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
     if len(codes) == 0:
         raise ValueError("empty node")
     one = _Segments(np.array([len(codes)]))
-    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, one, method, None, None)
+    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, one, method)
     if len(ids):
         return candidate(0)
     if method == "exhaustive":
@@ -368,8 +373,6 @@ def best_splits(
     data: Dataset,
     segments,
     method: str = "qubo",
-    solver_cfg: Optional[SolverConfig] = None,
-    dk_cfg: Optional[DinkelbachConfig] = None,
     min_bucket: int = 1,
 ) -> list:
     """Minimum-cost candidate of every node, each given by its row indices.
@@ -399,7 +402,7 @@ def best_splits(
     for j, column in enumerate(data.schema):
         values = data.column(column.name)[rows]
         if column.kind == "categorical":
-            scan = _subset_scan(y, values, column, segs, method, solver_cfg, dk_cfg)
+            scan = _subset_scan(y, values, column, segs, method)
         else:
             scan = _threshold_scan(y, values, segs, min_bucket, column.name)
         ids, cost, n_left, n_right, candidate = scan
@@ -416,12 +419,10 @@ def best_split(
     data: Dataset,
     indices: np.ndarray,
     method: str = "qubo",
-    solver_cfg: Optional[SolverConfig] = None,
-    dk_cfg: Optional[DinkelbachConfig] = None,
     min_bucket: int = 1,
 ) -> Optional[SplitCandidate]:
     """Minimum-cost candidate across all eligible variables of one node.
 
     The one-segment case of :func:`best_splits`, whose rules it follows.
     """
-    return best_splits(data, [indices], method, solver_cfg, dk_cfg, min_bucket)[0]
+    return best_splits(data, [indices], method, min_bucket)[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -20,8 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .datasets import ColumnSchema, DataError, Dataset
-from .dinkelbach import DinkelbachConfig
-from .solvers import AnnealConfig, SolverConfig
 # best_split is not called here; bench/tracing.py wraps it under this name.
 from .splitting import SplitRule, best_split, best_splits  # noqa: F401
 from .stats import NodeStats
@@ -47,10 +45,13 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class GrowConfig:
-    """Stopping controls plus the split-search configuration.
+    """Stopping controls, the categorical split method and the routing of
+    labels a subset rule never saw: every setting growth reads.
 
     ``cp`` gates a split on its risk reduction relative to the root SSE.
     ``max_tree()`` is the preset that disables every early stop except depth.
+    Growth certifies each ``qubo`` split with the exact prefix solver, so no
+    solver or ratio-iteration setting changes a grown tree.
     """
 
     max_depth: int = 30
@@ -59,8 +60,6 @@ class GrowConfig:
     cp: float = 0.01
     routing: str = "complement"
     categorical_method: str = "qubo"
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    dinkelbach: DinkelbachConfig = field(default_factory=DinkelbachConfig)
 
     def __post_init__(self):
         if self.max_depth < 0 or not 0 <= self.cp < math.inf or self.min_bucket < 1:  # a NaN cp fails too
@@ -182,12 +181,7 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
             if depth < cfg.max_depth and stats.n >= cfg.min_split and sse > 0.0
         ]
         candidates = best_splits(
-            data,
-            [level[k] for k in searched],
-            method=cfg.categorical_method,
-            solver_cfg=cfg.solver,
-            dk_cfg=cfg.dinkelbach,
-            min_bucket=cfg.min_bucket,
+            data, [level[k] for k in searched], method=cfg.categorical_method, min_bucket=cfg.min_bucket
         )
         children = []
         for k, candidate in zip(searched, candidates):
@@ -343,7 +337,6 @@ def tree_to_dict(tree: RegressionTree) -> dict:
         }
         for node, _ in preorder(tree.root)
     ]
-    cfg = tree.config
     doc = {
         "format": "qubotree-model",
         "version": 1,
@@ -353,29 +346,9 @@ def tree_to_dict(tree: RegressionTree) -> dict:
             {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
             for c in tree.schema
         ],
-        "config": {
-            "max_depth": cfg.max_depth,
-            "min_split": cfg.min_split,
-            "min_bucket": cfg.min_bucket,
-            "cp": cfg.cp,
-            "routing": cfg.routing,
-            "categorical_method": cfg.categorical_method,
-            "exact_threshold": cfg.solver.exact_threshold,
-            "anneal_seed": cfg.solver.anneal.seed,
-            "anneal_restarts": cfg.solver.anneal.restarts,
-            "dinkelbach_mode": cfg.dinkelbach.mode,
-            "rel_tolerance": cfg.dinkelbach.rel_tolerance,
-            "max_iterations": cfg.dinkelbach.max_iterations,
-        },
+        "config": asdict(tree.config),
         "nodes": nodes,
     }
-    optional = {
-        "anneal_sweeps": cfg.solver.anneal.sweeps,
-        "anneal_t_init": cfg.solver.anneal.t_init,
-        "anneal_t_final": cfg.solver.anneal.t_final,
-    }
-    # Unset (None) settings are not written, so default models keep their bytes.
-    doc["config"].update((key, value) for key, value in optional.items() if value is not None)
     return doc
 
 
@@ -453,30 +426,9 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     schema = tuple(
         ColumnSchema(c["name"], c["kind"], tuple(c["categories"])) for c in doc["schema"]
     )
-    raw = doc["config"]
-    cfg = GrowConfig(
-        max_depth=raw["max_depth"],
-        min_split=raw["min_split"],
-        min_bucket=raw["min_bucket"],
-        cp=raw["cp"],
-        routing=raw["routing"],
-        categorical_method=raw["categorical_method"],
-        solver=SolverConfig(
-            exact_threshold=raw["exact_threshold"],
-            anneal=AnnealConfig(
-                seed=raw["anneal_seed"],
-                sweeps=raw.get("anneal_sweeps"),
-                restarts=raw["anneal_restarts"],
-                t_init=raw.get("anneal_t_init"),
-                t_final=raw.get("anneal_t_final"),
-            ),
-        ),
-        dinkelbach=DinkelbachConfig(
-            mode=raw["dinkelbach_mode"],
-            rel_tolerance=raw["rel_tolerance"],
-            max_iterations=raw["max_iterations"],
-        ),
-    )
+    # Other keys, such as the solver settings ("exact_threshold", "anneal_seed",
+    # ...) that older files hold and growth does not read, are ignored.
+    cfg = GrowConfig(**{f.name: doc["config"][f.name] for f in fields(GrowConfig)})
     nodes = doc["nodes"]
     if not nodes:
         raise DataError("the node list is empty")

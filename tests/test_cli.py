@@ -367,18 +367,29 @@ def test_threads_validation(tmp_path, small_csv, capsys):
     assert code != 0
 
 
-@pytest.mark.parametrize("command", ["train", "protocol", "trace", "compare"])
+@pytest.mark.parametrize("command", ["trace", "compare"])
 def test_exact_threshold_above_cap_fails_before_loading(tmp_path, capsys, command):
     out = tmp_path / "out"
-    argv = [command, "--data", str(tmp_path / "absent.csv"), "--schema", SCHEMA,
-            "--exact-threshold", "31", "--out", str(out)]
-    if command in ("trace", "compare"):
-        argv += ["--column", "Brand"]
-    code, _, err = _run(argv, capsys)
-    # The data file does not exist: the threshold is checked before any loading.
-    assert code == 2
-    assert "error: exact_threshold must be <= 30, got 31" in err
-    assert not out.exists()
+    for value in (31, -3):
+        argv = [command, "--data", str(tmp_path / "absent.csv"), "--schema", SCHEMA, "--column", "Brand",
+                "--exact-threshold", str(value), "--out", str(out)]
+        code, _, err = _run(argv, capsys)
+        # The data file does not exist: the threshold is checked before any loading.
+        assert code == 2
+        assert f"error: exact_threshold must be between 1 and 30, got {value}" in err
+        assert not out.exists()
+
+
+def test_exact_threshold_config_key_is_trace_only(tmp_path, small_csv, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("exact_threshold = 22\n", encoding="utf-8")
+    train = ["train", "--data", small_csv, "--schema", SCHEMA, "--out", str(tmp_path / "m.json"),
+             "--config", str(cfg)]
+    code, out, err = _run(train, capsys)
+    assert (code, out, err.splitlines()[-1]) == (2, "", "error: unknown config key 'exact_threshold'")
+    trace = ["trace", "--data", small_csv, "--schema", SCHEMA, "--column", "Brand", "--config", str(cfg)]
+    code, out, err = _run(trace, capsys)
+    assert code == 0 and "exact_threshold=22" in err and out.startswith("iteration,")
 
 
 def test_config_boolean_values(tmp_path, small_csv, capsys):
@@ -563,11 +574,21 @@ def test_model_file_with_bad_tree_fields_exits_2(tmp_path, capsys, fields):
     )
 
 
-def test_model_file_with_the_removed_custom_dinkelbach_mode_exits_2(tmp_path, capsys):
-    config = {"dinkelbach_mode": "custom", "dinkelbach_custom_value": 12.5}
-    assert _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, config) == (
-        2, "", "error: <model>: malformed model file: unknown initialization mode 'custom'"
-    )
+# Solver and ratio-iteration settings that model files once held, with the
+# values they held. Growth does not read them, so loading ignores them.
+DROPPED_SETTINGS = [
+    ("exact_threshold", 22), ("anneal_seed", 0), ("anneal_restarts", 8), ("anneal_sweeps", 50),
+    ("anneal_t_init", 5.0), ("anneal_t_final", 0.25), ("dinkelbach_mode", "upper_bound"),
+    ("rel_tolerance", 1e-09), ("max_iterations", 50), ("dinkelbach_mode", "custom"),
+]
+
+
+@pytest.mark.parametrize("key, value", DROPPED_SETTINGS, ids=[f"{k}-{v}" for k, v in DROPPED_SETTINGS])
+def test_model_file_with_a_dropped_setting_predicts_as_without(tmp_path, capsys, key, value):
+    code, out, _ = _predict_with_edited_golden_model(tmp_path, capsys, lambda nodes: None, {key: value})
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "predict_complement.stdout")
+    with open(golden, encoding="utf-8") as fh:
+        assert (code, out) == (0, fh.read())
 
 
 def test_model_file_with_a_stray_custom_value_key_predicts_as_without(tmp_path, capsys):
@@ -684,11 +705,11 @@ def test_model_file_that_does_not_fit_its_schema_exits_2(tmp_path, capsys, edit,
 CLI_OPTIONS = {
     "generate": "--kind --n --out --seed --config --threads",
     "train": "--data --schema --response --max-depth --min-split --min-bucket --cp --routing --method "
-             "--exact-threshold --seed --out --describe --config --threads",
+             "--seed --out --describe --config --threads",
     "predict": "--model --data --routing --out --config --threads",
     "eval": "--model --data --routing --response --baseline --out --config --threads",
     "protocol": "--data --schema --response --max-depth --min-split --min-bucket --cp --routing --method "
-                "--exact-threshold --seed --fractions --out --config --threads",
+                "--seed --fractions --out --config --threads",
     "trace": "--data --schema --response --column --init --exact-threshold --seed --out --config --threads",
     "compare": "--data --schema --response --column --init --exact-threshold --seed --out --config --threads",
 }
@@ -715,7 +736,8 @@ def test_readme_option_table_lists_each_commands_options():
 
 # Options that changed no output of their command and were removed.
 REMOVED = [("train", "init", "zero"), ("protocol", "init", "zero"), ("predict", "seed", "3"),
-           ("eval", "seed", "3"), ("trace", "format", "json")]
+           ("eval", "seed", "3"), ("trace", "format", "json"), ("train", "exact_threshold", "5"),
+           ("protocol", "exact_threshold", "5")]
 
 
 @pytest.mark.parametrize("command, key, value", REMOVED, ids=[f"{c}-{k}" for c, k, _ in REMOVED])
@@ -728,10 +750,11 @@ def test_removed_option_exits_2_as_flag_and_as_config_key(tmp_path, capsys, comm
         "eval": ["--model", str(tmp_path / "m.json"), "--data", data],
         "trace": ["--data", data, "--column", "c"],
     }[command]
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main([command, *required, f"--{key}", value])
+        main([command, *required, flag, value])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     code, out, err = _run([command, *required, "--config", str(cfg)], capsys)

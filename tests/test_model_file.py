@@ -11,12 +11,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from qubotree import (
-    AnnealConfig, ColumnSchema, DataError, DinkelbachConfig, GrowConfig, SolverConfig, describe, load_model,
-    save_model,
-)
+from qubotree import ColumnSchema, DataError, GrowConfig, describe, load_model, save_model
 from qubotree.splitting import SplitRule
-from qubotree.tree import RegressionTree, TreeNode, tree_from_dict, tree_to_dict
+from qubotree.tree import CATEGORICAL_METHODS, ROUTINGS, RegressionTree, TreeNode, tree_from_dict, tree_to_dict
 
 from conftest import chain_tree
 
@@ -90,13 +87,11 @@ def trees(draw) -> RegressionTree:
         if draw(st.booleans()) else ColumnSchema(name, draw(st.sampled_from(["numeric", "binary"])))
         for name in draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
     )
-    anneal = AnnealConfig(
-        sweeps=draw(st.none() | st.integers(1, 10**6)),
-        t_init=draw(st.none() | st.floats(2.0, 100.0)),
-        t_final=draw(st.none() | st.floats(1e-3, 1.0)),
+    cfg = GrowConfig(
+        cp=draw(st.floats(0.0, 1.0)),
+        routing=draw(st.sampled_from(ROUTINGS)),
+        categorical_method=draw(st.sampled_from(CATEGORICAL_METHODS)),
     )
-    dinkelbach = DinkelbachConfig(mode=draw(st.sampled_from(["upper_bound", "zero"])))
-    cfg = GrowConfig(cp=draw(st.floats(0.0, 1.0)), solver=SolverConfig(anneal=anneal), dinkelbach=dinkelbach)
     fault = draw(st.none() | st.sampled_from(FAULT_NAMES)), draw(st.integers(0, 4))  # name, node id
     root = _node(draw, schema, itertools.count(), 0, fault)
     head = {"n_train": draw(st.integers(1, 10**9)), "response": draw(LABELS)}

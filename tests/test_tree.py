@@ -1,16 +1,13 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
 import qubotree.solvers
 from qubotree import (
-    AnnealConfig,
     ColumnSchema,
     DataError,
     Dataset,
-    DinkelbachConfig,
     GrowConfig,
     describe,
     evaluate_mse,
@@ -23,7 +20,6 @@ from qubotree import (
     predict_many,
     prune_sequence,
     save_model,
-    SolverConfig,
 )
 from qubotree.splitting import SplitRule
 from qubotree.tree import TreeNode, RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
@@ -205,34 +201,34 @@ MAX = GrowConfig.max_tree()
     "maker, cfg, leaves, digest, model_digest",
     [
         (generate_df, MAX, 968, "c6516781db3c3368df994d5a5c699dc83fde5d90461c5b348d9a70673fa1fbf2",
-         "3f408ff7087173c9ceb94d024ca5dd588992e6420f01e454851aeb67cc85b4f9"),
+         "d4f0195af9e1a8fa4bf5cc0be5b69ccf90cfaeee13d5ede44b88231242ded104"),
         (generate_datagen, MAX, 601, "516d214a1e2314e46c57b98c7aef27a92e94c0173635a5fdc1f3bd11cc93e809",
-         "6ec13e5997f18c1ff2d86afc9fb35f3c98efd2718c0919cdde964deaf45cae8d"),
+         "0b82f3fdeef3e7e6ee371998919921f1b9d88e072c972587b6c673adb3e37e0a"),
         (generate_df, GrowConfig.max_tree(categorical_method="greedy"), 968,
          "caa2571f631b4d383e992043a4af49610c127f143909cf6a1d05299dd57e3b44",
-         "cb310f3ea77de3e21eb433f2c68ce26bb94322d4468dfc0653025663a5f23427"),
+         "47e1d429c1a3fed03c1dbcf28047aa3f64463bd23a97e7a4b6dd867daba5129a"),
         (generate_df, GrowConfig.max_tree(categorical_method="exhaustive"), 968,
          "5446e19a546db0c3a3c36dfd3d7d8ad36588012c4133209973aa0e432ee8032b",
-         "b2b365de88e9794de51d20f19d455c8acac7eba288c9c771b8e7774add4b5d25"),
+         "ad4545d0d1aa0ac4bd99ea4788ddf565af740492c938f74ae6c5030a5ec7f3a8"),
         # The default stopping rules: the cp gate ends growth at 5 leaves.
         (generate_df, GrowConfig(), 5, "71a32036d035ff8ffce5f61cfa0e0717b6c4c4e4e7c884fd296915a27f68770a",
-         "042841843bc86aff05bd3174a3cda29a237cf6b041c9c1df7fcab357b0af3f9d"),
+         "abe6e91e32d8f8f87aa29d89e834e3aeb0162c703b819e97ae2a0300879f886c"),
         # min_bucket=7 drops 8 of the 62 categorical candidates of this tree.
         (generate_datagen, GrowConfig(cp=0.001), 24,
          "c233315a453f61448e83e7c39978931aa73307dbd2db509b25c054d10787bb7c",
-         "445813c872cba8a86fcb469bfe5bee531dbe0c716a49cd886bbf0d547e2eaffd"),
+         "356ec7eff472cff0c3f80fe29c02825c4804c9e81bde99ad013ba650e302e9da"),
         # The depth cap, and Dealer's 40 levels, above the exhaustive solver's 22.
         (_highcard, GrowConfig.max_tree(max_depth=3), 6,
          "3eef8b95c7d75a90d64dcee9f4e1eb388bf91b5adf933a3c3020ae6a1b571f74",
-         "d432b66062d9661bf33cb81eaf86b89ca3e50e40ae4950bc1fb6e91d3dd38a56"),
+         "6298e0ca84a7cd8af58f0ffa9457d1407c905f96dc5e17f76eb5f8672f465391"),
         # Deeper, so certificates at 17 to 40 levels decide many nodes.
         (_highcard, GrowConfig.max_tree(max_depth=6), 34,
          "0aa1934dbb4e3b6a8aa44c1590bf3c21b42886e781d511863297dd6cd6bc1070",
-         "cb81eb11103162bffffc0182cb151b025bb01477f43ed670b42ec68350988d19"),
+         "366ff66e712bf3d769896d54b913c4dd56565968e2111a7773b72c38932b55b0"),
         # Exhaustive search skips Dealer: it is above the 22-level cap.
         (_highcard, GrowConfig.max_tree(max_depth=3, categorical_method="exhaustive"), 8,
          "e3db73018913f9f387c247188c01129b63b5e7e4dd1a0c77e6cfbf2cf44d55f0",
-         "211831bcfbed7724fb3423acfec0f52b3c30546b86cb761536a8bef7a6eb008e"),
+         "77b74f4c1f0ac232b1d1446d69c5d53650e5b83dd5372cfbb6f8f07fc8250d7c"),
     ],
     ids=("df", "datagen", "df-greedy", "df-exhaustive", "df-default", "datagen-cp0.001",
          "highcard-depth3", "highcard-depth6", "highcard-exhaustive-depth3"),
@@ -248,18 +244,6 @@ def test_max_tree_describe_is_pinned(tmp_path, maker, cfg, leaves, digest, model
     path = tmp_path / "model.json"
     save_model(tree, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == model_digest
-
-
-def test_solver_settings_do_not_change_a_grown_tree():
-    # Growth certifies every split with the prefix solver, whatever the
-    # exhaustive solver's threshold or the annealing schedule.
-    data = _highcard(3000, 5)
-    weak = SolverConfig(exact_threshold=2, anneal=AnnealConfig(seed=3, sweeps=1, restarts=1))
-    texts = {
-        describe(grow(data, GrowConfig.max_tree(max_depth=6, solver=solver)))
-        for solver in (SolverConfig(), SolverConfig(exact_threshold=2), weak)
-    }
-    assert len(texts) == 1
 
 
 def test_growth_calls_neither_the_exhaustive_nor_the_annealing_solver(monkeypatch):
@@ -471,31 +455,23 @@ def test_model_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "solver, dinkelbach",
-    [
-        (SolverConfig(), DinkelbachConfig(mode="zero")),
-        (SolverConfig(anneal=AnnealConfig(sweeps=50)), DinkelbachConfig()),
-        (
-            SolverConfig(exact_threshold=3, anneal=AnnealConfig(seed=9, restarts=2, t_init=5.0, t_final=0.25)),
-            DinkelbachConfig(mode="zero", rel_tolerance=1e-6, max_iterations=7),
-        ),
-    ],
+    "settings",
+    [{"routing": "majority"}, {"categorical_method": "qubo"}, {"categorical_method": "greedy"},
+     {"categorical_method": "exhaustive"}, {"cp": 0.125}],
+    ids=("majority", "qubo", "greedy", "exhaustive", "cp"),
 )
-def test_model_round_trip_keeps_the_whole_config(tmp_path, solver, dinkelbach):
-    cfg = GrowConfig(max_depth=2, min_split=2, min_bucket=1, cp=0.0, solver=solver, dinkelbach=dinkelbach)
+def test_model_round_trip_keeps_the_whole_config(tmp_path, settings):
+    cfg = GrowConfig(**{"max_depth": 2, "min_split": 2, "min_bucket": 1, "cp": 0.0, **settings})
     tree = grow(_routing_fixture(), cfg)
     path = str(tmp_path / "model.json")
     save_model(tree, path)
-    assert load_model(path).config == tree.config
+    assert load_model(path).config == tree.config == cfg
 
 
-def test_default_config_writes_no_unset_keys():
-    tree = grow(_routing_fixture(), GrowConfig(max_depth=1))
-    doc = tree_to_dict(tree)
-    for key in ("anneal_sweeps", "anneal_t_init", "anneal_t_final"):
-        assert key not in doc["config"]
-    # Model files written without those keys still load, with the defaults.
-    assert tree_from_dict(json.loads(json.dumps(doc))).config == tree.config
+def test_model_file_writes_exactly_the_growth_settings():
+    # Every GrowConfig field, and nothing else: a new key must be added here on purpose.
+    doc = tree_to_dict(grow(_routing_fixture(), GrowConfig(max_depth=1)))
+    assert sorted(doc["config"]) == "categorical_method cp max_depth min_bucket min_split routing".split()
 
 
 def test_from_dict_rejects_foreign_documents():
