@@ -4,11 +4,11 @@
 one pass, with each node's own arithmetic; ``best_split`` is its one-node
 case. Numeric and binary variables use the sorted threshold scan. For a
 categorical variable one pass sums the category cells of every node, and one
-sorted-means scan, optimal for squared error, splits them all: the greedy
-baseline, and the split that the ratio-iteration QUBO pipeline's first solve
-certifies, exactly at any category count, by scoring the sorted-mean
-prefixes (``solvers.solve_prefixes``); an exhaustive-partition searcher is
-the other baseline. Subset rules put the category with the smallest mean
+sorted-means scan, optimal for squared error, splits and prices them all,
+under ``greedy`` and ``qubo`` alike. The paper's ratio iteration over split
+QUBOs, ``best_categorical_split_qubo``, searches one node at a time; warm,
+its one solve certifies that scan's split. An exhaustive-partition searcher
+is the other baseline. Subset rules put the category with the smallest mean
 response on the left.
 """
 
@@ -174,31 +174,6 @@ def _sorted_means_scan(cells: _Segments, n, s, q, totals) -> tuple:
     return costs[best], left
 
 
-def _two_level_costs(n, s, q) -> np.ndarray:
-    """``qubo`` cost of the one split of nodes with two observed categories.
-
-    Row k of the (nodes, 2) arrays ``n``, ``s`` and ``q`` holds each
-    category's count, response sum and sum of squares, in code order. Priced
-    as ``dinkelbach_split`` started there prices it (``eval_fractional`` at
-    q = (1, 0), 0.0 at zero parent variance), operation for operation, a
-    product with a 0/1 bit being exact, so the costs are equal to the bit.
-    """
-    (n0, n1), (s0, s1), (q0, q1) = n.T, s.T, q.T
-    n_node, s_node, q_node = n0 + n1, s0 + s1, q0 + q1
-    mean = s_node / n_node
-    var = q_node / n_node - mean * mean
-    var = np.where(var > 0.0, var, 0.0)  # node_variance
-    t00 = 0.5 * (q0 * n0 - 2.0 * (s0 * s0) + n0 * q0)  # build_v_matrix
-    t01 = 0.5 * (q0 * n1 - 2.0 * (s0 * s1) + n0 * q1)
-    t10 = 0.5 * (q1 * n0 - 2.0 * (s1 * s0) + n1 * q0)
-    v00 = np.maximum(0.5 * (t00 + t00), 0.0)
-    v01 = np.maximum(0.5 * (t01 + t10), 0.0)
-    numerator = n_node * v00 - 2.0 * (v00 + v01) * n0 + n_node * n_node * var * n0
-    numerator = np.where(numerator > 0.0, numerator, 0.0)
-    cost = numerator / (n0 * (n_node - n0))
-    return np.where(n_node * var == 0.0, 0.0, cost)
-
-
 # Most (segment, category) bins per np.bincount pass: a level with many
 # nodes of a many-level column is summed in several passes, so the sums
 # take at most a few MB at once.
@@ -240,22 +215,17 @@ def _smallest_mean_left(q, aggs: CategoryStats) -> np.ndarray:
     return mask if mask[int(np.argmin(aggs.sum / aggs.n))] else ~mask
 
 
-def _search_one(method: str, aggs: CategoryStats, node: NodeStats, start) -> tuple:
-    """One node's ``qubo`` ratio iteration from ``start``, or its ``exhaustive``
-    search (straight from the category sums, so an oracle for the former):
-    the left mask, turned to hold the smallest mean, its cost and the trace."""
-    trace = None
-    if method == "qubo":
-        q, cost, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, start=start)
-    else:
-        cost = np.inf
-        for bits in assignment_chunks(len(aggs)):
-            nl, sl, ql = bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq
-            costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
-            i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
-            if costs[i] < cost:
-                cost, q = float(costs[i]), bits[i]
-    return _smallest_mean_left(q, aggs), cost, trace
+def _exhaustive_one(aggs: CategoryStats, node: NodeStats) -> tuple:
+    """One node's cheapest partition by enumeration, straight from the
+    category sums: the left mask, turned to hold the smallest mean, and its cost."""
+    cost = np.inf
+    for bits in assignment_chunks(len(aggs)):
+        nl, sl, ql = bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq
+        costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+        i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
+        if costs[i] < cost:
+            cost, q = float(costs[i]), bits[i]
+    return _smallest_mean_left(q, aggs), cost
 
 
 def _subset_scan(y, codes, column, segs, method):
@@ -263,10 +233,9 @@ def _subset_scan(y, codes, column, segs, method):
     categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
 
     Returns ``(ids, cost, n_left, n_right, candidate)`` like
-    ``_threshold_scan``. One sorted-means scan splits every segment:
-    ``greedy`` keeps that split; ``qubo`` prices it in closed form where it
-    is the only split and starts the ratio iteration there elsewhere;
-    ``exhaustive`` enumerates every partition instead.
+    ``_threshold_scan``. One sorted-means scan splits and prices every
+    segment, for ``greedy`` and ``qubo``; ``exhaustive`` enumerates every
+    partition instead.
     """
     seg, code, n, s, q = _category_cells(y, codes, len(column.categories), segs)
     levels = np.bincount(seg, minlength=len(segs.sizes))
@@ -284,24 +253,17 @@ def _subset_scan(y, codes, column, segs, method):
         r = cells.rows(k, k)
         ts[k], tq[k] = math.fsum(s[r]), math.fsum(q[r])
     cost, left = _sorted_means_scan(cells, n, s, q, (tn, ts, tq))
-
-    alone, traces = [], {}  # the segments searched one at a time
-    if method == "qubo":
-        two = cells.sizes == 2
-        cost[two] = _two_level_costs(*(v[two[cells.seg]].reshape(-1, 2) for v in (n, s, q)))
-        alone = np.flatnonzero(~two).tolist()
-    elif method == "exhaustive":
-        alone = range(len(ids))
-    for k in alone:
-        r = cells.rows(k, k)
-        aggs = CategoryStats(code[r], n[r], s[r], q[r])
-        node = NodeStats(int(tn[k]), float(ts[k]), float(tq[k]))
-        left[r], cost[k], traces[k] = _search_one(method, aggs, node, left[r])
+    if method == "exhaustive":
+        for k in range(len(ids)):
+            r = cells.rows(k, k)
+            aggs = CategoryStats(code[r], n[r], s[r], q[r])
+            node = NodeStats(int(tn[k]), float(ts[k]), float(tq[k]))
+            left[r], cost[k] = _exhaustive_one(aggs, node)
     n_left = np.add.reduceat(np.where(left, n, 0.0), cells.starts).astype(np.int64)
 
     def candidate(k: int) -> SplitCandidate:
         r = cells.rows(k, k)
-        return _subset_candidate(column, code[r], left[r], n[r], cost[k], traces.get(k))
+        return _subset_candidate(column, code[r], left[r], n[r], cost[k])
 
     return ids, cost, n_left, tn.astype(np.int64) - n_left, candidate
 

@@ -50,8 +50,8 @@ class GrowConfig:
 
     ``cp`` gates a split on its risk reduction relative to the root SSE.
     ``max_tree()`` is the preset that disables every early stop except depth.
-    Growth certifies each ``qubo`` split with the exact prefix solver, so no
-    solver or ratio-iteration setting changes a grown tree.
+    ``qubo`` grows from the sorted-means scan, exact for squared error, as
+    ``greedy`` does, so no solver or ratio-iteration setting changes a grown tree.
     """
 
     max_depth: int = 30

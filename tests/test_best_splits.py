@@ -1,4 +1,9 @@
-"""``best_splits`` searches many nodes at once; every answer must be the one-node search's, bit for bit."""
+"""``best_splits`` searches many nodes at once; every answer must be the one-node search's, bit for bit.
+
+Batched ``qubo`` is the sorted-means scan, as ``greedy`` is, so greedy's
+splitters are its references too. The per-node ratio iteration, the public
+``best_categorical_split_qubo``, must equal ``qubo_reference``, traces included.
+"""
 
 from unittest import mock
 
@@ -25,7 +30,7 @@ from qubotree.splitting import (
 from qubotree.stats import aggregate_categories, build_v_matrix
 
 SPLITTERS = {
-    "qubo": best_categorical_split_qubo,
+    "qubo": best_categorical_split_greedy,
     "greedy": best_categorical_split_greedy,
     "exhaustive": best_categorical_split_exhaustive,
 }
@@ -79,7 +84,7 @@ def exhaustive_reference(y, codes, column):
     return subset_candidate(column, aggs, best_bits, best_cost)
 
 
-REFERENCES = {"qubo": qubo_reference, "greedy": greedy_reference, "exhaustive": exhaustive_reference}
+REFERENCES = {"qubo": greedy_reference, "greedy": greedy_reference, "exhaustive": exhaustive_reference}
 
 
 def numeric_split_loop(y, x, variable, min_bucket=1):
@@ -169,8 +174,8 @@ def searches(draw):
 @given(searches())
 @example((
     # Zero parent variance in floating point, though the rows differ: the
-    # ratio iteration returns cost 0.0; the same closed form without that
-    # early return prices the node at 10922.67.
+    # scan prices the split at a raw-moment residue of 32768, where the
+    # per-node ratio iteration returns cost 0.0.
     _dataset([0, 1, 1, 0, 1], 2, [0.0] * 5, [0.0] * 5, 1e10 + 1e-5 * np.array([0, 0, 0, 1, 0])),
     [np.arange(5)], "qubo", 1, False,
 ))
@@ -184,21 +189,32 @@ def test_batched_search_equals_one_node_at_a_time(case):
     assert batched == alone == public == loop
 
 
+ZERO_VARIANCE_Y = 1e10 + 1e-5 * np.array([0, 0, 0, 1, 0])
+
+
 def test_zero_variance_two_category_node_costs_zero():
-    y = 1e10 + 1e-5 * np.array([0, 0, 0, 1, 0])
-    data = _dataset([0, 1, 1, 0, 1], 2, [0.0] * 5, [0.0] * 5, y)
+    # The per-node ratio iteration's early return at zero parent variance.
+    column = ColumnSchema("c", "categorical", ("k0", "k1"))
+    assert best_categorical_split_qubo(ZERO_VARIANCE_Y, np.array([0, 1, 1, 0, 1]), column).cost == 0.0
+
+
+def test_zero_variance_two_category_node_prices_like_greedy():
+    data = _dataset([0, 1, 1, 0, 1], 2, [0.0] * 5, [0.0] * 5, ZERO_VARIANCE_Y)
     cand = best_splits(data, [np.arange(5)])[0]
-    assert cand.rule.variable == "c" and cand.cost == 0.0
-    assert best_categorical_split_qubo(y, data.column("c"), data.schema[0]).cost == 0.0
+    assert cand.rule.variable == "c"
+    assert key(cand) == key(best_splits(data, [np.arange(5)], "greedy")[0])
 
 
 def assert_nodes_price_like_the_references(codes, y, sizes, m):
     """Every node priced in one call, with the category bins in one pass and
     in many, and one node at a time by the public and the reference splitters
-    (whose candidates, qubo's traces included, must be equal too)."""
+    (whose candidates must be equal too, as must the per-node ratio
+    iteration's, traces included)."""
     column = ColumnSchema("c", "categorical", tuple(f"k{i}" for i in range(m)))
     data = Dataset((column,), {"c": codes}, y)
     segments = np.split(np.arange(len(y)), np.cumsum(sizes)[:-1])
+    nodes = [(y[rows], codes[rows], column) for rows in segments]
+    assert [best_categorical_split_qubo(*node) for node in nodes] == [qubo_reference(*node) for node in nodes]
     for method in sorted(REFERENCES):
         reference = [REFERENCES[method](y[rows], codes[rows], column) for rows in segments]
         public = [SPLITTERS[method](y[rows], codes[rows], column) for rows in segments]

@@ -301,11 +301,11 @@ def test_best_split_propagates_splitter_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("splitter bug")
 
-    # A node with three categories runs its own ratio iteration.
-    monkeypatch.setattr(splitting, "dinkelbach_split", broken)
+    # Growth searches a node one at a time only under exhaustive.
+    monkeypatch.setattr(splitting, "assignment_chunks", broken)
     data = _dataset([("c", "categorical", ["a", "b", "c"])], [0.0, 1.0, 5.0])
     with pytest.raises(ValueError, match="splitter bug"):
-        best_split(data, np.arange(3))
+        best_split(data, np.arange(3), method="exhaustive")
 
 
 @pytest.mark.parametrize(

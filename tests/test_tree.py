@@ -182,8 +182,8 @@ def test_grow_deterministic():
 
 
 def _highcard(n, seed):
-    """``generate_df`` rows plus a 40-level ``Dealer`` column: above the exact
-    solver's threshold, where only the prefix certificate solves it exactly."""
+    """``generate_df`` rows plus a 40-level ``Dealer`` column, above the exact
+    solver's threshold."""
     base = generate_df(n, seed)
     rng = np.random.default_rng([seed, 40])
     dealer = rng.integers(40, size=n)
@@ -195,17 +195,19 @@ def _highcard(n, seed):
 
 
 MAX = GrowConfig.max_tree()
+# qubo grows from the sorted-means scan, so qubo and greedy grow one tree.
+DF_DESCRIBE = "caa2571f631b4d383e992043a4af49610c127f143909cf6a1d05299dd57e3b44"
 
 
 @pytest.mark.parametrize(
     "maker, cfg, leaves, digest, model_digest",
     [
-        (generate_df, MAX, 968, "c6516781db3c3368df994d5a5c699dc83fde5d90461c5b348d9a70673fa1fbf2",
-         "d4f0195af9e1a8fa4bf5cc0be5b69ccf90cfaeee13d5ede44b88231242ded104"),
-        (generate_datagen, MAX, 601, "516d214a1e2314e46c57b98c7aef27a92e94c0173635a5fdc1f3bd11cc93e809",
-         "0b82f3fdeef3e7e6ee371998919921f1b9d88e072c972587b6c673adb3e37e0a"),
-        (generate_df, GrowConfig.max_tree(categorical_method="greedy"), 968,
-         "caa2571f631b4d383e992043a4af49610c127f143909cf6a1d05299dd57e3b44",
+        (generate_df, MAX, 968, DF_DESCRIBE,
+         "7a8bf328d349d8839f635692245b53bc511d9215b94d348ec4fe396455e828c8"),
+        (generate_datagen, MAX, 601, "16f38042b1b3b3e3eb89647097c6b3db13ad51321825cdaef6f137e5968a21aa",
+         "8ded5671990a9a9c5f89dc4c212dd79328e538f7ffb15a94d5c5cf551682e267"),
+        # The model files differ only in their categorical_method.
+        (generate_df, GrowConfig.max_tree(categorical_method="greedy"), 968, DF_DESCRIBE,
          "47e1d429c1a3fed03c1dbcf28047aa3f64463bd23a97e7a4b6dd867daba5129a"),
         (generate_df, GrowConfig.max_tree(categorical_method="exhaustive"), 968,
          "5446e19a546db0c3a3c36dfd3d7d8ad36588012c4133209973aa0e432ee8032b",
@@ -221,7 +223,7 @@ MAX = GrowConfig.max_tree()
         (_highcard, GrowConfig.max_tree(max_depth=3), 6,
          "3eef8b95c7d75a90d64dcee9f4e1eb388bf91b5adf933a3c3020ae6a1b571f74",
          "6298e0ca84a7cd8af58f0ffa9457d1407c905f96dc5e17f76eb5f8672f465391"),
-        # Deeper, so certificates at 17 to 40 levels decide many nodes.
+        # Deeper, so the scan splits many nodes at 17 to 40 levels.
         (_highcard, GrowConfig.max_tree(max_depth=6), 34,
          "0aa1934dbb4e3b6a8aa44c1590bf3c21b42886e781d511863297dd6cd6bc1070",
          "366ff66e712bf3d769896d54b913c4dd56565968e2111a7773b72c38932b55b0"),
@@ -247,28 +249,35 @@ def test_max_tree_describe_is_pinned(tmp_path, maker, cfg, leaves, digest, model
 
 
 def test_growth_calls_neither_the_exhaustive_nor_the_annealing_solver(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("growth reached a general QUBO solver")
+    def refuse(*args, **kwargs):
+        raise AssertionError("growth reached a QUBO solve")
 
     monkeypatch.setattr(qubotree.solvers, "solve_exhaustive", refuse)
     monkeypatch.setattr(qubotree.solvers, "solve_anneal", refuse)
+    # Nor any ratio iteration: qubo keeps the sorted-means scan's splits.
+    monkeypatch.setattr(qubotree.splitting, "dinkelbach_split", refuse)
     assert grow(_highcard(3000, 5), GrowConfig.max_tree(max_depth=6)).leaf_count() == 34
 
 
-@pytest.mark.parametrize(
-    "method",
-    [
-        "greedy",
-        pytest.param("qubo", marks=pytest.mark.xfail(strict=True, reason="raw-moment residue; ROADMAP item 4")),
-    ],
-)
+@pytest.mark.parametrize("method", ["greedy", "qubo"])
 def test_two_row_pure_split_goes_to_the_earlier_column(method):
     # Both columns split the two rows purely, at cost 0, so the earlier
-    # column c should win. The qubo splitter prices c's split from raw
-    # moments at a round-off residue of 4.5e-8, and x wins instead.
+    # column c should win. Growth prices c's split by the scan, at 0.0; the
+    # per-node ratio iteration prices it from raw moments at a round-off
+    # residue of 4.5e-8, and x would win instead.
     data = _dataset([("c", "categorical", ["a", "b"]), ("x", "numeric", [1.0, 2.0])], [9879.62, 10476.53])
     tree = grow(data, GrowConfig.max_tree(categorical_method=method))
     assert tree.root.rule.variable == "c"
+
+
+@pytest.mark.parametrize("source", ["df_20k", "datagen_10k", 1, 2, 3, 5])
+def test_qubo_trees_are_greedy_trees(request, source):
+    # qubo keeps the scan's split of every node, so the two methods grow the
+    # same max tree, every cost to the last bit. An int source is the seed of
+    # a _highcard(3000, seed) set.
+    data = request.getfixturevalue(source) if isinstance(source, str) else _highcard(3000, source)
+    trees = [grow(data, GrowConfig.max_tree(categorical_method=m)) for m in ("qubo", "greedy")]
+    assert describe(trees[0]) == describe(trees[1])
 
 
 def test_predict_threshold_boundary():
