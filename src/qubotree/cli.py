@@ -242,16 +242,15 @@ def cmd_compare(args) -> int:
     solver_cfg, dk_cfg = _solver_config(args), DinkelbachConfig(mode=args.init)
     data, column, aggs, _ = _column_stats(args)
     y, codes = data.response, data.column(args.column)
-    limit = min(solver_cfg.exact_threshold, EXHAUSTIVE_MAX_CATEGORIES)
     searches = (
-        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, solver_cfg, dk_cfg, warm=False)),
+        ("qubo", lambda: best_categorical_split_qubo(y, codes, column, solver_cfg, dk_cfg)),
         ("exhaustive", lambda: best_categorical_split_exhaustive(y, codes, column)),
         ("greedy", lambda: best_categorical_split_greedy(y, codes, column)),
     )
     rows = []
     for method, search in searches:
-        if method == "exhaustive" and len(aggs) > limit:
-            _log(f"exhaustive: skipped ({len(aggs)} categories exceeds limit {limit})")
+        if method == "exhaustive" and len(aggs) > EXHAUSTIVE_MAX_CATEGORIES:
+            _log(f"exhaustive: skipped ({len(aggs)} categories exceeds limit {EXHAUSTIVE_MAX_CATEGORIES})")
             continue
         started = time.monotonic()
         cand = search()

@@ -5,10 +5,7 @@ sequence of binary quadratic subproblems n(q) - lam_k * d(q), with lam
 updated to the incumbent ratio. Trivial minimizers (empty child) reset lam to
 the parent bound n * Var, and the loop stops only at a non-trivial
 near-zero objective, so one-sided "splits" can never be reported as optima.
-Started from a known split's cost instead, the first solve is an optimality
-certificate for that split, and every solve is exact at any category count:
-each lam is then the ratio of a real split, so the subproblem's minimum is at
-most zero and lies at a sorted-mean prefix (``solvers.solve_prefixes``).
+With an exact solver that stopping test, F(lam*) = 0, certifies lam* optimal.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .qubo import build_qubo, eval_fractional
-from .solvers import SolverConfig, solve, solve_prefixes
+from .solvers import SolverConfig, solve
 from .stats import NodeStats, VMatrix, node_variance
 
 
@@ -87,7 +84,6 @@ def dinkelbach_split(
     node: NodeStats,
     solver_cfg: Optional[SolverConfig] = None,
     dk_cfg: Optional[DinkelbachConfig] = None,
-    start=None,
 ):
     """Run the ratio iteration on one categorical node.
 
@@ -95,17 +91,8 @@ def dinkelbach_split(
     assignment. The solver never yields a trivial vector, so when the true
     minimizer of the subproblem is trivial (solver optimum still positive,
     which happens below the optimal ratio) the step is recorded against the
-    all-zeros vector and lam resets to the parent bound.
-
-    A non-trivial ``start`` assignment replaces ``dk_cfg.mode``: lam starts at
-    its cost, and the first solve is a certificate: an objective within
-    tolerance of zero proves lam optimal, a negative one continues the
-    iteration from the solver's assignment, and a positive one (the solver
-    missed the incumbent's own value of zero) stops the iteration, which
-    returns the best assignment seen, non-converged. Every lam of such a run
-    is the cost of a real split, at most the parent bound, so each step is
-    solved by ``solve_prefixes``, exactly and at any M, and ``solver_cfg``
-    is not read; without a ``start``, ``solve`` dispatches on ``solver_cfg``.
+    all-zeros vector and lam resets to the parent bound. Each step is solved
+    by ``solve``, which dispatches on ``solver_cfg``.
 
     On a zero-variance node there is nothing to split; the best-so-far
     assignment is returned flagged non-converged with lam_star = 0.
@@ -126,24 +113,15 @@ def dinkelbach_split(
 
     best_q: Optional[tuple] = None
     best_ratio = np.inf
-    if start is None:
-        lam = 0.0 if dk_cfg.mode == "zero" else upper
-    else:
-        flip = 1 - int(start[0])  # first bit set, as the exact solvers return it
-        best_q = tuple(int(b) ^ flip for b in start)
-        lam = best_ratio = eval_fractional(v, aggs, node, best_q).ratio()
-        means = aggs.sum / aggs.n
+    lam = 0.0 if dk_cfg.mode == "zero" else upper
 
     for k in range(1, dk_cfg.max_iterations + 1):
         problem = build_qubo(v, aggs, node, lam)
-        outcome = solve(problem, solver_cfg) if start is None else solve_prefixes(problem, means)
+        outcome = solve(problem, solver_cfg)
         parts = eval_fractional(v, aggs, node, outcome.q)
         f_val = parts.numerator - lam * parts.denominator
         tol = dk_cfg.rel_tolerance * max(1.0, lam * parts.denominator)
 
-        if f_val > tol and start is not None:
-            trace.steps.append(TraceStep(k, lam, outcome.q, f_val, parts.ratio(), lam))
-            break
         if f_val > tol:
             # The solver's best non-trivial value is still positive, so the
             # unconstrained minimizer is the trivial assignment: reset lam.

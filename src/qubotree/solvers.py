@@ -1,10 +1,8 @@
 """Minimize a binary quadratic form over non-trivial bit vectors.
 
-Two general backends: exact enumeration, scored in vectorized chunks, for
-small instances and seeded simulated annealing for larger ones. A third,
-exact at any size, scores only the sorted-mean prefixes, which hold the
-minimum of a split QUBO whenever that minimum is at most zero. All refuse
-to return the all-zeros or all-ones assignment, which never encodes an
+Two backends: exact enumeration, scored in vectorized chunks, for small
+instances and seeded simulated annealing for larger ones. Both refuse to
+return the all-zeros or all-ones assignment, which never encodes an
 effective split.
 """
 
@@ -111,11 +109,6 @@ def assignment_chunks(m: int):
         yield ((patterns[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def _margin(h: np.ndarray) -> float:
-    """Round-off allowance between a vectorized score and ``q @ h @ q``."""
-    return 1e-8 * max(1.0, float(np.abs(h).max()))
-
-
 def _first_minimum(h: np.ndarray, bits: np.ndarray, margin: float, best_q=None, best_f=np.inf):
     """The lexicographically first exact minimum of ``q @ h @ q`` over the
     float rows ``bits`` and an incumbent ``(best_q, best_f)``, in any order.
@@ -146,42 +139,11 @@ def solve_exhaustive(p: QuboProblem) -> SolveOutcome:
     if m > EXACT_MAX_CATEGORIES:
         raise ValueError(f"instance too large for exhaustive enumeration (M={m})")
     best_q, best_f = None, np.inf
-    margin = _margin(p.h)
+    # Round-off allowance between a vectorized score and ``q @ h @ q``.
+    margin = 1e-8 * max(1.0, float(np.abs(p.h).max()))
     for bits in assignment_chunks(m):
         best_q, best_f = _first_minimum(p.h, bits, margin, best_q, best_f)
     return SolveOutcome(tuple(best_q.astype(int).tolist()), best_f, "exhaustive", (1 << (m - 1)) - 1)
-
-
-def sorted_prefixes(means) -> np.ndarray:
-    """The M - 1 non-trivial prefixes of the categories stably sorted by
-    ``means``, as float rows in the first-bit-set form of ``assignment_chunks``."""
-    m = len(means)
-    rank = means.argsort(kind="stable").argsort()
-    bits = rank < np.arange(1, m)[:, None]  # row k - 1 holds the k smallest means
-    return (bits == bits[:, :1]).astype(np.float64)  # complement rows without category 0
-
-
-def solve_prefixes(p: QuboProblem, means) -> SolveOutcome:
-    """Minimum of a split QUBO over the sorted-mean prefixes of its categories.
-
-    ``means`` holds each category's mean response. The squared-error split
-    objective is ``nL·nR·(SSE - lam) - N·(s'·q)^2`` with ``nL`` the left
-    count and ``s'_a = n_a(mean_a - mean)``: for ``lam <= SSE`` a concave
-    function of the point ``(nL, s'·q)``, which ranges over a zonotope whose
-    vertices are the sorted-mean prefixes and their complements (Allemand,
-    Fukuda, Liebling & Steiner 2001; Ferrez, Fukuda & Liebling 2005). So
-    whenever the minimum over all non-trivial assignments is at most zero,
-    it lies at a prefix, and this equals ``solve_exhaustive`` at any M: the
-    minimizing rows are among the prefixes, and the same ``_first_minimum``
-    scores them and breaks their ties.
-    """
-    m = p.m
-    if m < 2:
-        raise ValueError("need at least two categories")
-    if len(means) != m:
-        raise ValueError("need one mean per category")
-    best_q, best_f = _first_minimum(p.h, sorted_prefixes(means), _margin(p.h))
-    return SolveOutcome(tuple(best_q.astype(int).tolist()), best_f, "prefixes", m - 1)
 
 
 def _flip_deltas(h: np.ndarray, g: np.ndarray, q: np.ndarray) -> np.ndarray:

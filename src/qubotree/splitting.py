@@ -6,10 +6,9 @@ case. Numeric and binary variables use the sorted threshold scan. For a
 categorical variable one pass sums the category cells of every node, and one
 sorted-means scan, optimal for squared error, splits and prices them all,
 under ``greedy`` and ``qubo`` alike. The paper's ratio iteration over split
-QUBOs, ``best_categorical_split_qubo``, searches one node at a time; warm,
-its one solve certifies that scan's split. An exhaustive-partition searcher
-is the other baseline. Subset rules put the category with the smallest mean
-response on the left.
+QUBOs, ``best_categorical_split_qubo``, searches one node at a time. An
+exhaustive-partition searcher is the other baseline. Subset rules put the
+category with the smallest mean response on the left.
 """
 
 from __future__ import annotations
@@ -270,24 +269,17 @@ def _subset_scan(y, codes, column, segs, method):
 
 def best_categorical_split_qubo(
     y: np.ndarray, codes: np.ndarray, column: ColumnSchema, solver_cfg: Optional[SolverConfig] = None,
-    dk_cfg: Optional[DinkelbachConfig] = None, warm: bool = True,
+    dk_cfg: Optional[DinkelbachConfig] = None,
 ) -> SplitCandidate:
     """Optimal subset split via the iterative binary quadratic pipeline.
 
-    ``warm`` starts the ratio iteration at the sorted-means scan's split, so
-    one solve, by the prefix solver, certifies it and ``solver_cfg`` is not
-    read; ``warm=False`` runs the cold iteration from ``dk_cfg.mode`` with
-    the solvers ``solver_cfg`` selects. Either way the candidate carries the
-    node's iteration trace.
+    The ratio iteration starts from ``dk_cfg.mode`` and solves each step
+    with the solvers ``solver_cfg`` selects; the candidate carries its trace.
     """
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     if len(aggs) < 2:
         raise ValueError(f"{column.name}: need at least two observed categories")
-    start = None
-    if warm:
-        totals = [np.array([v], dtype=np.float64) for v in (node.n, node.sum, node.sum_sq)]
-        start = _sorted_means_scan(_Segments(np.array([len(aggs)])), aggs.n, aggs.sum, aggs.sum_sq, totals)[1]
-    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, solver_cfg, dk_cfg, start)
+    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, solver_cfg, dk_cfg)
     return _subset_candidate(column, aggs.index, _smallest_mean_left(q, aggs), aggs.n, lam, trace)
 
 

@@ -2,7 +2,8 @@
 
 Batched ``qubo`` is the sorted-means scan, as ``greedy`` is, so greedy's
 splitters are its references too. The per-node ratio iteration, the public
-``best_categorical_split_qubo``, must equal ``qubo_reference``, traces included.
+``best_categorical_split_qubo``, must equal ``qubo_reference``, the paper's
+iteration from the parent bound, traces included.
 """
 
 from unittest import mock
@@ -64,9 +65,9 @@ def greedy_reference(y, codes, column):
 
 
 def qubo_reference(y, codes, column):
-    """The ratio iteration of one node, started at the reference scan's split."""
+    """The paper's ratio iteration of one node, from the parent bound."""
     aggs, node = aggregate_categories(codes, y, len(column.categories))
-    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node, start=sorted_scan(aggs, node)[0])
+    q, lam, trace = dinkelbach_split(build_v_matrix(aggs), aggs, node)
     return subset_candidate(column, aggs, np.array(q, dtype=bool), lam, trace)
 
 

@@ -205,6 +205,21 @@ def test_compare_on_worked_node(tmp_path, capsys):
     assert code == 0 and out == open(out_path).read()
 
 
+def test_compare_exhaustive_row_ignores_the_solver_threshold(tmp_path, capsys):
+    # The partition search reads no solver setting: a threshold below the
+    # column's 4 categories anneals the qubo row and keeps the exhaustive one.
+    path = tmp_path / "worked.csv"
+    path.write_text("c,Y\nC1,0\nC1,2\nC2,10\nC3,12\nC3,14\nC4,1\n", encoding="utf-8")
+    code, out, err = _run(
+        ["compare", "--data", str(path), "--schema", "c:categorical", "--response", "Y",
+         "--column", "c", "--exact-threshold", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert "skipped" not in err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["qubo", "exhaustive", "greedy"]
+
+
 def test_compare_skips_exhaustive_above_threshold(tmp_path, capsys):
     rows = ["c,Y"] + [f"k{i},{i}.5" for i in range(26)] + [f"k{i},{i}.25" for i in range(26)]
     path = tmp_path / "wide.csv"

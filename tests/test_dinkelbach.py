@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-import qubotree.dinkelbach
 from qubotree import (
-    ColumnSchema,
     DinkelbachConfig,
     NodeStats,
     aggregate_categories,
-    best_categorical_split_qubo,
+    build_qubo,
     build_v_matrix,
     dinkelbach_split,
+    eval_fractional,
     lambda_upper_bound,
+    solve,
 )
-from qubotree.solvers import SolveOutcome, solve_prefixes
 
 from conftest import brute_force_best, random_category_instance
 
@@ -113,12 +112,13 @@ def test_lambda_sequence_monotone_with_upper_bound_init():
 def test_fixed_point_resolving_at_lambda_star(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
+    # Re-solving the subproblem at lam* returns the same split at an objective
+    # of zero, within the iteration's tolerance: the stopping test F(lam*) = 0.
     q, lam, _ = dinkelbach_split(v, aggs, node)
-    q2, lam2, trace2 = dinkelbach_split(v, aggs, node, start=q)
-    assert q2 == q
-    assert lam2 == pytest.approx(lam, rel=1e-12)
-    assert len(trace2.steps) == 1
-    assert trace2.converged
+    outcome = solve(build_qubo(v, aggs, node, lam))
+    assert outcome.q == q
+    tol = DinkelbachConfig().rel_tolerance * max(1.0, lam * eval_fractional(v, aggs, node, q).denominator)
+    assert abs(outcome.objective) <= tol
 
 
 def test_trace_rows_format(worked_node):
@@ -166,104 +166,3 @@ def test_max_iterations_returns_best_so_far(worked_node):
     assert not trace.converged
     assert q == (1, 0, 0, 1)
     assert lam == pytest.approx(10.0, rel=1e-9)
-
-
-def _count_certificates(monkeypatch):
-    calls = []
-
-    def counted(problem, means):
-        calls.append(problem.m)
-        return solve_prefixes(problem, means)
-
-    monkeypatch.setattr(qubotree.dinkelbach, "solve_prefixes", counted)
-    return calls
-
-
-def test_warm_split_matches_cold_iteration():
-    # Criterion 4's instances: the sorted-scan start plus one certificate
-    # solve ends where the cold iteration from the parent bound ends.
-    rng = np.random.default_rng(104)
-    for _ in range(200):
-        codes, y, m = random_category_instance(rng, max_m=12, max_n=200)
-        column = ColumnSchema("c", "categorical", tuple(f"k{j}" for j in range(m)))
-        warm = best_categorical_split_qubo(y, codes, column)
-        cold = best_categorical_split_qubo(y, codes, column, warm=False)
-        assert cold.trace.steps[0].lambda_in == lambda_upper_bound(_setup(codes, y, m)[2])
-        assert cold.trace.converged
-        assert warm.cost == pytest.approx(cold.cost, rel=1e-9)
-        assert warm.trace.converged and len(warm.trace.steps) == 1
-        if warm.rule != cold.rule:
-            # Tied optima: another partition at the same cost.
-            assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
-
-
-def test_warm_start_with_two_categories_is_one_solve(monkeypatch):
-    calls = _count_certificates(monkeypatch)
-    codes = np.array([0, 0, 1, 1, 1])
-    y = np.array([5.0, 6.0, 1.0, 2.0, 0.0])
-    v, aggs, node = _setup(codes, y, 2)
-    q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1))
-    assert calls == [2]
-    assert q == (1, 0)  # first bit set, as the exact solvers return it
-    assert lam == pytest.approx(2.5, rel=1e-12)
-    assert trace.converged and len(trace.steps) == 1
-    step = trace.steps[0]
-    assert (step.lambda_in, step.ratio, step.lambda_out) == (lam, lam, lam)
-    # Bit for bit what the cold iteration returns.
-    assert (q, lam) == dinkelbach_split(v, aggs, node)[:2]
-
-
-def test_warm_start_certificate_is_one_solve(monkeypatch, worked_node):
-    calls = _count_certificates(monkeypatch)
-    codes, y, _ = worked_node
-    v, aggs, node = _setup(codes, y, 4)
-    q, lam, trace = dinkelbach_split(v, aggs, node, start=(0, 1, 1, 0))
-    assert calls == [4]
-    assert q == (1, 0, 0, 1)
-    assert lam == pytest.approx(10.0, rel=1e-9)
-    assert trace.converged and len(trace.steps) == 1
-    assert trace.steps[0].lambda_in == pytest.approx(10.0, rel=1e-9)
-
-
-def test_non_optimal_start_reaches_brute_force_optimum():
-    rng = np.random.default_rng(43)
-    checked = 0
-    for _ in range(25):
-        codes, y, m = random_category_instance(rng, max_m=9, max_n=120)
-        best_cost, _, results = brute_force_best(codes, y, m)
-        worst = max(results, key=results.get)
-        if results[worst] <= best_cost * (1 + 1e-6):
-            continue  # two categories: the only split is optimal
-        v, aggs, node = _setup(codes, y, m)
-        start = tuple(int(a in worst) for a in range(m))
-        _, lam, trace = dinkelbach_split(v, aggs, node, start=start)
-        assert trace.converged
-        assert len(trace.steps) > 1
-        assert trace.steps[0].lambda_in == pytest.approx(results[worst], rel=1e-9)
-        assert lam == pytest.approx(best_cost, rel=1e-9)
-        checked += 1
-    assert checked >= 15
-
-
-def test_missed_certificate_returns_the_start(monkeypatch, worked_node):
-    # A solver that misses the start's own zero (as annealing could, and as
-    # the prefix solver could only through round-off) proves nothing: the
-    # start comes back, flagged non-converged.
-    codes, y, _ = worked_node
-    v, aggs, node = _setup(codes, y, 4)
-    worse = SolveOutcome((1, 1, 0, 0), 0.0, "prefixes", 1)
-    monkeypatch.setattr(qubotree.dinkelbach, "solve_prefixes", lambda problem, means: worse)
-    q, lam, trace = dinkelbach_split(v, aggs, node, start=(1, 0, 0, 1))
-    assert q == (1, 0, 0, 1)
-    assert lam == pytest.approx(10.0, rel=1e-9)
-    assert not trace.converged
-    assert [s.q for s in trace.steps] == [(1, 1, 0, 0)]
-
-
-def test_start_must_be_a_split(worked_node):
-    codes, y, _ = worked_node
-    v, aggs, node = _setup(codes, y, 4)
-    for start, error in (((1, 1, 1, 1), ZeroDivisionError), ((0, 0, 0, 0), ZeroDivisionError),
-                         ((1, 0, 1), ValueError)):
-        with pytest.raises(error):
-            dinkelbach_split(v, aggs, node, start=start)

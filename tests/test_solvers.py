@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from qubotree import (
     AnnealConfig,
@@ -11,16 +10,13 @@ from qubotree import (
     aggregate_categories,
     build_qubo,
     build_v_matrix,
-    eval_fractional,
     solve,
     solve_anneal,
     solve_exhaustive,
-    solve_prefixes,
 )
-from qubotree.dinkelbach import dinkelbach_split, lambda_upper_bound
+from qubotree.dinkelbach import lambda_upper_bound
 from qubotree.rng import Rng, derive_seed
-from qubotree.solvers import CHUNK_ROWS, EXACT_MAX_CATEGORIES, SolveOutcome, assignment_chunks, sorted_prefixes
-from qubotree.splitting import _two_child_sse
+from qubotree.solvers import CHUNK_ROWS, EXACT_MAX_CATEGORIES, SolveOutcome, assignment_chunks
 
 from conftest import random_category_instance
 
@@ -321,120 +317,3 @@ def test_batched_anneal_equals_sequential_restarts():
     cases.append((_two_group_problem(rng, 40, lam_scale=0.5), AnnealConfig(seed=302, sweeps=2000)))
     for problem, cfg in cases:
         assert solve_anneal(problem, cfg) == _reference_anneal(problem, cfg), cfg
-
-
-@st.composite
-def certificate_nodes(draw, base, steps=(0.5, 1.0, 1000.0)):
-    """A node of 2 to 12 categories around ``base``, its responses on a grid
-    of one of ``steps``, and two starts for its ratio iteration in
-    first-bit-set form: the sorted-means scan's split and a random split.
-
-    Responses are zero-heavy, on a small lattice (so that means repeat) or
-    anywhere in a band, and a category may repeat an earlier category's
-    responses exactly.
-    """
-    m = draw(st.integers(2, 12))
-    cell = {
-        "zero-heavy": st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0]),
-        "lattice": st.integers(0, 3).map(float),
-        "band": st.floats(0.0, 3.0),
-    }[draw(st.sampled_from(["zero-heavy", "lattice", "band"]))]
-    cats = []
-    for a in range(m):
-        if a and draw(st.booleans()):
-            cats.append(cats[draw(st.integers(0, a - 1))])
-        else:
-            cats.append(draw(st.lists(cell, min_size=1, max_size=5)))
-    step = draw(st.sampled_from(steps))
-    codes = np.repeat(np.arange(m), [len(c) for c in cats])
-    aggs, node = aggregate_categories(codes, base + step * np.concatenate(cats), m)
-    # The scan's split, as splitting's sorted-means scan finds it.
-    order = np.argsort(aggs.sum / aggs.n, kind="stable")
-    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
-    scan = np.zeros(m)
-    scan[order[: int(np.argmin(_two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq))) + 1]] = 1.0
-    other = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m).filter(lambda q: 0 < sum(q) < m)))
-    return aggs, node, [q if q[0] else 1.0 - q for q in (scan, other)]
-
-
-@given(st.one_of(certificate_nodes(0.0, (1e-5, 1.0, 1000.0)), certificate_nodes(-2.0)))
-def test_prefix_certificate_equals_exhaustive_search(case):
-    # At the cost of a split that gains something, the minimum is below
-    # zero and at one prefix: bit for bit the exhaustive search's. A split
-    # that gains nothing prices at the parent bound, where categories with
-    # the node's mean can go either way at no cost and not every tie is a
-    # prefix; the ratio iteration only meets that bound on a node whose
-    # means are all equal, where the first prefix is the first tie.
-    aggs, node, starts = case
-    v = build_v_matrix(aggs)
-    upper = lambda_upper_bound(node)
-    for q in starts:
-        lam = eval_fractional(v, aggs, node, q).ratio()
-        if not lam < (1.0 - 1e-9) * upper:
-            continue
-        problem = build_qubo(v, aggs, node, lam)
-        prefix, exhaustive = solve_prefixes(problem, aggs.sum / aggs.n), solve_exhaustive(problem)
-        assert (prefix.q, prefix.objective.hex()) == (exhaustive.q, exhaustive.objective.hex())
-        assert prefix.method == "prefixes" and prefix.evaluations == len(q) - 1
-
-
-@given(st.one_of(
-    certificate_nodes(0.0), certificate_nodes(5000.0, (1e-5, 0.5)), certificate_nodes(1e10, (1e-5, 1.0, 1000.0))
-))
-def test_certificate_never_costs_more_than_its_start(case):
-    # Near-constant responses, far from zero, leave raw-moment round-off
-    # larger than the spread (ROADMAP item 4): round-off then decides which
-    # split is cheapest, and the prefix minimum can lie far above the
-    # exhaustive one. The prefix solver still never undercuts the global
-    # minimum, and the ratio iteration still never returns a split that
-    # costs more than its start.
-    aggs, node, starts = case
-    v = build_v_matrix(aggs)
-    if lambda_upper_bound(node) == 0.0:
-        return
-    for start in starts:
-        lam = eval_fractional(v, aggs, node, start).ratio()
-        problem = build_qubo(v, aggs, node, lam)
-        margin = 1e-8 * max(1.0, float(np.abs(problem.h).max()))
-        assert solve_prefixes(problem, aggs.sum / aggs.n).objective >= solve_exhaustive(problem).objective - margin
-        q, cost, _ = dinkelbach_split(v, aggs, node, start=tuple(start.astype(int).tolist()))
-        assert 0 < sum(q) < len(q)
-        assert cost <= lam + 1e-9 * max(1.0, lam)
-
-
-def test_sorted_prefixes_first_bit_set():
-    # Means in category order 3, 1, 2, 1, 5: sorted, stably, categories 1, 3, 2, 0, 4.
-    rows = sorted_prefixes(np.array([3.0, 1.0, 2.0, 1.0, 5.0]))
-    assert rows.dtype == np.float64
-    assert [tuple(int(b) for b in r) for r in rows] == [
-        (1, 0, 1, 1, 1),  # {1}, complemented
-        (1, 0, 1, 0, 1),  # {1, 3}, complemented
-        (1, 0, 0, 0, 1),  # {1, 3, 2}, complemented
-        (1, 1, 1, 1, 0),  # {1, 3, 2, 0}
-    ]
-
-
-def test_prefix_solver_at_many_categories_beyond_the_exhaustive_cap():
-    # 60 categories in two clear groups: the certificate at the scan's cost
-    # is the scan's own split, at any M.
-    rng = np.random.default_rng(22)
-    m = 60
-    codes = np.repeat(np.arange(m), rng.integers(1, 6, size=m))
-    effect = rng.permutation(np.arange(m) % 2 * 3000.0)
-    y = effect[codes] + rng.normal(0.0, 10.0, size=len(codes))
-    aggs, node = aggregate_categories(codes, y, m)
-    v = build_v_matrix(aggs)
-    low = effect[aggs.index] == 0.0
-    q = low if low[0] else ~low
-    problem = build_qubo(v, aggs, node, eval_fractional(v, aggs, node, q).ratio())
-    out = solve_prefixes(problem, aggs.sum / aggs.n)
-    assert out.q == tuple(q.astype(int).tolist())
-    assert out.objective <= 1e-8 * float(np.abs(problem.h).max())
-    assert out.evaluations == m - 1
-
-
-def test_prefix_solver_checks_its_inputs():
-    with pytest.raises(ValueError, match="at least two"):
-        solve_prefixes(QuboProblem(1, np.zeros((1, 1)), 0.0), np.zeros(1))
-    with pytest.raises(ValueError, match="one mean per category"):
-        solve_prefixes(QuboProblem(3, np.zeros((3, 3)), 0.0), np.zeros(2))
