@@ -27,25 +27,22 @@ def lambda_upper_bound(node: NodeStats) -> float:
     return node.n * node_variance(node)
 
 
+# The stopping tolerance, relative to lam * d(q) so it tracks the data scale,
+# and the iteration cap.
+REL_TOLERANCE = 1e-9
+MAX_ITERATIONS = 50
+
+
 @dataclass(frozen=True)
 class DinkelbachConfig:
-    """Initialization mode, stopping tolerance, and iteration cap.
-
-    ``mode`` is "upper_bound" (start at the parent bound, guaranteeing a
-    monotone non-increasing lam sequence) or "zero". The tolerance is
-    relative to lam * d(q) so it tracks the data scale.
-    """
+    """Initialization mode: "upper_bound" (start at the parent bound, so the
+    lam sequence is monotone non-increasing) or "zero"."""
 
     mode: str = "upper_bound"
-    rel_tolerance: float = 1e-9
-    max_iterations: int = 50
 
     def __post_init__(self):
         if self.mode not in ("upper_bound", "zero"):
             raise ValueError(f"unknown initialization mode {self.mode!r}")
-        if not (np.isfinite(self.rel_tolerance) and self.rel_tolerance > 0) or self.max_iterations < 1:
-            got = (self.rel_tolerance, self.max_iterations)
-            raise ValueError(f"need finite rel_tolerance > 0 and max_iterations >= 1, got {got}")
 
 
 @dataclass(frozen=True)
@@ -115,18 +112,18 @@ def dinkelbach_split(
     best_ratio = np.inf
     lam = 0.0 if dk_cfg.mode == "zero" else upper
 
-    for k in range(1, dk_cfg.max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         problem = build_qubo(v, aggs, node, lam)
         outcome = solve(problem, solver_cfg)
         parts = eval_fractional(v, aggs, node, outcome.q)
         f_val = parts.numerator - lam * parts.denominator
-        tol = dk_cfg.rel_tolerance * max(1.0, lam * parts.denominator)
+        tol = REL_TOLERANCE * max(1.0, lam * parts.denominator)
 
         if f_val > tol:
             # The solver's best non-trivial value is still positive, so the
             # unconstrained minimizer is the trivial assignment: reset lam.
             trace.steps.append(TraceStep(k, lam, tuple([0] * m), 0.0, upper, upper))
-            if abs(upper - lam) <= dk_cfg.rel_tolerance * max(1.0, lam):
+            if abs(upper - lam) <= REL_TOLERANCE * max(1.0, lam):
                 break
             lam = upper
             continue
@@ -139,7 +136,7 @@ def dinkelbach_split(
         if abs(f_val) <= tol:
             trace.converged = True
             return outcome.q, ratio, trace
-        if abs(ratio - lam) <= dk_cfg.rel_tolerance * max(1.0, lam):
+        if abs(ratio - lam) <= REL_TOLERANCE * max(1.0, lam):
             trace.converged = True
             return outcome.q, ratio, trace
         lam = ratio

@@ -23,11 +23,6 @@ def as_bits(q) -> np.ndarray:
     return bits
 
 
-def is_trivial(q) -> bool:
-    bits = np.asarray(q)
-    return bool(bits.min() == bits.max())
-
-
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
     """Symmetric matrix H with linear terms folded onto the diagonal."""
@@ -42,15 +37,6 @@ class QuboProblem:
     def evaluate(self, q) -> float:
         bits = as_bits(q)
         return float(bits @ self.h @ bits)
-
-    def to_triplets(self) -> str:
-        """Plain-text (row, col, coefficient) lines for solver interop."""
-        lines = [f"{self.m}"]
-        for i in range(self.m):
-            for j in range(i, self.m):
-                if self.h[i, j] != 0.0:
-                    lines.append(f"{i} {j} {float(self.h[i, j])!r}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -118,9 +104,3 @@ def eval_fractional(v: VMatrix, aggs: CategoryStats, node: NodeStats, q) -> Frac
     numerator = max(0.0, numerator)
     return FractionalParts(numerator, n_left * n_right)
 
-
-def split_cost(v: VMatrix, aggs: CategoryStats, node: NodeStats, q) -> float:
-    """Weighted child-variance sum of a non-trivial assignment."""
-    if is_trivial(q):
-        raise ValueError("split cost is undefined for a trivial assignment")
-    return eval_fractional(v, aggs, node, q).ratio()

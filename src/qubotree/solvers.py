@@ -8,7 +8,6 @@ effective split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,34 +38,17 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing schedule knobs.
-
-    ``sweeps`` counts single-bit proposal steps per restart (None picks
-    200 * M). ``t_init``/``t_final`` default to the largest coefficient
-    magnitude and 1e-3 times that, a scale-free geometric schedule; a value
-    given must be finite and positive. The restarts run as one batch of
-    chains, each on its own SplitMix64 stream, with the same result as
-    running them in turn.
-    """
+    """Annealing seed, proposals per restart (None picks 200 * M) and restarts."""
 
     seed: int = 0
     sweeps: Optional[int] = None
     restarts: int = 8
-    t_init: Optional[float] = None
-    t_final: Optional[float] = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.sweeps is not None and self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        for name in ("t_init", "t_final"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.t_init is not None and self.t_final is not None:
-            if not self.t_init > self.t_final:
-                raise ValueError("need t_init > t_final > 0")
 
 
 @dataclass(frozen=True)
@@ -109,40 +91,28 @@ def assignment_chunks(m: int):
         yield ((patterns[:, None] >> shifts) & 1).astype(np.float64)
 
 
-def _first_minimum(h: np.ndarray, bits: np.ndarray, margin: float, best_q=None, best_f=np.inf):
-    """The lexicographically first exact minimum of ``q @ h @ q`` over the
-    float rows ``bits`` and an incumbent ``(best_q, best_f)``, in any order.
-
-    Rows are scored vectorized; those within ``margin`` of the best score are
-    recomputed exactly, and of equal exact values the lexicographically
-    smaller vector wins.
-    """
-    scores = (bits @ h * bits).sum(axis=1)
-    cut = min(float(scores.min()), best_f) + margin
-    for i in (scores <= cut).nonzero()[0]:
-        q = bits[i]
-        exact = float(q @ h @ q)
-        if exact < best_f or (exact == best_f and q.tolist() < best_q.tolist()):
-            best_f = exact
-            best_q = q
-    return best_q, best_f
-
-
 def solve_exhaustive(p: QuboProblem) -> SolveOutcome:
     """Global minimum over ``assignment_chunks``, relying on a split's flip symmetry.
 
-    Ties go to the lex-smallest vector, as ``_first_minimum`` picks them.
+    Rows within round-off of a chunk's best vectorized score are rescored
+    exactly; the first strict minimum wins, so ties go to the lex-smallest vector.
     """
     m = p.m
     if m < 2:
         raise ValueError("need at least two categories")
     if m > EXACT_MAX_CATEGORIES:
         raise ValueError(f"instance too large for exhaustive enumeration (M={m})")
+    h = p.h
     best_q, best_f = None, np.inf
     # Round-off allowance between a vectorized score and ``q @ h @ q``.
-    margin = 1e-8 * max(1.0, float(np.abs(p.h).max()))
+    margin = 1e-8 * max(1.0, float(np.abs(h).max()))
     for bits in assignment_chunks(m):
-        best_q, best_f = _first_minimum(p.h, bits, margin, best_q, best_f)
+        scores = (bits @ h * bits).sum(axis=1)
+        cut = min(float(scores.min()), best_f) + margin
+        for i in (scores <= cut).nonzero()[0]:
+            exact = float(bits[i] @ h @ bits[i])
+            if exact < best_f:
+                best_q, best_f = bits[i], exact
     return SolveOutcome(tuple(best_q.astype(int).tolist()), best_f, "exhaustive", (1 << (m - 1)) - 1)
 
 
@@ -248,20 +218,20 @@ def solve_anneal(p: QuboProblem, cfg: AnnealConfig) -> SolveOutcome:
     The restarts run as one batch of chains, each on its own SplitMix64
     stream (``derive_seed(seed, 0xA11E, restart)``), and each taking exactly
     the steps it would take run alone, so the result equals running them in
-    turn. Each chain cools geometrically and tracks the best non-trivial state
-    seen; its final state is repaired if trivial, by flipping its best
-    neighbor bit, and polished by deterministic steepest descent. Restarts
-    reduce by (objective, lexicographic vector), so the result does not
-    depend on how they are scheduled.
+    turn. Each chain cools geometrically from the largest coefficient
+    magnitude to 1e-3 times that, a scale-free schedule, and tracks the best
+    non-trivial state seen; its final state is repaired if trivial, by
+    flipping its best neighbor bit, and polished by deterministic steepest
+    descent. Restarts reduce by (objective, lexicographic vector), so the
+    result does not depend on how they are scheduled.
     """
     m = p.m
     if m < 2:
         raise ValueError("need at least two categories")
     h = p.h
     sweeps = cfg.sweeps if cfg.sweeps is not None else 200 * m
-    scale = float(np.max(np.abs(h)))
-    t0 = cfg.t_init if cfg.t_init is not None else max(scale, 1e-12)
-    t1 = cfg.t_final if cfg.t_final is not None else 1e-3 * t0
+    t0 = max(float(np.max(np.abs(h))), 1e-12)
+    t1 = 1e-3 * t0
     temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
 
     q = np.empty((cfg.restarts, m), dtype=np.int8)

@@ -199,6 +199,17 @@ def test_zero_variance_two_category_node_costs_zero():
     assert best_categorical_split_qubo(ZERO_VARIANCE_Y, np.array([0, 1, 1, 0, 1]), column).cost == 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_near_constant_node_iterates_to_the_greedy_partition():
+    # The raw-moment parent variance rounds to 0 here, so the ratio iteration
+    # returns {k0} at cost 0 with an empty, non-converged trace.
+    column = ColumnSchema("c", "categorical", ("k0", "k1", "k2"))
+    y, codes = 5000 + 1e-5 * np.array([0, 0, 0, 3]), np.array([0, 0, 1, 2])
+    qubo = best_categorical_split_qubo(y, codes, column)
+    assert qubo.rule == best_categorical_split_greedy(y, codes, column).rule
+    assert qubo.trace.converged
+
+
 def test_zero_variance_two_category_node_prices_like_greedy():
     data = _dataset([0, 1, 1, 0, 1], 2, [0.0] * 5, [0.0] * 5, ZERO_VARIANCE_Y)
     cand = best_splits(data, [np.arange(5)])[0]

@@ -6,7 +6,6 @@ from qubotree import (
     build_qubo,
     build_v_matrix,
     eval_fractional,
-    split_cost,
 )
 from qubotree.dinkelbach import lambda_upper_bound
 
@@ -45,7 +44,7 @@ def test_worked_node_other_partition(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
     # Oracle: left {0,2,10} SSE 56, right {12,14,1} SSE 98 -> ratio 154.
-    assert split_cost(v, aggs, node, [1, 1, 0, 0]) == pytest.approx(154.0, rel=1e-12)
+    assert eval_fractional(v, aggs, node, [1, 1, 0, 0]).ratio() == pytest.approx(154.0, rel=1e-12)
 
 
 def test_worked_node_qubo_values(worked_node):
@@ -86,15 +85,16 @@ def test_build_qubo_rejects_bad_args(worked_node):
 def test_split_cost_rejects_trivial(worked_node):
     codes, y, _ = worked_node
     v, aggs, node = _setup(codes, y, 4)
-    with pytest.raises(ValueError):
-        split_cost(v, aggs, node, [0, 0, 0, 0])
+    for q in ([0, 0, 0, 0], [1, 1, 1, 1]):
+        with pytest.raises(ZeroDivisionError):
+            eval_fractional(v, aggs, node, q).ratio()
 
 
 def test_split_cost_zero_for_constant_responses():
     codes = np.array([0, 0, 1, 1, 2])
     y = np.full(5, 7.0)
     v, aggs, node = _setup(codes, y, 3)
-    assert split_cost(v, aggs, node, [1, 0, 1]) == pytest.approx(0.0, abs=1e-12)
+    assert eval_fractional(v, aggs, node, [1, 0, 1]).ratio() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flip_symmetry_and_equivalence_random():
@@ -127,7 +127,7 @@ def test_ratio_equals_direct_child_sse():
             continue
         mask = np.isin(codes, np.flatnonzero(q))
         expected = direct_split_cost(y[mask], y[~mask])
-        assert split_cost(v, aggs, node, q) == pytest.approx(expected, rel=1e-9)
+        assert eval_fractional(v, aggs, node, q).ratio() == pytest.approx(expected, rel=1e-9)
 
 
 def test_lambda_star_bounded_and_sign_structure():
@@ -157,18 +157,6 @@ def test_lambda_star_bounded_and_sign_structure():
             for bits in range(1, (1 << m) - 1)
         )
         assert best_high <= 1e-9 * max(1.0, upper * node.n**2)
-
-
-def test_triplet_serialization(worked_node):
-    codes, y, _ = worked_node
-    v, aggs, node = _setup(codes, y, 4)
-    problem = build_qubo(v, aggs, node, 191.5)
-    text = problem.to_triplets()
-    lines = text.strip().splitlines()
-    assert lines[0] == "4"
-    row, col, coeff = lines[1].split()
-    assert (int(row), int(col)) == (0, 0)
-    assert float(coeff) == problem.h[0, 0]
 
 
 def test_vectorized_brute_force_matches_the_loop():
