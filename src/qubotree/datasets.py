@@ -66,6 +66,8 @@ class Dataset:
             arr = self.columns[col.name]
             if len(arr) != n:
                 raise DataError(f"column {col.name!r}: length {len(arr)} != {n}")
+            if col.kind == "categorical" and n and (arr.min() < 0 or arr.max() >= len(col.categories)):
+                raise DataError(f"column {col.name!r}: codes must lie in [0, {len(col.categories)})")
             arr.flags.writeable = False
         if self.response is not None:
             if len(self.response) != n:
@@ -290,11 +292,13 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
     values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
     rejected with the offending row index, and so is a response whose sum of
     squares overflows. A schema that names a column twice, or names the
-    response column, is rejected too.
+    response column, is rejected too, and so is an empty schema.
     With ``response_column=None`` the result is a prediction-only frame.
 
     Rows are converted in blocks of ``_BLOCK_ROWS``, one column at a time.
     """
+    if not schema:
+        raise DataError("empty schema")
     _no_repeats([col.name for col in schema], "the schema")
     if any(col.name == response_column for col in schema):
         raise DataError(f"the schema lists the response column {response_column!r} as a feature")

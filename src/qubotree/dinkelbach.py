@@ -133,10 +133,7 @@ def dinkelbach_split(
         if ratio < best_ratio:
             best_ratio = ratio
             best_q = outcome.q
-        if abs(f_val) <= tol:
-            trace.converged = True
-            return outcome.q, ratio, trace
-        if abs(ratio - lam) <= REL_TOLERANCE * max(1.0, lam):
+        if abs(f_val) <= tol or abs(ratio - lam) <= REL_TOLERANCE * max(1.0, lam):
             trace.converged = True
             return outcome.q, ratio, trace
         lam = ratio

@@ -3,17 +3,17 @@
 ``best_splits`` searches many nodes at once, each column for all of them in
 one pass, with each node's own arithmetic; ``best_split`` is its one-node
 case. Numeric and binary variables use the sorted threshold scan. For a
-categorical variable one pass sums the category cells of every node, and one
-sorted-means scan, optimal for squared error, splits and prices them all,
-under ``greedy`` and ``qubo`` alike. The paper's ratio iteration over split
-QUBOs, ``best_categorical_split_qubo``, searches one node at a time. An
+categorical variable one ``stats.category_cells`` pass sums the category
+cells and totals of every node, and one sorted-means scan, optimal for
+squared error, splits and prices them all, under ``greedy`` and ``qubo``
+alike. The paper's ratio iteration over split QUBOs,
+``best_categorical_split_qubo``, searches one node at a time. An
 exhaustive-partition searcher is the other baseline. Subset rules put the
 category with the smallest mean response on the left.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +22,7 @@ import numpy as np
 from .datasets import ColumnSchema, Dataset
 from .dinkelbach import DinkelbachConfig, IterationTrace, dinkelbach_split
 from .solvers import SolverConfig, assignment_chunks
-from .stats import CategoryStats, NodeStats, aggregate_categories, build_v_matrix
+from .stats import CategoryStats, NodeStats, aggregate_categories, build_v_matrix, category_cells
 
 EXHAUSTIVE_MAX_CATEGORIES = 22
 
@@ -173,32 +173,6 @@ def _sorted_means_scan(cells: _Segments, n, s, q, totals) -> tuple:
     return costs[best], left
 
 
-# Most (segment, category) bins per np.bincount pass: a level with many
-# nodes of a many-level column is summed in several passes, so the sums
-# take at most a few MB at once.
-_MAX_BINS = 1 << 18
-
-
-def _category_cells(y, codes, m: int, segs: _Segments):
-    """Count, response sum and sum of squares of every (segment, observed
-    category) pair, by segment, then code: ``(seg, code, n, s, q)``. Each sum
-    accumulates in its segment's row order, as ``aggregate_categories`` does."""
-    n_seg = len(segs.sizes)
-    parts = []
-    step = max(1, _MAX_BINS // m)
-    for lo in range(0, n_seg, step):
-        hi = min(n_seg, lo + step)
-        rows = segs.rows(lo, hi - 1)
-        key = (segs.seg[rows] - lo) * m + codes[rows]
-        bins = (hi - lo) * m
-        w = y[rows]
-        count = np.bincount(key, minlength=bins)
-        seen = np.flatnonzero(count)
-        sums = (np.bincount(key, weights=v, minlength=bins)[seen] for v in (w, w * w))
-        parts.append((seen // m + lo, seen % m, count[seen].astype(np.float64), *sums))
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def _subset_candidate(column: ColumnSchema, index, left_mask, n, cost, trace=None) -> SplitCandidate:
     """The subset rule of a node's observed category codes ``index``, with
     counts ``n``, split by ``left_mask``, which holds the smallest mean."""
@@ -227,30 +201,26 @@ def _exhaustive_one(aggs: CategoryStats, node: NodeStats) -> tuple:
     return _smallest_mean_left(q, aggs), cost
 
 
-def _subset_scan(y, codes, column, segs, method):
+def _subset_scan(y, codes, column, seg, method):
     """Subset split of every segment where the column has two or more
     categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
 
-    Returns ``(ids, cost, n_left, n_right, candidate)`` like
+    ``seg`` holds the segment id of every row, as ``category_cells`` takes
+    it. Returns ``(ids, cost, n_left, n_right, candidate)`` like
     ``_threshold_scan``. One sorted-means scan splits and prices every
     segment, for ``greedy`` and ``qubo``; ``exhaustive`` enumerates every
     partition instead.
     """
-    seg, code, n, s, q = _category_cells(y, codes, len(column.categories), segs)
-    levels = np.bincount(seg, minlength=len(segs.sizes))
+    (cell_seg, code, n, s, q), totals = category_cells(y, codes, len(column.categories), seg)
+    levels = np.bincount(cell_seg)
     ok = (levels >= 2) & (levels <= (EXHAUSTIVE_MAX_CATEGORIES if method == "exhaustive" else np.inf))
     ids = np.flatnonzero(ok)
     if len(ids) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0), empty, empty, None
-    code, n, s, q = (v[ok[seg]] for v in (code, n, s, q))
+    code, n, s, q = (v[ok[cell_seg]] for v in (code, n, s, q))
+    tn, ts, tq = (t[ids] for t in totals)
     cells = _Segments(levels[ids])
-    # Node totals as ``aggregate_categories`` forms them, by math.fsum of the
-    # cell sums; the sum of two floats is already correctly rounded.
-    tn, ts, tq = (np.add.reduceat(v, cells.starts) for v in (n, s, q))
-    for k in np.flatnonzero(cells.sizes > 2).tolist():
-        r = cells.rows(k, k)
-        ts[k], tq[k] = math.fsum(s[r]), math.fsum(q[r])
     cost, left = _sorted_means_scan(cells, n, s, q, (tn, ts, tq))
     if method == "exhaustive":
         for k in range(len(ids)):
@@ -288,8 +258,8 @@ def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
     codes = np.asarray(codes, dtype=np.int64)
     if len(codes) == 0:
         raise ValueError("empty node")
-    one = _Segments(np.array([len(codes)]))
-    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, one, method)
+    seg = np.zeros(len(codes), dtype=np.int64)
+    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, seg, method)
     if len(ids):
         return candidate(0)
     if method == "exhaustive":
@@ -356,7 +326,7 @@ def best_splits(
     for j, column in enumerate(data.schema):
         values = data.column(column.name)[rows]
         if column.kind == "categorical":
-            scan = _subset_scan(y, values, column, segs, method)
+            scan = _subset_scan(y, values, column, segs.seg, method)
         else:
             scan = _threshold_scan(y, values, segs, min_bucket, column.name)
         ids, cost, n_left, n_right, candidate = scan

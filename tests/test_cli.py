@@ -642,6 +642,19 @@ def test_malformed_headers_fields_and_schemas_exit_2(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_response_only_csv_exits_2_before_writing(tmp_path, capsys):
+    # An empty schema leaves no column to count rows by: such a model could
+    # not be read back by predict.
+    data = tmp_path / "y.csv"
+    data.write_text("Y\n1\n2\n3\n4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (["train"], ["protocol"], ["trace", "--column", "c"], ["compare", "--column", "c"]):
+        code, stdout, err = _run(command + ["--data", str(data), "--schema", "auto", "--response", "Y",
+                                            "--out", str(out)], capsys)
+        assert (code, stdout, err.splitlines()[-1]) == (2, "", "error: empty schema"), command
+        assert not out.exists()
+
+
 def test_train_rejects_an_infinite_cp(tmp_path, small_csv, capsys):
     model = tmp_path / "m.json"
     code, out, err = _run(["train", "--data", small_csv, "--schema", SCHEMA, "--cp", "inf", "--out", str(model)], capsys)

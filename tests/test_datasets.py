@@ -423,3 +423,15 @@ def test_dataset_immutable():
         data.response[0] = 1.0
     with pytest.raises(ValueError):
         data.column("Mileage_km")[0] = 0.0
+
+
+def test_dataset_rejects_categorical_codes_outside_its_labels():
+    # Code 2 has no label: a split search over two 4-row segments would count
+    # it in the next segment's cells, and grow would index past the labels.
+    schema = (ColumnSchema("c", "categorical", ("a", "b")),)
+    y = np.arange(8, dtype=np.float64)
+    for codes in ([0, 1, 2, 2, 0, 1, 1, 0], [0, 1, -1, 1, 0, 1, 1, 0]):
+        with pytest.raises(DataError, match="column 'c': codes must lie in \\[0, 2\\)"):
+            Dataset(schema, {"c": np.array(codes, dtype=np.int64)}, y)
+    empty = Dataset((ColumnSchema("c", "categorical"),), {"c": np.zeros(0, dtype=np.int64)}, np.zeros(0))
+    assert empty.n_rows == 0

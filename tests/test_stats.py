@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qubotree import (
+    ColumnSchema,
     NodeStats,
     aggregate_categories,
     build_v_matrix,
     node_variance,
     pairwise_variance,
 )
+from qubotree.splitting import best_categorical_split_exhaustive, best_categorical_split_greedy
 
 from conftest import naive_v_matrix, random_category_instance
 
@@ -86,6 +88,19 @@ def test_aggregate_drops_empty_categories():
 def test_aggregate_single_category():
     aggs, _ = aggregate_categories([0, 0], [1.0, 2.0], 1)
     assert len(aggs) == 1
+
+
+@pytest.mark.parametrize("codes", [[0, 1, 5, 5], [0, -1, 1, 0]])
+def test_codes_outside_the_categories_are_rejected(codes):
+    # A code >= m would fold into another category's cell, and a split of
+    # this 4-row node would count only 2 of its rows.
+    column = ColumnSchema("c", "categorical", ("a", "b"))
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        aggregate_categories(codes, y, 2)
+    for search in (best_categorical_split_greedy, best_categorical_split_exhaustive):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+            search(y, np.array(codes), column)
 
 
 def test_aggregates_sum_to_node():
