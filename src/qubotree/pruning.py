@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import DataError, Dataset, SplitSpecification, partition
-from .tree import GrowConfig, RegressionTree, grow, preorder, prune_to_leaf, route_rows
+from .tree import GrowConfig, RegressionTree, grow, leaf_positions, prune_to_leaf
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,30 @@ def prune_sequence(tree: RegressionTree):
     to the smaller node id. Step trees are not built here: ``PruneStep.tree``
     builds one when it is read.
 
-    The ladder runs on a preorder table: position 0 is the root, the subtree
-    of position i spans positions ``i .. i + size[i] - 1``, its left child is
-    at i + 1 and its right child at i + 1 + size[i + 1]. A collapse clears
-    that span of ``internal`` and walks up ``parent``.
+    The ladder runs on the tree's preorder table (see ``NodeTable``): a
+    collapse clears a span of ``internal`` and walks up ``parent``.
     """
     n_train = tree.n_train
-    nodes = [node for node, _ in preorder(tree.root)]
-    size = [1] * len(nodes)
-    parent = [-1] * len(nodes)
-    leaves = [1] * len(nodes)
-    leaf_sse = [node.sse for node in nodes]
-    internal = [not node.is_leaf for node in nodes]
+    table = tree.table
+    ids, size, sse = table.ids.tolist(), table.size.tolist(), table.sse.tolist()
+    parent = [-1] * len(size)
+    leaves = [1] * len(size)
+    leaf_sse = list(sse)
+    internal = [s > 1 for s in size]
     # Reversed preorder visits both children of a node before the node.
-    for i in reversed(range(len(nodes))):
+    for i in reversed(range(len(size))):
         if internal[i]:
             left = i + 1
             right = left + size[left]
-            size[i] = 1 + size[left] + size[right]
             parent[left] = parent[right] = i
             leaves[i] = leaves[left] + leaves[right]
             leaf_sse[i] = leaf_sse[left] + leaf_sse[right]
 
     def g(i: int) -> float:
-        return (nodes[i].sse - leaf_sse[i]) / n_train / (leaves[i] - 1)
+        return (sse[i] - leaf_sse[i]) / n_train / (leaves[i] - 1)
 
-    g_now = [g(i) if internal[i] else None for i in range(len(nodes))]
-    heap = [(g_i, nodes[i].id, i) for i, g_i in enumerate(g_now) if internal[i]]
+    g_now = [g(i) if internal[i] else None for i in range(len(size))]
+    heap = [(g_i, ids[i], i) for i, g_i in enumerate(g_now) if internal[i]]
     heapq.heapify(heap)
     steps = []
     history = []
@@ -103,17 +100,17 @@ def prune_sequence(tree: RegressionTree):
             _, node_id, i = heapq.heappop(heap)
             newly.append(node_id)
             delta_leaves = 1 - leaves[i]
-            delta_sse = nodes[i].sse - leaf_sse[i]
+            delta_sse = sse[i] - leaf_sse[i]
             internal[i : i + size[i]] = [False] * size[i]
             leaves[i] = 1
-            leaf_sse[i] = nodes[i].sse
+            leaf_sse[i] = sse[i]
             # Every ancestor of a node still internal is internal too.
             up = parent[i]
             while up >= 0:
                 leaves[up] += delta_leaves
                 leaf_sse[up] += delta_sse
                 g_now[up] = g(up)
-                heapq.heappush(heap, (g_now[up], nodes[up].id, up))
+                heapq.heappush(heap, (g_now[up], ids[up], up))
                 up = parent[up]
         return newly
 
@@ -151,34 +148,39 @@ def ladder_mse(steps, data: Dataset, routing: Optional[str] = None) -> np.ndarra
     """MSE of every ladder step on one dataset, computed incrementally.
 
     Rows are routed once through the widest tree; each later step only
-    re-predicts the rows under its newly collapsed nodes. Equals per-step
-    re-evaluation exactly, at a fraction of the cost.
+    re-predicts the rows under its newly collapsed nodes, those whose leaf
+    lies in the node's preorder span. Equals per-step re-evaluation exactly,
+    at a fraction of the cost.
     """
     if not steps:
         raise ValueError("empty prune sequence")
     if data.response is None or data.n_rows == 0:
         raise DataError("evaluation needs a non-empty dataset with responses")
     base = steps[0].tree
-
-    # Route once through the widest tree, recording the rows reaching every
-    # node and their training prediction.
-    reached: dict = {}
-    preds = np.empty(data.n_rows, dtype=np.float64)
-    for node, idx in route_rows(base, data, routing):
-        reached[node.id] = (node.prediction, idx)
-        if node.is_leaf:
-            preds[idx] = node.prediction
-    depth_of = {node.id: depth for node, depth in preorder(base.root)}
+    table = base.table
+    leaf = leaf_positions(base, data, routing)
+    preds = table.prediction[leaf]
+    # Rows by leaf position, each leaf's rows in row order: the rows under
+    # a node are one run of ``order``.
+    order = np.argsort(leaf, kind="stable")
+    by_leaf = leaf[order]
+    prediction, depth = table.prediction.tolist(), table.depth.tolist()
 
     y = data.response
     se = float(np.sum((y - preds) ** 2))
     out = [se / data.n_rows]
     for step in steps[1:]:
+        at = [table.position[t] for t in step.collapsed]
+        spans = np.array(at, dtype=np.int64)
+        starts = np.searchsorted(by_leaf, spans).tolist()
+        ends = np.searchsorted(by_leaf, spans + table.size[spans]).tolist()
         # Deepest first, so a node collapsing in the same step as one of its
         # descendants has the last word on their shared rows.
-        hit = [t for t in step.collapsed if t in reached]
-        for t in sorted(hit, key=depth_of.__getitem__, reverse=True):
-            new_pred, idx = reached[t]
+        hit = [k for k in range(len(at)) if starts[k] < ends[k]]
+        for k in sorted(hit, key=lambda k: depth[at[k]], reverse=True):
+            # Ascending row order, so that every sum adds in one order.
+            idx = np.sort(order[starts[k] : ends[k]])
+            new_pred = prediction[at[k]]
             old = preds[idx]
             se += float(np.sum((y[idx] - new_pred) ** 2 - (y[idx] - old) ** 2))
             preds[idx] = new_pred

@@ -3,6 +3,9 @@
 Growth proceeds one depth level at a time: every variable of every open node
 of a level is searched in one batched call, with its kind-appropriate
 splitter, and each node's cheapest candidate wins.
+A tree is stored as one preorder table of per-node arrays; rows are routed
+through it a depth level at a time, and ``TreeNode`` objects are built only
+when ``RegressionTree.root`` is read.
 Categories a subset rule never saw at training are routed either to the
 complement (right) child or to the larger child, two semantics that only
 diverge on such unseen labels.
@@ -13,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,6 +66,11 @@ class GrowConfig:
     categorical_method: str = "qubo"
 
     def __post_init__(self):
+        got = (self.max_depth, self.min_split, self.min_bucket, self.cp)
+        # bool is an int subclass, and a model file's true is no count.
+        cp_is_number = isinstance(self.cp, (int, float)) and not isinstance(self.cp, bool)
+        if any(type(v) is not int for v in got[:3]) or not cp_is_number:
+            raise ValueError(f"need ints as max_depth, min_split and min_bucket and a number as cp, got {got!r}")
         if self.max_depth < 0 or not 0 <= self.cp < math.inf or self.min_bucket < 1:  # a NaN cp fails too
             got = (self.max_depth, self.cp, self.min_bucket)
             raise ValueError(f"need max_depth >= 0, a finite cp >= 0 and min_bucket >= 1, got {got}")
@@ -79,26 +88,175 @@ class GrowConfig:
         return cls(**base)
 
 
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """A tree's nodes in preorder, one array entry per node.
+
+    Position 0 is the root. ``size[i]`` is the number of nodes in the subtree
+    at position i, so it spans positions ``i .. i + size[i] - 1``, its left
+    child is at i + 1 and its right child at ``i + 1 + size[i + 1]``; a leaf
+    has size 1. ``rules[i]`` is None for a leaf and otherwise the rule's
+    ``(variable, kind, left_categories, right_categories, threshold)``.
+    """
+
+    ids: np.ndarray
+    n: np.ndarray
+    prediction: np.ndarray
+    sse: np.ndarray
+    size: np.ndarray
+    rules: tuple
+
+    @classmethod
+    def of(cls, ids, n, prediction, sse, rules) -> "NodeTable":
+        """The table of per-node columns in preorder; the sizes follow from the rules."""
+        size = [1] * len(rules)
+        # Reversed preorder visits both children of a node before the node.
+        for i in reversed(range(len(rules))):
+            if rules[i] is not None:
+                size[i] = 1 + size[i + 1] + size[i + 1 + size[i + 1]]
+        return cls(ids, n, prediction, sse, np.array(size, dtype=np.int64), tuple(rules))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """Each inner node's right-child position; 0 at a leaf."""
+        right = np.zeros(len(self.size), dtype=np.int64)
+        inner = np.flatnonzero(self.size > 1)
+        right[inner] = inner + 1 + self.size[inner + 1]
+        return right
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Each node's depth, filled one level at a time."""
+        depth = np.zeros(len(self.size), dtype=np.int64)
+        level, d = np.zeros(1, dtype=np.int64), 0
+        while level.size:
+            depth[level] = d
+            inner = level[self.size[level] > 1]
+            level, d = np.concatenate([inner + 1, self.right[inner]]), d + 1
+        return depth
+
+    @cached_property
+    def position(self) -> dict:
+        """Node id -> position."""
+        return {node_id: i for i, node_id in enumerate(self.ids.tolist())}
+
+
+def _array(values, kind: type) -> np.ndarray:
+    """``values`` as an int64 or float64 array. Where one is not of ``kind``
+    or does not fit, as in a hand-built tree that ``save_model`` refuses, an
+    object array holds them as given."""
+    if set(map(type, values)) <= {kind}:
+        try:
+            return np.array(values, dtype=np.int64 if kind is int else np.float64)
+        except OverflowError:
+            pass
+    return np.array(values, dtype=object)
+
+
+def _rule_fields(rule: SplitRule) -> tuple:
+    return rule.variable, rule.kind, rule.left_categories, rule.right_categories, rule.threshold
+
+
+class _Routes(NamedTuple):
+    """Per-node rule arrays of a tree, in the model schema's column and label order."""
+
+    column: np.ndarray  # the rule's column index in the schema
+    used: frozenset  # the column indices some rule reads
+    threshold: np.ndarray  # NaN at a subset rule, which no value is below
+    offset: np.ndarray  # a subset rule's block in ``child``, -1 elsewhere
+    child: dict  # routing -> flat table: the child position a label code goes to
+
+
 @dataclass(frozen=True)
 class RegressionTree:
-    root: TreeNode
+    table: NodeTable
     schema: tuple
     config: GrowConfig
     n_train: int
     response_name: str = "y"
 
+    @classmethod
+    def from_root(cls, root: TreeNode, schema: tuple, config: GrowConfig, n_train: int, response_name: str = "y"):
+        """The tree of hand-built nodes, their fields kept as given."""
+        nodes = [node for node, _ in preorder(root)]
+        table = NodeTable.of(
+            _array([node.id for node in nodes], int),
+            _array([node.n for node in nodes], int),
+            _array([node.prediction for node in nodes], float),
+            _array([node.sse for node in nodes], float),
+            [None if node.is_leaf else _rule_fields(node.rule) for node in nodes],
+        )
+        return cls(table, schema, config, n_train, response_name)
+
+    @cached_property
+    def root(self) -> TreeNode:
+        """The root of a ``TreeNode`` view of the table, built on first read."""
+        t = self.table
+        ids, n, prediction, sse, right = (a.tolist() for a in (t.ids, t.n, t.prediction, t.sse, t.right))
+        built = [None] * len(ids)
+        for i in reversed(range(len(ids))):  # children come after their parent
+            rule = t.rules[i]
+            kids = (None, None) if rule is None else (SplitRule(*rule), built[i + 1], built[right[i]])
+            built[i] = TreeNode(ids[i], n[i], prediction[i], sse[i], *kids)
+        return built[0]
+
+    @cached_property
+    def _routes(self) -> _Routes:
+        """The rule arrays ``leaf_positions`` reads, built on first use."""
+        t = self.table
+        where = {c.name: j for j, c in enumerate(self.schema)}
+        codes = {c.name: {lab: k for k, lab in enumerate(c.categories)} for c in self.schema}
+        inner, columns, numeric, cuts = [], [], [], []
+        # Each subset rule gets a block of one entry per label of its column.
+        subset, starts, seen_left, seen_right, end = [], [], [], [], 0
+        for i, rule in enumerate(t.rules):
+            if rule is None:
+                continue
+            variable, kind, left, right, cut = rule
+            inner.append(i)
+            columns.append(where[variable])
+            if kind == "threshold":
+                numeric.append(i)
+                cuts.append(cut)
+                continue
+            code = codes[variable]
+            subset.append(i)
+            starts.append(end)
+            seen_left += [end + code[lab] for lab in left]
+            seen_right += [end + code[lab] for lab in right]
+            end += len(code)
+        column = np.zeros(len(t.rules), dtype=np.intp)
+        column[inner] = columns
+        threshold = np.full(len(t.rules), np.nan)
+        threshold[numeric] = cuts
+        offset = np.full(len(t.rules), -1, dtype=np.intp)
+        offset[subset] = starts
+        left = np.zeros(end, dtype=bool)
+        left[seen_left] = True
+        unseen = ~left
+        unseen[seen_right] = False
+        subset = np.asarray(subset, dtype=np.intp)
+        width = np.diff(starts + [end])
+        larger_left = np.repeat(t.n[subset + 1] >= t.n[t.right[subset]], width)
+        left_child, right_child = np.repeat(subset + 1, width), np.repeat(t.right[subset], width)
+        child = {
+            "complement": np.where(left, left_child, right_child),
+            "majority": np.where(left | unseen & larger_left, left_child, right_child),
+        }
+        return _Routes(column, frozenset(columns), threshold, offset, child)
+
     def leaf_count(self) -> int:
-        return sum(1 for node, _ in preorder(self.root) if node.is_leaf)
+        return int(np.count_nonzero(self.table.size == 1))
 
     def depth(self) -> int:
-        return max(depth for _, depth in preorder(self.root))
+        return int(self.table.depth.max())
 
 
 def preorder(node: TreeNode):
     """Yield ``(node, depth)`` for the subtree at ``node``, depth counted from it.
 
     Parents come before their children and each left subtree before its
-    right one. This is the one read-only walk over a tree.
+    right one. This is the one read-only walk over ``TreeNode``s.
     """
     stack = [(node, 0)]
     while stack:
@@ -109,42 +267,19 @@ def preorder(node: TreeNode):
             stack.append((cur.left, depth + 1))
 
 
-def _left_masker(schema: tuple, data: Dataset):
-    """Vectorized rule test for rows of ``data`` against a model ``schema``.
+def _left_masker(data: Dataset):
+    """``left_mask(rule, idx)``: which rows ``idx`` of ``data`` go left under
+    a rule found on ``data`` itself, as growth applies each new split."""
+    codes = {c.name: {lab: k for k, lab in enumerate(c.categories)} for c in data.schema}
 
-    The dataset may have its own category code order: its labels are mapped
-    to its codes once here, and any label outside the model schema is
-    rejected. The returned ``left_mask(rule, idx, unseen_left)`` tells which
-    rows ``idx`` go left; labels absent from both sides of a subset rule go
-    left only when ``unseen_left`` is set.
-    """
-    code_maps = {}
-    for model_col in schema:
-        if model_col.name not in data.columns:
-            raise DataError(f"dataset is missing column {model_col.name!r}")
-        col = data.schema_for(model_col.name)
-        if (col.kind == "categorical") != (model_col.kind == "categorical"):
-            raise DataError(f"column {col.name!r}: {col.kind} here, {model_col.kind} in the model")
-        if col.kind != "categorical":
-            continue
-        unknown = set(col.categories) - set(model_col.categories)
-        if unknown:
-            raise DataError(f"column {col.name!r}: unknown categories {sorted(unknown)!r}")
-        code_maps[col.name] = {lab: i for i, lab in enumerate(col.categories)}
-
-    def lookup(variable: str, labels: tuple) -> np.ndarray:
-        codes = code_maps[variable]
-        table = np.zeros(len(codes), dtype=bool)
-        table[[codes[lab] for lab in labels if lab in codes]] = True
-        return table
-
-    def left_mask(rule: SplitRule, idx: np.ndarray, unseen_left: bool = False) -> np.ndarray:
+    def left_mask(rule: SplitRule, idx: np.ndarray) -> np.ndarray:
         values = data.column(rule.variable)[idx]
         if rule.kind == "threshold":
             return values < rule.threshold
-        if unseen_left:
-            return ~lookup(rule.variable, rule.right_categories)[values]
-        return lookup(rule.variable, rule.left_categories)[values]
+        code = codes[rule.variable]
+        table = np.zeros(len(code), dtype=bool)
+        table[[code[lab] for lab in rule.left_categories]] = True
+        return table[values]
 
     return left_mask
 
@@ -164,7 +299,7 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
         raise DataError("cannot grow a tree without response values")
     response = data.response
     root_sse = NodeStats.from_values(response).sse()
-    left_mask = _left_masker(data.schema, data)
+    left_mask = _left_masker(data)
 
     # Nodes in breadth-first order, and the splits of the inner ones: each
     # maps to its rule and the position of its left child; the right child
@@ -195,26 +330,26 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
             children += [level[k][mask], level[k][~mask]]
         level = children
         depth += 1
-    return RegressionTree(_link(nodes, splits), data.schema, cfg, data.n_rows, data.response_name)
+    return RegressionTree(_preorder_table(nodes, splits), data.schema, cfg, data.n_rows, data.response_name)
 
 
-def _link(nodes: list, splits: dict) -> TreeNode:
-    """The root TreeNode of ``grow``'s breadth-first nodes, ids numbered in preorder."""
-    ids = [0] * len(nodes)
-    stack, next_id = [0], 0
+def _preorder_table(nodes: list, splits: dict) -> NodeTable:
+    """``grow``'s breadth-first nodes as a preorder table, ids numbered in preorder."""
+    order, stack = [], [0]
     while stack:
         k = stack.pop()
-        ids[k] = next_id
-        next_id += 1
+        order.append(k)
         if k in splits:
             left = splits[k][1]
             stack += [left + 1, left]
-    built = [None] * len(nodes)
-    for k in reversed(range(len(nodes))):  # children come after their parent
-        (stats, sse), (rule, left) = nodes[k], splits.get(k, (None, None))
-        kids = (None, None) if rule is None else (built[left], built[left + 1])
-        built[k] = TreeNode(ids[k], stats.n, stats.sum / stats.n, sse, rule, *kids)
-    return built[0]
+    stats = [nodes[k][0] for k in order]
+    return NodeTable.of(
+        np.arange(len(order), dtype=np.int64),
+        np.array([s.n for s in stats], dtype=np.int64),
+        np.array([s.sum / s.n for s in stats], dtype=np.float64),
+        np.array([nodes[k][1] for k in order], dtype=np.float64),
+        [_rule_fields(splits[k][0]) if k in splits else None for k in order],
+    )
 
 
 def _routing(tree: RegressionTree, routing: Optional[str]) -> str:
@@ -237,7 +372,11 @@ def _route_row(node: TreeNode, value, routing: str) -> TreeNode:
 
 
 def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> float:
-    """Predict one row given as a column -> value mapping."""
+    """Predict one row given as a column -> value mapping.
+
+    The row-at-a-time walk over ``tree.root``: the reference the vectorized
+    :func:`leaf_positions` is held to.
+    """
     routing = _routing(tree, routing)
     for col in tree.schema:
         if col.name not in row:
@@ -250,25 +389,73 @@ def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> f
     return node.prediction
 
 
-def route_rows(tree: RegressionTree, data: Dataset, routing: Optional[str] = None):
-    """Yield ``(node, row indices)`` for every node that rows of ``data`` reach.
+def _model_columns(schema: tuple, data: Dataset, used: frozenset) -> np.ndarray:
+    """The ``used`` columns of ``data`` as one float array in the model
+    ``schema``'s column order: value j * N + r is column j of row r,
+    categorical codes remapped to the model's label order. Other columns
+    are checked but left unset.
 
-    The vectorized form of the routing ``predict`` applies one row at a time.
-    Parents come before their children; subtrees no row reaches are skipped.
+    The dataset may have its own category code order; a column it lacks, a
+    column of the other kind and a label outside the model schema are rejected.
+    """
+    columns = np.empty((len(schema), data.n_rows), dtype=np.float64)
+    for j, model_col in enumerate(schema):
+        if model_col.name not in data.columns:
+            raise DataError(f"dataset is missing column {model_col.name!r}")
+        col = data.schema_for(model_col.name)
+        if (col.kind == "categorical") != (model_col.kind == "categorical"):
+            raise DataError(f"column {col.name!r}: {col.kind} here, {model_col.kind} in the model")
+        if col.kind == "categorical":
+            unknown = set(col.categories) - set(model_col.categories)
+            if unknown:
+                raise DataError(f"column {col.name!r}: unknown categories {sorted(unknown)!r}")
+        if j not in used:
+            continue
+        values = data.column(col.name)
+        if col.kind == "categorical" and col.categories != model_col.categories:
+            code = {lab: k for k, lab in enumerate(model_col.categories)}
+            values = np.array([code[lab] for lab in col.categories], dtype=np.float64)[values]
+        columns[j] = values
+    return columns.ravel()
+
+
+def leaf_positions(tree: RegressionTree, data: Dataset, routing: Optional[str] = None) -> np.ndarray:
+    """The table position of the leaf each row of ``data`` reaches.
+
+    The vectorized form of the routing ``predict`` applies one row at a
+    time: every row still at an inner node takes one step per round, so a
+    round is one depth level. A subset rule looks the child a row's label
+    code goes to up in a per-node table, into which ``majority`` routing
+    folds its larger-child rule for labels the node never saw.
     """
     routing = _routing(tree, routing)
-    left_mask = _left_masker(tree.schema, data)
-    stack = [(tree.root, np.arange(data.n_rows))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        yield node, idx
-        if not node.is_leaf:
-            unseen_left = routing == "majority" and node.left.n >= node.right.n
-            mask = left_mask(node.rule, idx, unseen_left)
-            stack.append((node.right, idx[~mask]))
-            stack.append((node.left, idx[mask]))
+    t, routes = tree.table, tree._routes
+    columns = _model_columns(tree.schema, data, routes.used)
+    child = routes.child[routing]
+    inner = t.size > 1
+    subset_rule = routes.offset >= 0
+    start = routes.column * data.n_rows
+    leaf = np.zeros(data.n_rows, dtype=np.int64)
+    # The rows still at an inner node, and their positions: at first the
+    # root's, one scalar, so the first round reads each node array once.
+    live = np.arange(data.n_rows if inner[0] else 0)
+    at = np.int64(0)
+    while live.size:
+        values = columns.take(start.take(at) + live)
+        subset = subset_rule.take(at)
+        if subset.all():
+            at = child.take(routes.offset.take(at) + values.astype(np.intp))
+        else:
+            step = np.where(values < routes.threshold.take(at), at + 1, t.right.take(at))
+            if subset.any():
+                k = np.flatnonzero(subset)
+                step[k] = child.take(routes.offset.take(at.take(k)) + values.take(k).astype(np.intp))
+            at = step
+        keep = np.flatnonzero(inner.take(at))
+        if keep.size < live.size:  # some rows reached their leaf
+            leaf[live] = at
+            live, at = live.take(keep), at.take(keep)
+    return leaf
 
 
 def predict_many(tree: RegressionTree, data: Dataset, routing: Optional[str] = None) -> np.ndarray:
@@ -277,11 +464,7 @@ def predict_many(tree: RegressionTree, data: Dataset, routing: Optional[str] = N
     The dataset may have its own category code order; labels are re-mapped
     against the model schema, and any label outside it is rejected.
     """
-    preds = np.empty(data.n_rows, dtype=np.float64)
-    for node, idx in route_rows(tree, data, routing):
-        if node.is_leaf:
-            preds[idx] = node.prediction
-    return preds
+    return tree.table.prediction[leaf_positions(tree, data, routing)]
 
 
 def evaluate_mse(tree: RegressionTree, data: Dataset, routing: Optional[str] = None) -> float:
@@ -291,51 +474,54 @@ def evaluate_mse(tree: RegressionTree, data: Dataset, routing: Optional[str] = N
     return float(np.mean(residual * residual))
 
 
-def _rule_text(rule: SplitRule) -> str:
-    if rule.kind == "threshold":
-        return f"{rule.variable} < {rule.threshold!r}"
-    return f"{rule.variable} in {{{', '.join(rule.left_categories)}}}"
+def _rule_text(rule: tuple) -> str:
+    variable, kind, left, _, threshold = rule
+    if kind == "threshold":
+        return f"{variable} < {threshold!r}"
+    return f"{variable} in {{{', '.join(left)}}}"
 
 
 def describe(tree: RegressionTree) -> str:
     """Deterministic preorder dump with one line per node."""
+    t = tree.table
     lines = [
         f"leaves={tree.leaf_count()} depth={tree.depth()} n_train={tree.n_train}"
     ]
-    for node, depth in preorder(tree.root):
-        pad = "  " * depth
-        head = f"{pad}node {node.id}: n={node.n} yhat={node.prediction!r} sse={node.sse!r}"
-        if node.is_leaf:
-            lines.append(head + " leaf")
-        else:
-            lines.append(head + f" split {_rule_text(node.rule)}")
+    columns = zip(t.ids.tolist(), t.n.tolist(), t.prediction.tolist(), t.sse.tolist(), t.depth.tolist(), t.rules)
+    for node_id, n, prediction, sse, depth, rule in columns:
+        head = f"{'  ' * depth}node {node_id}: n={n} yhat={prediction!r} sse={sse!r}"
+        lines.append(head + (" leaf" if rule is None else f" split {_rule_text(rule)}"))
     return "\n".join(lines)
 
 
-def _rule_to_dict(rule: Optional[SplitRule]):
+def _rule_to_dict(rule: Optional[tuple]):
     if rule is None:
         return None
+    variable, kind, left, right, threshold = rule
     return {
-        "variable": rule.variable,
-        "kind": rule.kind,
-        "left_categories": list(rule.left_categories),
-        "right_categories": list(rule.right_categories),
-        "threshold": rule.threshold,
+        "variable": variable,
+        "kind": kind,
+        "left_categories": list(left),
+        "right_categories": list(right),
+        "threshold": threshold,
     }
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:
+    t = tree.table
+    ids = t.ids.tolist()
+    columns = zip(ids, t.n.tolist(), t.prediction.tolist(), t.sse.tolist(), t.rules, t.right.tolist())
     nodes = [
         {
-            "id": node.id,
-            "n": node.n,
-            "prediction": node.prediction,
-            "sse": node.sse,
-            "rule": _rule_to_dict(node.rule),
-            "left": None if node.is_leaf else node.left.id,
-            "right": None if node.is_leaf else node.right.id,
+            "id": node_id,
+            "n": n,
+            "prediction": prediction,
+            "sse": sse,
+            "rule": _rule_to_dict(rule),
+            "left": None if rule is None else ids[i + 1],
+            "right": None if rule is None else ids[right],
         }
-        for node, _ in preorder(tree.root)
+        for i, (node_id, n, prediction, sse, rule, right) in enumerate(columns)
     ]
     doc = {
         "format": "qubotree-model",
@@ -393,7 +579,7 @@ def _checked_nodes(doc: dict, schema: tuple):
     ``load_model`` require, yielding each node as ``(id, n, prediction, sse,
     rule fields, left, right)`` in decreasing id order; a leaf's last three
     are None. Whether the nodes form one tree is left to ``tree_from_dict``:
-    a tree built of ``TreeNode``s always does.
+    a tree's table always does.
     """
     got = version, n_train, response = doc["version"], doc["n_train"], doc["response"]
     if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:
@@ -432,26 +618,34 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     nodes = doc["nodes"]
     if not nodes:
         raise DataError("the node list is empty")
-    # Children are built before their parents, in decreasing id order, so
-    # a child id must be greater than its parent's: no cycle and no recursion.
-    # With every other node the child of exactly one node, the nodes then
-    # form one tree under the first.
-    built, children = {}, set()
-    for node_id, n, prediction, sse, rule, left, right in _checked_nodes(doc, schema):
+    # Nodes come in decreasing id order, and a child id must be greater than
+    # its parent's: no cycle and no recursion. With every other node the
+    # child of exactly one node, the nodes then form one tree under the first.
+    rows, children = {}, set()
+    for row in _checked_nodes(doc, schema):
+        node_id, _, _, _, rule, left, right = row
         if rule is not None:
             for child in (left, right):
-                if child not in built:
+                if child not in rows:
                     raise DataError(f"node {child}: not in the node list")
                 if child in children:
                     raise DataError(f"node {child}: child of more than one node")
                 children.add(child)
-            rule, left, right = SplitRule(*rule), built[left], built[right]
-        built[node_id] = TreeNode(node_id, n, prediction, sse, rule, left, right)
-    root = built[nodes[0]["id"]]
-    orphans = built.keys() - children - {root.id}
+        rows[node_id] = row
+    root = nodes[0]["id"]
+    orphans = rows.keys() - children - {root}
     if orphans:
         raise DataError(f"node {min(orphans)}: neither the root nor any node's child")
-    return RegressionTree(root, schema, cfg, doc["n_train"], doc["response"])
+    # The rows in preorder, whatever order their ids were numbered in.
+    order, stack = [], [root]
+    while stack:
+        row = rows[stack.pop()]
+        order.append(row)
+        if row[4] is not None:
+            stack += row[6], row[5]
+    ids, n, prediction, sse, rules, _, _ = zip(*order)
+    table = NodeTable.of(_array(ids, int), _array(n, int), _array(prediction, float), _array(sse, float), rules)
+    return RegressionTree(table, schema, cfg, doc["n_train"], doc["response"])
 
 
 # One entry of the "nodes" list, a leaf or an inner node, laid out as
@@ -542,25 +736,23 @@ def load_model(path: str) -> RegressionTree:
 def prune_to_leaf(tree: RegressionTree, collapse_ids) -> RegressionTree:
     """Pruned copy of the tree with every node in ``collapse_ids`` made a leaf.
 
-    Untouched subtrees are shared, not copied.
+    The table keeps every position outside the collapsed nodes' spans; a tree
+    with no inner node to collapse is returned as it is.
     """
-    targets = frozenset(collapse_ids)
-    # Inner nodes in preorder, not below a target; rebuilt children first.
-    inner = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            inner.append(node)
-            if node.id not in targets:
-                stack += [node.right, node.left]
-    rebuilt = {}
-    for node in reversed(inner):
-        if node.id in targets:
-            rebuilt[node.id] = replace(node, rule=None, left=None, right=None)
-            continue
-        left = rebuilt.get(node.left.id, node.left)
-        right = rebuilt.get(node.right.id, node.right)
-        if left is not node.left or right is not node.right:
-            rebuilt[node.id] = replace(node, left=left, right=right)
-    return replace(tree, root=rebuilt.get(tree.root.id, tree.root))
+    t = tree.table
+    at = np.array([t.position[i] for i in set(collapse_ids) if i in t.position], dtype=np.int64)
+    at = at[t.size[at] > 1]
+    if not at.size:
+        return tree
+    # Positions strictly inside a collapsed span are covered and dropped.
+    cover = np.zeros(len(t.size) + 1, dtype=np.int64)
+    np.add.at(cover, at + 1, 1)
+    np.add.at(cover, at + t.size[at], -1)
+    kept = np.flatnonzero(np.cumsum(cover[:-1]) == 0)
+    before = np.zeros(len(t.size) + 1, dtype=np.int64)
+    before[kept + 1] = 1
+    before = np.cumsum(before)  # kept positions before each position
+    size = before[kept + t.size[kept]] - before[kept]
+    rules = [t.rules[i] if s > 1 else None for i, s in zip(kept.tolist(), size.tolist())]
+    table = NodeTable(t.ids[kept], t.n[kept], t.prediction[kept], t.sse[kept], size, tuple(rules))
+    return replace(tree, table=table)

@@ -51,7 +51,7 @@ def chain_tree(inner: int) -> RegressionTree:
     for k in reversed(range(inner)):
         rule = SplitRule("x", "threshold", threshold=float(k))
         node = TreeNode(2 * k, inner - k + 1, 1.0, 1.0, rule, TreeNode(2 * k + 1, 1, 2.0, 0.0), node)
-    return RegressionTree(node, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
+    return RegressionTree.from_root(node, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
 
 
 def random_category_instance(rng, max_m=12, max_n=200):

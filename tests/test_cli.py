@@ -8,6 +8,7 @@ import re
 import pytest
 
 from qubotree.cli import build_parser, main
+from qubotree.tree import TreeNode
 
 SCHEMA = "Brand:categorical,Color:categorical,Mileage_km:numeric,HasClaim:binary"
 
@@ -787,3 +788,26 @@ def test_removed_option_exits_2_as_flag_and_as_config_key(tmp_path, capsys, comm
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
     code, out, err = _run([command, *required, "--config", str(cfg)], capsys)
     assert (code, out, err.splitlines()[-1]) == (2, "", f"error: unknown config key {key!r}")
+
+
+def test_predict_and_eval_build_no_tree_nodes(tmp_path, small_csv, capsys, monkeypatch):
+    """predict and eval route rows through the node table: no TreeNode is built."""
+    model = str(tmp_path / "model.json")
+    train = ["train", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount", "--max-depth", "64",
+             "--min-split", "2", "--min-bucket", "1", "--cp", "0", "--out", model]
+    assert _run(train, capsys)[0] == 0
+    commands = [
+        ["predict", "--model", model, "--data", small_csv],
+        ["predict", "--model", model, "--data", small_csv, "--routing", "majority"],
+        ["eval", "--model", model, "--data", small_csv],
+    ]
+    before = [_run(argv, capsys)[:2] for argv in commands]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a TreeNode was built")
+
+    monkeypatch.setattr(TreeNode, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a TreeNode was built"):
+        TreeNode(0, 1, 0.0, 0.0)
+    assert [_run(argv, capsys)[:2] for argv in commands] == before
+    assert all(code == 0 for code, _ in before)

@@ -97,7 +97,7 @@ def trees(draw) -> RegressionTree:
     head = {"n_train": draw(st.integers(1, 10**9)), "response": draw(LABELS)}
     if fault[0] in TREE_FAULTS:
         head[fault[0]] = draw(TREE_FAULTS[fault[0]])
-    return RegressionTree(root, schema, cfg, head["n_train"], head["response"])
+    return RegressionTree.from_root(root, schema, cfg, head["n_train"], head["response"])
 
 
 def _loads(text: str) -> bool:
@@ -135,13 +135,13 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
     # hand-built tree may have them.
     rule = SplitRule("absent", "threshold", threshold=1.0)
     root = TreeNode(0, 3, 1.0, 2.0, rule, TreeNode(1, 1, math.nan, 0.0), TreeNode(2, 2, 1.0, 0.5))
-    tree = RegressionTree(root, (ColumnSchema("x", "numeric"),), GrowConfig(), 3)
+    tree = RegressionTree.from_root(root, (ColumnSchema("x", "numeric"),), GrowConfig(), 3)
     path = tmp_path / "model.json"
     save_model(chain_tree(2), str(path))
     before = path.read_bytes()
     with pytest.raises(DataError, match="node 1: needs an int n >= 1 and finite floats"):
         save_model(tree, str(path))
-    tree = replace(tree, root=replace(root, left=replace(root.left, prediction=1.0)))
+    tree = RegressionTree.from_root(replace(root, left=replace(root.left, prediction=1.0)), tree.schema, tree.config, 3)
     with pytest.raises(DataError, match="node 0: rule variable 'absent' is not in the schema"):
         save_model(tree, str(path))
     assert path.read_bytes() == before
@@ -165,4 +165,18 @@ def test_infinite_cp_is_a_malformed_model_file(tmp_path, cp):
     assert '"cp": 0.0,' in text
     path.write_text(text.replace('"cp": 0.0,', f'"cp": {cp},'), encoding="utf-8")
     with pytest.raises(DataError, match="malformed model file: need .* a finite cp >= 0"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("max_depth", 3.5), ("min_split", 2.0), ("min_bucket", 1.0), ("max_depth", True), ("cp", True)],
+    ids=("float-max_depth", "float-min_split", "float-min_bucket", "bool-max_depth", "bool-cp"),
+)
+def test_non_integer_growth_setting_is_a_malformed_model_file(tmp_path, key, value):
+    path = tmp_path / "model.json"
+    save_model(chain_tree(1), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed model file: need ints as max_depth, min_split and min_bucket"):
         load_model(str(path))

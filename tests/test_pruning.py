@@ -1,4 +1,6 @@
 import heapq
+import json
+import re
 import sys
 from dataclasses import replace
 
@@ -19,8 +21,9 @@ from qubotree import (
     prune_sequence,
     select_subtree,
 )
+from qubotree import describe, load_model, predict_many, save_model
 from qubotree.datasets import ColumnSchema, Dataset
-from qubotree.tree import preorder, prune_to_leaf, tree_from_dict, tree_to_dict
+from qubotree.tree import RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
 
 from conftest import chain_tree
 
@@ -156,7 +159,7 @@ def test_step_trees_equal_eager_ladder():
             return replace(node, left=rebuild(node.left), right=rebuild(node.right))
 
         current = rebuild(current)
-        assert step.tree == replace(tree, root=current)
+        assert step.tree.root == current
         assert step.tree.leaf_count() == step.leaves
 
 
@@ -393,7 +396,7 @@ def _reference_prune_to_leaf(tree, collapse_ids):
             return node
         return replace(node, left=left, right=right)
 
-    return replace(tree, root=walk(tree.root))
+    return RegressionTree.from_root(walk(tree.root), tree.schema, tree.config, tree.n_train, tree.response_name)
 
 
 def _renumbered(tree):
@@ -420,7 +423,7 @@ def _assert_ladder_matches_reference(tree):
     assert got == [(a.hex(), leaves, r.hex(), c) for a, leaves, r, c in reference]
     for k in sorted({0, len(steps) // 2, len(steps) - 1}):
         collapsed = [t for _, _, _, ids in reference[: k + 1] for t in ids]
-        assert steps[k].tree == _reference_prune_to_leaf(tree, collapsed)
+        assert steps[k].tree.root == _reference_prune_to_leaf(tree, collapsed).root
 
 
 @st.composite
@@ -461,3 +464,22 @@ def test_pruning_a_chain_deeper_than_the_recursion_limit():
     assert steps[1].tree.root.is_leaf
     deepest = 2 * (inner - 1)
     assert prune_to_leaf(tree, [deepest]).leaf_count() == inner
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: generate_df(1500, 11), lambda: generate_datagen(1500, 13)], ids=("df-11", "datagen-13")
+)
+def test_breadth_first_ids_load_like_their_preorder_twin(tmp_path, make):
+    data = make()
+    tree = grow(data, GrowConfig.max_tree())
+    twin, renumbered = str(tmp_path / "preorder.json"), tmp_path / "breadth-first.json"
+    save_model(tree, twin)
+    renumbered.write_text(json.dumps(tree_to_dict(_renumbered(tree))), encoding="utf-8")
+    a, b = load_model(twin), load_model(str(renumbered))
+    assert describe(a) != describe(b)  # the ids differ, and nothing else
+    ids = re.compile(r"node \d+:")
+    assert ids.sub("node:", describe(a)) == ids.sub("node:", describe(b))
+    for routing in ("complement", "majority"):
+        assert predict_many(a, data, routing).tobytes() == predict_many(b, data, routing).tobytes()
+        ladders = [ladder_mse(prune_sequence(tree), data, routing) for tree in (a, b)]
+        assert ladders[0].tobytes() == ladders[1].tobytes()

@@ -1,7 +1,9 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import qubotree.solvers
 from qubotree import (
@@ -23,6 +25,8 @@ from qubotree import (
 )
 from qubotree.splitting import SplitRule
 from qubotree.tree import TreeNode, RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
+
+from test_model_file import FINITE, _loads, trees
 
 
 def _dataset(columns, response):
@@ -361,7 +365,7 @@ def test_preorder_yields_parents_first_and_left_before_right():
     ],
 )
 def test_depth_and_leaf_count_on_hand_built_trees(shape, depth, leaves):
-    tree = RegressionTree(_hand_tree(shape, iter(range(100))), (ColumnSchema("x", "numeric"),), GrowConfig(), 1)
+    tree = RegressionTree.from_root(_hand_tree(shape, iter(range(100))), (ColumnSchema("x", "numeric"),), GrowConfig(), 1)
     assert tree.depth() == depth
     assert tree.leaf_count() == leaves
 
@@ -377,7 +381,7 @@ def test_unseen_label_routing_on_handmade_branch():
         TreeNode(2, 1, 60488.0, 0.0),
     )
     schema = (ColumnSchema("Color", "categorical", ("Black", "Blue", "Gray", "Green", "Red")),)
-    tree = RegressionTree(node, schema, GrowConfig(), 7)
+    tree = RegressionTree.from_root(node, schema, GrowConfig(), 7)
     assert predict(tree, {"Color": "Black"}, "complement") == pytest.approx(60488.0)
     assert predict(tree, {"Color": "Black"}, "majority") == pytest.approx(3584.67)
     for label in ("Gray", "Green", "Red", "Blue"):
@@ -532,7 +536,7 @@ def test_prune_to_leaf():
     inner = outer.left
 
     pruned = prune_to_leaf(tree, [inner.id, outer.id])
-    assert pruned == prune_to_leaf(tree, [outer.id])
+    assert pruned.root == prune_to_leaf(tree, [outer.id]).root
     kept = _nodes_by_id(pruned)
     assert inner.id not in kept
     leaf = kept[outer.id]
@@ -541,9 +545,36 @@ def test_prune_to_leaf():
     for node_id, node in kept.items():
         if node_id != outer.id:
             assert node.rule == nodes[node_id].rule
-    assert kept[sibling[outer.id].id] is sibling[outer.id]
+    assert kept[sibling[outer.id].id] == sibling[outer.id]
     assert pruned.leaf_count() == tree.leaf_count() - sum(
         1 for n in _walk(outer) if n.is_leaf
     ) + 1
 
     assert prune_to_leaf(tree, ()) == tree
+
+
+@given(trees(), st.data())
+def test_predict_many_equals_the_row_walk_bit_for_bit(tree, draw):
+    """predict_many equals predict over tree.root under both routings, on data
+    with its own column and category code order that holds every label of the
+    schema, so also the labels a subset rule never saw."""
+    assume(_loads(json.dumps(tree_to_dict(tree))))
+    assume(all(c.categories for c in tree.schema if c.kind == "categorical"))
+    thresholds = [rule[4] for rule in tree.table.rules if rule is not None and rule[1] == "threshold"]
+    values = st.sampled_from(thresholds) | FINITE if thresholds else FINITE
+    n = max([len(c.categories) for c in tree.schema] + [1]) + draw.draw(st.integers(0, 6))
+    schema, columns = [], {}
+    for col in draw.draw(st.permutations(tree.schema)):
+        if col.kind == "categorical":
+            labels = tuple(draw.draw(st.permutations(col.categories)))
+            more = n - len(labels)
+            extra = draw.draw(st.lists(st.integers(0, len(labels) - 1), min_size=more, max_size=more))
+            schema.append(ColumnSchema(col.name, "categorical", labels))
+            columns[col.name] = np.array(draw.draw(st.permutations(list(range(len(labels))) + extra)), dtype=np.int64)
+        else:
+            schema.append(col)
+            columns[col.name] = np.array(draw.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    data = Dataset(tuple(schema), columns)
+    for routing in ("complement", "majority"):
+        rows = np.array([predict(tree, data.row(i), routing) for i in range(n)], dtype=np.float64)
+        assert predict_many(tree, data, routing).tobytes() == rows.tobytes()
