@@ -22,8 +22,9 @@ import numpy as np
 from .datasets import ColumnSchema, Dataset
 from .dinkelbach import DinkelbachConfig, IterationTrace, dinkelbach_split
 from .solvers import SolverConfig, assignment_chunks
-from .stats import CategoryStats, NodeStats, aggregate_categories, build_v_matrix, category_cells
+from .stats import CategoryStats, NodeStats, aggregate_categories, build_v_matrix, category_cells, node_codes
 
+CATEGORICAL_METHODS = ("qubo", "greedy", "exhaustive")
 EXHAUSTIVE_MAX_CATEGORIES = 22
 
 
@@ -49,13 +50,6 @@ class SplitCandidate:
     n_left: int
     n_right: int
     trace: Optional[IterationTrace] = None
-
-
-def _two_child_sse(nl, sl, ql, n, s, q):
-    """Summed SSE of both children from left-child sums and node totals ``n, s, q``."""
-    sse_l = np.maximum(ql - sl * sl / nl, 0.0)
-    sse_r = np.maximum((q - ql) - (s - sl) ** 2 / (n - nl), 0.0)
-    return sse_l + sse_r
 
 
 class _Segments:
@@ -135,9 +129,9 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     # Each running sum at every cut, then at its segment's last row: the total.
     at = np.concatenate((cuts, segs.ends[owner] - 1))
     (sl, s), (ql, q) = (np.split(segs.cumsum(v, at), 2) for v in (ys, ys * ys))
-    nl = (segs.pos[cuts] + 1).astype(np.float64)
-    n_node = segs.sizes[owner].astype(np.float64)
-    costs = _two_child_sse(nl, sl, ql, n_node, s, q)
+    left = NodeStats((segs.pos[cuts] + 1).astype(np.float64), sl, ql)
+    total = NodeStats(segs.sizes[owner].astype(np.float64), s, q)
+    costs = left.sse() + (total - left).sse()
     best = _first_minima(costs, owner)
     at = cuts[best]
     threshold = 0.5 * (xs[at] + xs[at + 1])
@@ -152,25 +146,24 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     return owner[best], cost, n_left, n_right, candidate
 
 
-def _sorted_means_scan(cells: _Segments, n, s, q, totals) -> tuple:
+def _sorted_means_scan(segs: _Segments, cells: NodeStats, totals: NodeStats) -> tuple:
     """Fisher's sorted-means prefix scan of many nodes at once (Fisher 1958).
 
-    ``cells`` holds each node's observed categories, two or more, in code
-    order, with counts ``n``, response sums ``s`` and sums of squares ``q``;
-    ``totals`` holds each node's own ``n, s, q``. Returns each node's cost
-    and the left mask over the cells: the cheapest prefix of its categories
-    stably sorted by mean (the first of equal ones), which holds the
-    smallest mean and, for squared error, is an optimal subset split.
+    ``segs`` lays out each node's observed categories, two or more, in code
+    order, with stats ``cells``, and ``totals`` holds each node's stats.
+    Returns each node's cost and the left mask over the cells: the cheapest
+    prefix of its categories stably sorted by mean (the first of equal ones),
+    which holds the smallest mean and is an optimal split for squared error.
     """
-    order = np.lexsort((s / n, cells.seg))
-    cuts = np.flatnonzero(cells.after > 0)
-    owner = cells.seg[cuts]
-    nl, sl, ql = (cells.cumsum(v[order], cuts) for v in (n, s, q))
-    costs = _two_child_sse(nl, sl, ql, *(t[owner] for t in totals))
+    order = np.lexsort((cells.sum / cells.n, segs.seg))
+    cuts = np.flatnonzero(segs.after > 0)
+    owner = segs.seg[cuts]
+    left = NodeStats(*(segs.cumsum(v[order], cuts) for v in (cells.n, cells.sum, cells.sum_sq)))
+    costs = left.sse() + (totals[owner] - left).sse()
     best = _first_minima(costs, owner)
-    left = np.empty(len(order), dtype=bool)
-    left[order] = cells.pos <= cells.pos[cuts[best]][cells.seg]
-    return costs[best], left
+    mask = np.empty(len(order), dtype=bool)
+    mask[order] = segs.pos <= segs.pos[cuts[best]][segs.seg]
+    return costs[best], mask
 
 
 def _subset_candidate(column: ColumnSchema, index, left_mask, n, cost, trace=None) -> SplitCandidate:
@@ -193,8 +186,8 @@ def _exhaustive_one(aggs: CategoryStats, node: NodeStats) -> tuple:
     category sums: the left mask, turned to hold the smallest mean, and its cost."""
     cost = np.inf
     for bits in assignment_chunks(len(aggs)):
-        nl, sl, ql = bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq
-        costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+        left = NodeStats(bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq)
+        costs = left.sse() + (node - left).sse()
         i = int(np.argmin(costs))  # chunks arrive in lex order: first wins ties
         if costs[i] < cost:
             cost, q = float(costs[i]), bits[i]
@@ -205,36 +198,32 @@ def _subset_scan(y, codes, column, seg, method):
     """Subset split of every segment where the column has two or more
     categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
 
-    ``seg`` holds the segment id of every row, as ``category_cells`` takes
-    it. Returns ``(ids, cost, n_left, n_right, candidate)`` like
-    ``_threshold_scan``. One sorted-means scan splits and prices every
-    segment, for ``greedy`` and ``qubo``; ``exhaustive`` enumerates every
-    partition instead.
+    ``seg`` holds each row's segment id. Returns ``(ids, cost, n_left,
+    n_right, candidate)`` like ``_threshold_scan``. One sorted-means scan
+    splits and prices every segment, for ``greedy`` and ``qubo``;
+    ``exhaustive`` enumerates every partition instead.
     """
-    (cell_seg, code, n, s, q), totals = category_cells(y, codes, len(column.categories), seg)
+    cell_seg, cells, totals = category_cells(y, codes, len(column.categories), seg)
     levels = np.bincount(cell_seg)
     ok = (levels >= 2) & (levels <= (EXHAUSTIVE_MAX_CATEGORIES if method == "exhaustive" else np.inf))
     ids = np.flatnonzero(ok)
     if len(ids) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0), empty, empty, None
-    code, n, s, q = (v[ok[cell_seg]] for v in (code, n, s, q))
-    tn, ts, tq = (t[ids] for t in totals)
-    cells = _Segments(levels[ids])
-    cost, left = _sorted_means_scan(cells, n, s, q, (tn, ts, tq))
+    cells, totals = cells[ok[cell_seg]], totals[ids]
+    segs = _Segments(levels[ids])
+    cost, left = _sorted_means_scan(segs, cells, totals)
     if method == "exhaustive":
         for k in range(len(ids)):
-            r = cells.rows(k, k)
-            aggs = CategoryStats(code[r], n[r], s[r], q[r])
-            node = NodeStats(int(tn[k]), float(ts[k]), float(tq[k]))
-            left[r], cost[k] = _exhaustive_one(aggs, node)
-    n_left = np.add.reduceat(np.where(left, n, 0.0), cells.starts).astype(np.int64)
+            r = segs.rows(k, k)
+            left[r], cost[k] = _exhaustive_one(cells[r], totals[k])
+    n_left = np.add.reduceat(np.where(left, cells.n, 0.0), segs.starts).astype(np.int64)
 
     def candidate(k: int) -> SplitCandidate:
-        r = cells.rows(k, k)
-        return _subset_candidate(column, code[r], left[r], n[r], cost[k])
+        r = segs.rows(k, k)
+        return _subset_candidate(column, cells.index[r], left[r], cells.n[r], cost[k])
 
-    return ids, cost, n_left, tn.astype(np.int64) - n_left, candidate
+    return ids, cost, n_left, totals.n - n_left, candidate
 
 
 def best_categorical_split_qubo(
@@ -255,9 +244,7 @@ def best_categorical_split_qubo(
 
 def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
     """The subset split of one node by ``_subset_scan``; ValueError without one."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if len(codes) == 0:
-        raise ValueError("empty node")
+    codes = node_codes(codes)
     seg = np.zeros(len(codes), dtype=np.int64)
     ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, seg, method)
     if len(ids):
@@ -285,6 +272,8 @@ def best_numeric_split(
 
     Returns None when no threshold leaves ``min_bucket`` rows on each side.
     """
+    if min_bucket < 1:
+        raise ValueError(f"need min_bucket >= 1, got {min_bucket}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.min() == x.max():
@@ -308,8 +297,13 @@ def best_splits(
     and for ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES`` levels,
     are skipped. Categorical candidates that leave a child below
     ``min_bucket`` are dropped rather than re-searched, identically for
-    every method, so method comparisons stay aligned.
+    every method, so method comparisons stay aligned. An unknown ``method``
+    or a ``min_bucket`` below 1 raises ValueError.
     """
+    if method not in CATEGORICAL_METHODS:
+        raise ValueError(f"unknown categorical method {method!r}")
+    if min_bucket < 1:
+        raise ValueError(f"need min_bucket >= 1, got {min_bucket}")
     if len(segments) == 0:
         return []
     sizes = np.array([len(s) for s in segments], dtype=np.int64)

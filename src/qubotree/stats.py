@@ -1,10 +1,13 @@
 """Node-level sufficient statistics and the pairwise-difference matrix.
 
-Everything a categorical split decision needs is reduced here to per-category
-counts and response sums, and to the M x M matrix of half pairwise squared
-response differences between categories. One cell pass, ``category_cells``,
-forms those sums and each node's exact totals for every node of a level;
-``aggregate_categories`` is its one-node case.
+Every split decision reduces to moments (count, response sum, sum of squares)
+held by one record, ``NodeStats``, of one node or of many nodes or category
+cells; its ``sse()`` is the one SSE formula, and a split costs
+``left.sse() + (total - left).sse()``. ``CategoryStats`` is its per-category
+case. One cell pass, ``category_cells``, forms the category sums and exact
+totals of every node of a level; ``aggregate_categories`` is its one-node
+case. ``build_v_matrix`` forms the M x M matrix of half pairwise squared
+response differences between categories.
 """
 
 from __future__ import annotations
@@ -17,54 +20,59 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NodeStats:
-    """Observation count with response sum and sum of squares."""
+    """Observation count with response sum and sum of squares: numbers for
+    one node, or read-only arrays with an entry per node or cell. Indexing
+    takes entries of every field (an int gives one node's Python numbers);
+    ``total - left`` subtracts field by field."""
 
     n: int
     sum: float
     sum_sq: float
+
+    def __post_init__(self):
+        for values in vars(self).values():
+            if isinstance(values, np.ndarray):
+                values.flags.writeable = False
 
     @classmethod
     def from_values(cls, values) -> "NodeStats":
         return cls.of_runs(values, [len(values)])[0]
 
     @classmethod
-    def of_runs(cls, values, sizes) -> list:
-        """The stats of each consecutive run of ``sizes`` values, in order."""
+    def of_runs(cls, values, sizes) -> "NodeStats":
+        """The stats of each consecutive run of ``sizes`` values, in order, each sum by math.fsum."""
         values = np.asarray(values, dtype=np.float64)
         sums, squares = values.tolist(), (values * values).tolist()
-        out, end = [], 0
-        for n in sizes:
-            start, end = end, end + n
-            out.append(cls(n, math.fsum(sums[start:end]), math.fsum(squares[start:end])))
-        return out
+        n = np.array(sizes, dtype=np.int64)
+        ends = np.cumsum(n).tolist()
+        runs = list(zip([0, *ends], ends))
+        return cls(n, *(np.array([math.fsum(v[a:b]) for a, b in runs]) for v in (sums, squares)))
 
-    def sse(self) -> float:
-        """Sum of squared deviations from the node mean, clamped at 0."""
-        if self.n == 0:
-            return 0.0
-        return max(0.0, self.sum_sq - self.sum * self.sum / self.n)
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, k) -> "NodeStats":
+        if isinstance(k, (int, np.integer)):
+            return NodeStats(*(getattr(self, f)[k].item() for f in ("n", "sum", "sum_sq")))
+        return type(self)(*(values[k] for values in vars(self).values()))
+
+    def __sub__(self, other: "NodeStats") -> "NodeStats":
+        return NodeStats(self.n - other.n, self.sum - other.sum, self.sum_sq - other.sum_sq)
+
+    def sse(self):
+        """Sum of squared deviations from the mean, ``sum_sq - sum^2 / n``
+        clamped at 0, of each entry; every entry needs n >= 1."""
+        sse = np.maximum(self.sum_sq - self.sum * self.sum / self.n, 0.0)
+        return sse if np.ndim(sse) else float(sse)
 
 
 @dataclass(frozen=True, eq=False)
-class CategoryStats:
-    """Per-category count, response sum, and response sum of squares.
-
-    Entry i of each read-only array belongs to the i-th category observed at
-    the node, in code order; ``index`` holds those category codes and ``n``
-    the counts as float64.
-    """
+class CategoryStats(NodeStats):
+    """Per-category stats of one node: entry i of each read-only array
+    belongs to the i-th category observed there, in code order; ``index``
+    holds those category codes and ``n`` the counts as float64."""
 
     index: np.ndarray
-    n: np.ndarray
-    sum: np.ndarray
-    sum_sq: np.ndarray
-
-    def __post_init__(self):
-        for values in (self.index, self.n, self.sum, self.sum_sq):
-            values.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +120,23 @@ def pairwise_variance(values) -> float:
 _MAX_BINS = 1 << 18
 
 
+def node_codes(codes) -> np.ndarray:
+    """A node's category codes as int64; ValueError for no codes or a code that is not a whole number."""
+    codes = np.asarray(codes)
+    if len(codes) == 0:
+        raise ValueError("empty node")
+    if codes.dtype.kind not in "biu" and not np.all(np.isfinite(codes) & (np.floor(codes) == codes)):
+        raise ValueError("category codes must be whole numbers")
+    return codes.astype(np.int64, copy=False)
+
+
 def category_cells(y, codes, m: int, seg):
-    """Count, response sum and sum of squares of every (segment, observed
-    category) pair, ``(seg, code, n, s, q)`` by segment, then code, each sum
-    in its segment's row order, and each segment's totals ``(n, s, q)``: its
-    cells' sums, by math.fsum over more than two (a sum of two is correctly
-    rounded). ``seg`` groups the rows by ascending id, none empty. A code
-    outside ``[0, m)`` would fold into another cell and raises ValueError."""
+    """``(cell_seg, cells, totals)``: the segment of every (segment, observed
+    category) cell, the cells' CategoryStats by segment, then code, each sum
+    in its segment's row order, and each segment's NodeStats with int counts:
+    its cells' sums, by math.fsum over more than two (a sum of two is
+    correctly rounded). ``seg`` groups the rows by ascending id, none empty.
+    A code outside ``[0, m)`` would fold into another cell: ValueError."""
     if codes.min() < 0 or codes.max() >= m:
         raise ValueError(f"category codes must lie in [0, {m})")
     n_seg = int(seg[-1]) + 1
@@ -130,16 +148,16 @@ def category_cells(y, codes, m: int, seg):
         count = np.bincount(key)
         seen = np.flatnonzero(count)
         sums = (np.bincount(key, weights=v)[seen] for v in (w, w * w))
-        parts.append((seen // m + lo, seen % m, count[seen].astype(np.float64), *sums))
-    cells = cell_seg, _, n, s, q = tuple(np.concatenate(part) for part in zip(*parts))
+        parts.append((seen // m + lo, count[seen].astype(np.float64), *sums, seen % m))
+    cell_seg, n, s, q, code = (np.concatenate(part) for part in zip(*parts))
     sizes = np.bincount(cell_seg)
     starts = np.cumsum(sizes) - sizes
-    totals = tn, ts, tq = tuple(np.add.reduceat(v, starts) for v in (n, s, q))
+    tn, ts, tq = (np.add.reduceat(v, starts) for v in (n, s, q))
     big = np.flatnonzero(sizes > 2)
     sl, ql = s.tolist(), q.tolist()  # math.fsum reads a list about 3x faster than an array
     for k, a, b in zip(big.tolist(), starts[big].tolist(), (starts + sizes)[big].tolist()):
         ts[k], tq[k] = math.fsum(sl[a:b]), math.fsum(ql[a:b])
-    return cells, totals
+    return cell_seg, CategoryStats(n, s, q, code), NodeStats(tn.astype(np.int64), ts, tq)
 
 
 def aggregate_categories(codes, y, n_categories: int):
@@ -150,12 +168,9 @@ def aggregate_categories(codes, y, n_categories: int):
     NodeStats total is the fsum of the per-category sums, so the two stay
     exactly consistent. Codes outside ``[0, n_categories)`` raise ValueError.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(codes) == 0:
-        raise ValueError("empty node")
-    (_, index, n, s, q), (tn, ts, tq) = category_cells(y, codes, n_categories, np.zeros(len(codes), np.int64))
-    return CategoryStats(index, n, s, q), NodeStats(int(tn[0]), float(ts[0]), float(tq[0]))
+    codes, y = node_codes(codes), np.asarray(y, dtype=np.float64)
+    _, aggs, totals = category_cells(y, codes, n_categories, np.zeros(len(codes), np.int64))
+    return aggs, totals[0]
 
 
 def build_v_matrix(aggs: CategoryStats) -> VMatrix:

@@ -25,11 +25,10 @@ import numpy as np
 
 from .datasets import ColumnSchema, DataError, Dataset
 # best_split is not called here; bench/tracing.py wraps it under this name.
-from .splitting import SplitRule, best_split, best_splits  # noqa: F401
+from .splitting import CATEGORICAL_METHODS, SplitRule, best_split, best_splits  # noqa: F401
 from .stats import NodeStats
 
 ROUTINGS = ("complement", "majority")
-CATEGORICAL_METHODS = ("qubo", "greedy", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -301,20 +300,17 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
     root_sse = NodeStats.from_values(response).sse()
     left_mask = _left_masker(data)
 
-    # Nodes in breadth-first order, and the splits of the inner ones: each
-    # maps to its rule and the position of its left child; the right child
-    # comes next.
-    nodes, splits = [], {}
+    # Each level's node counts, response sums and SSEs, in breadth-first
+    # order, and the splits of the inner nodes: each maps to its rule and the
+    # position of its left child; the right child comes next.
+    levels, splits = [], {}
     level = [np.arange(data.n_rows)]
-    depth = 0
+    first = depth = 0
     while level:
-        first = len(nodes)
-        level_stats = NodeStats.of_runs(response[np.concatenate(level)], map(len, level))
-        nodes += [(stats, stats.sse()) for stats in level_stats]
-        searched = [
-            k for k, (stats, sse) in enumerate(nodes[first:])
-            if depth < cfg.max_depth and stats.n >= cfg.min_split and sse > 0.0
-        ]
+        stats = NodeStats.of_runs(response[np.concatenate(level)], [len(rows) for rows in level])
+        sse = stats.sse()
+        levels.append((stats.n, stats.sum, sse))
+        searched = np.flatnonzero((stats.n >= cfg.min_split) & (sse > 0.0)).tolist() if depth < cfg.max_depth else []
         candidates = best_splits(
             data, [level[k] for k in searched], method=cfg.categorical_method, min_bucket=cfg.min_bucket
         )
@@ -322,19 +318,18 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
         for k, candidate in zip(searched, candidates):
             if candidate is None:
                 continue
-            reduction = nodes[first + k][1] - candidate.cost
+            reduction = sse[k] - candidate.cost
             if reduction <= 0.0 or (root_sse > 0.0 and reduction / root_sse < cfg.cp):
                 continue
             splits[first + k] = candidate.rule, first + len(level) + len(children)
             mask = left_mask(candidate.rule, level[k])
             children += [level[k][mask], level[k][~mask]]
-        level = children
-        depth += 1
-    return RegressionTree(_preorder_table(nodes, splits), data.schema, cfg, data.n_rows, data.response_name)
+        first, level, depth = first + len(level), children, depth + 1
+    return RegressionTree(_preorder_table(levels, splits), data.schema, cfg, data.n_rows, data.response_name)
 
 
-def _preorder_table(nodes: list, splits: dict) -> NodeTable:
-    """``grow``'s breadth-first nodes as a preorder table, ids numbered in preorder."""
+def _preorder_table(levels: list, splits: dict) -> NodeTable:
+    """``grow``'s levels of ``(n, sum, sse)`` arrays as a preorder table, ids numbered in preorder."""
     order, stack = [], [0]
     while stack:
         k = stack.pop()
@@ -342,14 +337,9 @@ def _preorder_table(nodes: list, splits: dict) -> NodeTable:
         if k in splits:
             left = splits[k][1]
             stack += [left + 1, left]
-    stats = [nodes[k][0] for k in order]
-    return NodeTable.of(
-        np.arange(len(order), dtype=np.int64),
-        np.array([s.n for s in stats], dtype=np.int64),
-        np.array([s.sum / s.n for s in stats], dtype=np.float64),
-        np.array([nodes[k][1] for k in order], dtype=np.float64),
-        [_rule_fields(splits[k][0]) if k in splits else None for k in order],
-    )
+    n, sums, sse = (np.concatenate(part)[order] for part in zip(*levels))
+    rules = [_rule_fields(splits[k][0]) if k in splits else None for k in order]
+    return NodeTable.of(np.arange(len(order), dtype=np.int64), n, sums / n, sse, rules)
 
 
 def _routing(tree: RegressionTree, routing: Optional[str]) -> str:

@@ -20,7 +20,6 @@ from qubotree.splitting import (
     EXHAUSTIVE_MAX_CATEGORIES,
     SplitCandidate,
     SplitRule,
-    _two_child_sse,
     best_categorical_split_exhaustive,
     best_categorical_split_greedy,
     best_categorical_split_qubo,
@@ -28,7 +27,7 @@ from qubotree.splitting import (
     best_split,
     best_splits,
 )
-from qubotree.stats import aggregate_categories, build_v_matrix
+from qubotree.stats import NodeStats, aggregate_categories, build_v_matrix
 
 SPLITTERS = {
     "qubo": best_categorical_split_greedy,
@@ -51,8 +50,8 @@ def subset_candidate(column, aggs, left_mask, cost, trace=None):
 def sorted_scan(aggs, node):
     """Reference sorted-means scan of one node: its own stable sort and cumsum."""
     order = np.argsort(aggs.sum / aggs.n, kind="stable")
-    nl, sl, ql = (np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq))
-    costs = _two_child_sse(nl, sl, ql, node.n, node.sum, node.sum_sq)
+    left = NodeStats(*(np.cumsum(x[order])[:-1] for x in (aggs.n, aggs.sum, aggs.sum_sq)))
+    costs = left.sse() + (node - left).sse()
     best = int(np.argmin(costs))
     left_mask = np.zeros(len(aggs), dtype=bool)
     left_mask[order[: best + 1]] = True
@@ -76,9 +75,8 @@ def exhaustive_reference(y, codes, column):
     aggs, node = aggregate_categories(codes, y, len(column.categories))
     best_cost, best_bits = np.inf, None
     for bits in assignment_chunks(len(aggs)):
-        costs = _two_child_sse(
-            bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq, node.n, node.sum, node.sum_sq
-        )
+        left = NodeStats(bits @ aggs.n, bits @ aggs.sum, bits @ aggs.sum_sq)
+        costs = left.sse() + (node - left).sse()
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost, best_bits = float(costs[i]), bits[i].astype(bool)
@@ -98,11 +96,12 @@ def numeric_split_loop(y, x, variable, min_bucket=1):
     if len(cuts) == 0:
         return None
     sl, ql = np.cumsum(ys), np.cumsum(ys * ys)
-    nl = (cuts + 1).astype(np.float64)
-    costs = _two_child_sse(nl, sl[cuts], ql[cuts], n, sl[-1], ql[-1])
+    left = NodeStats((cuts + 1).astype(np.float64), sl[cuts], ql[cuts])
+    costs = left.sse() + (NodeStats(n, sl[-1], ql[-1]) - left).sse()
     best = int(np.argmin(costs))
     rule = SplitRule(variable, "threshold", threshold=float(0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])))
-    return SplitCandidate(rule, float(costs[best]), int(nl[best]), n - int(nl[best]))
+    n_left = int(left.n[best])
+    return SplitCandidate(rule, float(costs[best]), n_left, n - n_left)
 
 
 def one_node(data, indices, method, min_bucket, numeric, splitters):
@@ -282,3 +281,28 @@ def test_segments_must_be_non_empty():
     assert best_splits(data, []) == []
     with pytest.raises(ValueError, match="at least one row"):
         best_splits(data, [np.arange(2), np.arange(0)])
+
+
+def test_min_bucket_below_one_is_rejected():
+    # With min_bucket=0 a cut at segment 0's last row was priced against
+    # segment 1's rows at n - nl = 0: the NaN cost dropped segment 0's split.
+    y = [0.0, 0.0, 0.0, 5.0, 6.0, 7.0]
+    data = _dataset([0] * 6, 2, [1.0, 2.0, 3.0, 10.0, 11.0, 12.0], [0.0] * 6, y)
+    segments = [np.arange(3), np.arange(3, 6)]
+    first = best_splits(data, segments, min_bucket=1)[0]
+    assert (first.rule.threshold, first.cost) == (1.5, 0.0)
+    for search in (
+        lambda: best_splits(data, segments, min_bucket=0),
+        lambda: best_split(data, segments[0], min_bucket=-1),
+        lambda: best_numeric_split(np.array(y), data.column("x"), "x", min_bucket=0),
+    ):
+        with pytest.raises(ValueError, match="min_bucket >= 1"):
+            search()
+
+
+@pytest.mark.parametrize("method", ["bogus", None, "QUBO"])
+def test_unknown_method_is_rejected(method):
+    data = _dataset([0, 1, 0, 1], 2, [0.0, 1.0, 2.0, 3.0], [0.0] * 4, [1.0, 2.0, 3.0, 4.0])
+    for search in (lambda: best_splits(data, [np.arange(4)], method), lambda: best_split(data, np.arange(4), method)):
+        with pytest.raises(ValueError, match="unknown categorical method"):
+            search()

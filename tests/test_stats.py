@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qubotree import (
     ColumnSchema,
@@ -9,7 +10,11 @@ from qubotree import (
     node_variance,
     pairwise_variance,
 )
-from qubotree.splitting import best_categorical_split_exhaustive, best_categorical_split_greedy
+from qubotree.splitting import (
+    best_categorical_split_exhaustive,
+    best_categorical_split_greedy,
+    best_categorical_split_qubo,
+)
 
 from conftest import naive_v_matrix, random_category_instance
 
@@ -148,3 +153,63 @@ def test_v_matrix_invariants():
     # Whole-node identity: sum of all entries = n^2 * Var.
     total = node.n**2 * node_variance(node)
     assert float(v.values.sum()) == pytest.approx(total, rel=1e-10)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    st.sampled_from([0.0, 5000.0, 1e10]),
+    st.lists(st.floats(-3.0, 3.0), min_size=36, max_size=36),
+    st.lists(st.integers(0, 6), min_size=6, max_size=6),
+)
+def test_record_arrays_equal_the_per_node_numbers_bit_for_bit(sizes, base, noise, cuts):
+    values = base + np.array(noise[: sum(sizes)])
+    runs = NodeStats.of_runs(values, sizes)
+    assert len(runs) == len(sizes)
+    ends = np.cumsum(sizes)
+    alone = [NodeStats.from_values(values[end - size : end]) for size, end in zip(sizes, ends)]
+    assert [runs[k] for k in range(len(sizes))] == alone
+    assert all(type(runs[k].n) is int and type(runs[k].sum) is float for k in range(len(sizes)))
+    assert hexes(runs.sse()) == [node.sse().hex() for node in alone]
+    # A left part of every run, as the scans price it: total - left, field by field.
+    nl = [min(c, size - 1) or 1 for c, size in zip(cuts, sizes)]
+    lefts = [NodeStats.from_values(values[end - size : end - size + k]) for k, size, end in zip(nl, sizes, ends)]
+    left = NodeStats(*(np.array([getattr(s, f) for s in lefts], dtype=float) for f in ("n", "sum", "sum_sq")))
+    right = runs - left
+    expected = [NodeStats(t.n - p.n, t.sum - p.sum, t.sum_sq - p.sum_sq) for t, p in zip(alone, lefts)]
+    assert hexes(right.sum) == hexes(e.sum for e in expected)
+    assert hexes(right.sum_sq) == hexes(e.sum_sq for e in expected)
+    if all(size > 1 for size in sizes):
+        assert hexes(right.sse()) == [e.sse().hex() for e in expected]
+    assert not right.n.flags.writeable
+
+
+def test_category_stats_is_the_per_category_record(worked_node):
+    codes, y, _ = worked_node
+    aggs, node = aggregate_categories(codes, y, 4)
+    assert isinstance(aggs, NodeStats) and len(aggs) == 4
+    assert not any(v.flags.writeable for v in (aggs.index, aggs.n, aggs.sum, aggs.sum_sq))
+    tail = aggs[1:]
+    assert tail.index.tolist() == [1, 2, 3] and tail.sum.tolist() == [10.0, 26.0, 1.0]
+    assert aggs[2] == NodeStats(2.0, 26.0, 340.0)
+    assert node.sse() == 445.0 - 39.0 * 39.0 / 6
+
+
+def test_fractional_codes_are_rejected():
+    # Cast to int64 these would read (0, 1, 1) and fold two rows into "b".
+    column = ColumnSchema("c", "categorical", ("a", "b"))
+    codes, y = np.array([0.5, 1.7, 1.2]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="whole numbers"):
+        aggregate_categories(codes, y, 2)
+    for search in (best_categorical_split_greedy, best_categorical_split_qubo, best_categorical_split_exhaustive):
+        with pytest.raises(ValueError, match="whole numbers"):
+            search(y, codes, column)
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            aggregate_categories(bad, y, 2)
+    # Whole numbers stored as floats are the same codes.
+    as_float, as_int = (best_categorical_split_greedy(y, c, column) for c in ([0.0, 1.0, 1.0], np.array([0, 1, 1])))
+    assert as_float == as_int
