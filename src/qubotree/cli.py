@@ -17,13 +17,12 @@ import time
 from contextlib import nullcontext
 from typing import Optional
 
-import numpy as np
-
 from .datasets import (
     DataError,
     Dataset,
     SplitSpecification,
-    infer_schema,
+    format_floats,
+    infer_schema,  # not called: load_csv sniffs kinds itself, but bench/tracing.py wraps this name
     load_csv,
     parse_schema,
     write_csv,
@@ -94,8 +93,7 @@ def _log_resolved(args) -> None:
 
 
 def _load_data(args) -> Dataset:
-    schema = infer_schema(args.data, args.response) if args.schema == "auto" else parse_schema(args.schema)
-    return load_csv(args.data, schema, args.response)
+    return load_csv(args.data, None if args.schema == "auto" else parse_schema(args.schema), args.response)
 
 
 def _settings(build, **values):
@@ -159,13 +157,9 @@ def cmd_predict(args) -> int:
     tree = load_model(args.model)
     data = load_csv(args.data, tree.schema, None)
     preds = predict_many(tree, data, args.routing)
-    # Each distinct value is formatted once. Distinct bit patterns, not
-    # distinct values, so 0.0 and -0.0 keep their own text.
-    bits, inverse = np.unique(preds.view(np.int64), return_inverse=True)
-    texts = np.array([float.__repr__(p) for p in bits.view(np.float64).tolist()], dtype=object)
     # A float's repr never needs CSV quoting, so joined lines are the bytes csv.writer would write.
     with _output(args.out) as fh:
-        fh.write("\n".join(["prediction", *texts[inverse].tolist()]) + "\n")
+        fh.write("\n".join(["prediction", *format_floats(preds)]) + "\n")
     if args.out:
         print(f"wrote {len(preds)} predictions to {args.out}")
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import NoReturn, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,11 @@ KINDS = ("numeric", "categorical", "binary")
 # threshold (700 net new containers): loading 200k rows ran 1 collection,
 # against 356 with 512-row blocks, which measured about 13% slower.
 _BLOCK_ROWS = 256
+
+# Rows formatted and written together by write_csv. Writing datagen's 200k
+# rows on 2 vCPUs, chunks of 4096 took 0.24-0.29 s and peaked 1.5 MB above
+# the loaded data; chunks of 32768 took 0.29-0.31 s and peaked 7.4 MB above.
+_WRITE_ROWS = 1 << 12
 
 
 class DataError(ValueError):
@@ -181,40 +186,44 @@ def parse_schema(spec: str) -> list:
     return out
 
 
-def infer_schema(path: str, response_column: str) -> list:
+def _sniff(cells, floor: str = "binary") -> str:
+    """The narrowest kind, no narrower than ``floor``, that takes every one of ``cells``.
+
+    Kinds widen from binary (each cell is the text 0 or 1) to numeric (each
+    parses as a float) to categorical (any cell).
+    """
+    if floor == "binary" and set(cells) <= {"0", "1"}:
+        return "binary"
+    if floor != "categorical":
+        try:
+            list(map(float, cells))
+            return "numeric"
+        except ValueError:
+            pass
+    return "categorical"
+
+
+def infer_schema(path: str, response_column: Optional[str]) -> list:
     """Sniff feature kinds from every cell of a CSV.
 
     A column whose cells are all 0/1 is binary, one whose cells all parse as
-    floats is numeric, and any other is categorical. A row whose width
-    differs from the header's raises DataError naming it.
+    floats is numeric, and any other is categorical; with no rows every
+    column is numeric. A row whose width differs from the header's raises
+    DataError naming it.
     """
     with _read_csv(path) as (header, reader):
-        features = [name for name in header if name != response_column]
-        binary = dict.fromkeys(features, True)
-        numeric = dict.fromkeys(features, True)
+        kinds = {name: "binary" for name in header if name != response_column}
         has_rows = False
         for start, block, columns in _blocks(reader, len(header)):
             if columns is None:
                 _reject_block(path, header, (), None, block, start)
             has_rows = True
             for name, cells in zip(header, columns):
-                if name == response_column:
-                    continue
-                binary[name] = binary[name] and set(cells) <= {"0", "1"}
-                if numeric[name] and not binary[name]:
-                    try:
-                        list(map(float, cells))
-                    except ValueError:
-                        numeric[name] = False
-    out = []
-    for name in features:
-        if binary[name] and has_rows:
-            out.append(ColumnSchema(name, "binary"))
-        elif numeric[name]:
-            out.append(ColumnSchema(name, "numeric"))
-        else:
-            out.append(ColumnSchema(name, "categorical"))
-    return out
+                if name in kinds:
+                    kinds[name] = _sniff(cells, kinds[name])
+    if not has_rows:
+        kinds = dict.fromkeys(kinds, "numeric")
+    return [ColumnSchema(name, kind) for name, kind in kinds.items()]
 
 
 def _reject_block(path: str, header, schema, response_column: Optional[str], rows, start: int) -> NoReturn:
@@ -285,43 +294,37 @@ def _finite(path: str, name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optional[str]) -> Dataset:
-    """Load a header-first CSV against ``schema``.
+def _fields(schema, positions: dict, response_column: Optional[str]):
+    """The (kind, position, table) fields of ``_convert_block``, and the categorical columns' tables by name."""
+    tables = {col.name: {} for col in schema if col.kind == "categorical"}
+    fields = [(col.kind, positions[col.name], tables.get(col.name)) for col in schema]
+    if response_column is not None:
+        fields.append(("response", positions[response_column], None))
+    return fields, tables
 
-    Categorical category lists are taken in first-appearance order. Missing
-    values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
-    rejected with the offending row index, and so is a response whose sum of
-    squares overflows. A schema that names a column twice, or names the
-    response column, is rejected too, and so is an empty schema.
-    With ``response_column=None`` the result is a prediction-only frame.
 
-    Rows are converted in blocks of ``_BLOCK_ROWS``, one column at a time.
+def _convert_blocks(blocks, fields: list, binary_text=()):
+    """Each field's arrays, one per block, and the first block that failed as (start, rows), or None.
+
+    Conversion stops at the first failed block. A block fails when a row is
+    not the header's width, when ``_convert_block`` rejects a cell, or when a
+    column at a position in ``binary_text`` holds a cell other than the text
+    0 or 1.
     """
-    if not schema:
-        raise DataError("empty schema")
-    _no_repeats([col.name for col in schema], "the schema")
-    if any(col.name == response_column for col in schema):
-        raise DataError(f"the schema lists the response column {response_column!r} as a feature")
-    with _read_csv(path) as (header, reader):
-        positions = {name: i for i, name in enumerate(header)}
-        for col in schema:
-            if col.name not in positions:
-                raise DataError(f"{path}: header is missing schema column {col.name!r}")
-        if response_column is not None and response_column not in positions:
-            raise DataError(f"{path}: header is missing response column {response_column!r}")
+    parts = [[] for _ in fields]
+    for start, block, columns in blocks:
+        arrays = None
+        if columns is not None and all(_sniff(columns[i]) == "binary" for i in binary_text):
+            arrays = _convert_block(columns, len(block), fields)
+        if arrays is None:
+            return parts, (start, block)
+        for part, values in zip(parts, arrays):
+            part.append(values)
+    return parts, None
 
-        tables = {col.name: {} for col in schema if col.kind == "categorical"}
-        fields = [(col.kind, positions[col.name], tables.get(col.name)) for col in schema]
-        if response_column is not None:
-            fields.append(("response", positions[response_column], None))
-        parts = [[] for _ in fields]
-        for start, block, columns in _blocks(reader, len(header)):
-            arrays = None if columns is None else _convert_block(columns, len(block), fields)
-            if arrays is None:
-                _reject_block(path, header, schema, response_column, block, start)
-            for part, values in zip(parts, arrays):
-                part.append(values)
 
+def _dataset(path: str, schema, tables: dict, parts: list, response_column: Optional[str]) -> Dataset:
+    """Join the blocks' arrays into a Dataset, after the checks that need whole columns."""
     if not parts or not parts[0]:
         raise DataError(f"{path}: no data rows")
     arrays = [np.concatenate(part) for part in parts]
@@ -343,28 +346,138 @@ def load_csv(path: str, schema: Sequence[ColumnSchema], response_column: Optiona
     return Dataset(tuple(final_schema), columns, resp, response_column or "y")
 
 
+def _load_sniffed(path: str, response_column: Optional[str]) -> Optional[Dataset]:
+    """``load_csv`` under the kinds ``infer_schema`` would find, from one read of the file, or None.
+
+    The kinds are sniffed from the first block, and every block is converted
+    under them. None means this read cannot tell the outcome: a later block
+    widens a kind, a row or cell fails a check, the header lacks the response
+    column, or there are no features or no rows. Every other outcome,
+    including a non-finite value or an overflowing response, is the one
+    ``load_csv(path, infer_schema(path, response_column), response_column)``
+    gives, because that path reads the same blocks under the same kinds.
+    """
+    with _read_csv(path) as (header, reader):
+        positions = {name: i for i, name in enumerate(header)}
+        if response_column is not None and response_column not in positions:
+            return None
+        features = [name for name in header if name != response_column]
+        blocks = _blocks(reader, len(header))
+        first = next(blocks, None)
+        if not features or first is None or first[2] is None:
+            return None
+        schema = [ColumnSchema(name, _sniff(first[2][positions[name]])) for name in features]
+        fields, tables = _fields(schema, positions, response_column)
+        binary_text = [positions[col.name] for col in schema if col.kind == "binary"]
+        # An exhausted list iterator lets go of its list, and the name is
+        # dropped: the first block's text is freed once it is converted.
+        blocks, first = chain(iter([first]), blocks), None
+        parts, failed = _convert_blocks(blocks, fields, binary_text)
+    if failed is not None:
+        return None
+    return _dataset(path, schema, tables, parts, response_column)
+
+
+def load_csv(path: str, schema: Optional[Sequence[ColumnSchema]], response_column: Optional[str]) -> Dataset:
+    """Load a header-first CSV against ``schema``, or with ``schema=None`` against the kinds it sniffs.
+
+    Categorical category lists are taken in first-appearance order. Missing
+    values, unparseable cells and non-finite numbers (``nan``, ``inf``) are
+    rejected with the offending row index, and so is a response whose sum of
+    squares overflows. A schema that names a column twice, or names the
+    response column, is rejected too, and so is an empty schema.
+    With ``response_column=None`` the result is a prediction-only frame.
+
+    Rows are converted in blocks of ``_BLOCK_ROWS``, one column at a time.
+    ``schema=None`` gives exactly what ``infer_schema`` and then ``load_csv``
+    give, Dataset or DataError, but reads the file once unless a block
+    contradicts the kinds of the first or fails a check; then the file is
+    read again by those two steps.
+    """
+    if schema is None:
+        data = _load_sniffed(path, response_column)
+        return data if data is not None else load_csv(path, infer_schema(path, response_column), response_column)
+    if not schema:
+        raise DataError("empty schema")
+    _no_repeats([col.name for col in schema], "the schema")
+    if any(col.name == response_column for col in schema):
+        raise DataError(f"the schema lists the response column {response_column!r} as a feature")
+    with _read_csv(path) as (header, reader):
+        positions = {name: i for i, name in enumerate(header)}
+        for col in schema:
+            if col.name not in positions:
+                raise DataError(f"{path}: header is missing schema column {col.name!r}")
+        if response_column is not None and response_column not in positions:
+            raise DataError(f"{path}: header is missing response column {response_column!r}")
+        fields, tables = _fields(schema, positions, response_column)
+        parts, failed = _convert_blocks(_blocks(reader, len(header)), fields)
+        if failed is not None:
+            _reject_block(path, header, schema, response_column, failed[1], failed[0])
+    return _dataset(path, schema, tables, parts, response_column)
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so that ``csv.writer(_Echo()).writerow`` returns the row's text."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _format_distinct(values: np.ndarray, fmt) -> list:
+    """``fmt`` of each float of ``values``, called once per distinct bit pattern.
+
+    Bit patterns, not values, so that 0.0 and -0.0 keep their own text.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def format_floats(values: np.ndarray) -> list:
+    """Each value's shortest round-trip repr, as text that never needs CSV quoting."""
+    return _format_distinct(values, float.__repr__)
+
+
+def _format_binary(values: np.ndarray) -> list:
+    return _format_distinct(values, lambda v: str(int(v)))
+
+
 def write_csv(data: Dataset, path: str) -> None:
     """Write a dataset back out with decoded category labels.
 
-    Floats use shortest round-trip repr so reruns are byte-identical.
+    Floats use shortest round-trip repr so reruns are byte-identical. The
+    bytes are those of ``csv.writer`` writing one row at a time, except that
+    a label or column name holding a lone carriage return is quoted. Rows
+    are formatted and written in chunks of ``_WRITE_ROWS``, column by column.
     """
+    header = [c.name for c in data.schema] + ([data.response_name] if data.response is not None else [])
+    # csv.writer quotes a field holding a character of its line terminator.
+    # With "\r\n" named, a lone carriage return in a label or column name is
+    # quoted too, as csv.reader needs to read it back; each line still ends
+    # in "\n".
+    quoter = csv.writer(_Echo(), lineterminator="\r\n")
+    # A label's text as the quoter writes it in a row of the file's width:
+    # a row of one empty field is quoted, an empty field among others is not.
+    pad = [""][:len(header) - 1]
+    cut = len(pad) + 2
+    columns = []
+    for col in data.schema:
+        values = data.columns[col.name]
+        if col.kind == "categorical":
+            labels = np.array([quoter.writerow([label, *pad])[:-cut] for label in col.categories], dtype=object)
+            codes = values.astype(np.int64, copy=False)  # whole-number float codes index too
+            columns.append((codes, lambda chunk, labels=labels: labels[chunk].tolist()))
+        elif col.kind == "binary":
+            columns.append((values, _format_binary))
+        else:
+            columns.append((values, format_floats))
+    if data.response is not None:
+        columns.append((data.response, format_floats))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        names = [c.name for c in data.schema]
-        header = names + ([data.response_name] if data.response is not None else [])
-        writer.writerow(header)
-        decoded = []
-        for col in data.schema:
-            arr = data.columns[col.name]
-            if col.kind == "categorical":
-                decoded.append([col.categories[int(v)] for v in arr])
-            elif col.kind == "binary":
-                decoded.append([str(int(v)) for v in arr])
-            else:
-                decoded.append([repr(float(v)) for v in arr])
-        if data.response is not None:
-            decoded.append([repr(float(v)) for v in data.response])
-        writer.writerows(zip(*decoded))
+        fh.write(quoter.writerow(header)[:-2] + "\n")
+        for lo in range(0, data.n_rows, _WRITE_ROWS):
+            texts = [fmt(values[lo:lo + _WRITE_ROWS]) for values, fmt in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def partition(data: Dataset, spec: SplitSpecification):

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import pytest
 
+from qubotree import datasets
 from qubotree.cli import build_parser, main
 from qubotree.tree import TreeNode
 
@@ -96,13 +98,18 @@ def test_train_method_variants_agree(tmp_path, small_csv, capsys):
 
 
 def test_train_auto_schema(tmp_path, small_csv, capsys):
-    model = str(tmp_path / "model.json")
-    code, _, _ = _run(
-        ["train", "--data", small_csv, "--schema", "auto", "--response", "ClaimAmount",
-         "--max-depth", "2", "--out", model],
-        capsys,
-    )
-    assert code == 0
+    models = {}
+    for schema in ("auto", SCHEMA):
+        models[schema] = str(tmp_path / f"model-{len(models)}.json")
+        # On a well-formed file the auto schema is sniffed in the one read, not by infer_schema.
+        with mock.patch.object(datasets, "infer_schema", side_effect=AssertionError("second read")):
+            code, _, _ = _run(
+                ["train", "--data", small_csv, "--schema", schema, "--response", "ClaimAmount",
+                 "--max-depth", "2", "--out", models[schema]],
+                capsys,
+            )
+        assert code == 0
+    assert open(models["auto"], "rb").read() == open(models[SCHEMA], "rb").read()
 
 
 def test_train_malformed_schema(tmp_path, small_csv, capsys):

@@ -1,5 +1,7 @@
+import csv
 import os
 import tempfile
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -151,6 +153,30 @@ def _outcome(loader, path, schema, response):
         return str(exc)
 
 
+def _assert_same_outcome(got, want):
+    """Both loads raised one DataError text, or gave one schema and bit-equal arrays."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.schema == want.schema and got.response_name == want.response_name
+    for col in want.schema:
+        assert got.column(col.name).dtype == want.column(col.name).dtype
+        assert got.column(col.name).tobytes() == want.column(col.name).tobytes()
+    if want.response is None:
+        assert got.response is None
+    else:
+        assert got.response.dtype == np.float64 and got.response.tobytes() == want.response.tobytes()
+
+
+def _two_step_load(path, _, response):
+    return load_csv(path, infer_schema(path, response), response)
+
+
+def _one_read_load(path, _, response):
+    return load_csv(path, None, response)
+
+
 @given(small_csvs(), st.integers(1, 3))
 def test_block_loader_equals_row_wise_loader(case, block_rows):
     text, schema, response = case
@@ -161,18 +187,49 @@ def test_block_loader_equals_row_wise_loader(case, block_rows):
         want = _outcome(row_wise_load_csv, path, schema, response)
         with mock.patch.object(datasets, "_BLOCK_ROWS", block_rows):
             got = _outcome(load_csv, path, schema, response)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert not isinstance(got, str), got
-    assert got.schema == want.schema and got.response_name == want.response_name
-    for col in want.schema:
-        assert got.column(col.name).dtype == want.column(col.name).dtype
-        assert got.column(col.name).tobytes() == want.column(col.name).tobytes()
-    if response is None:
-        assert got.response is None
-    else:
-        assert got.response.dtype == np.float64 and got.response.tobytes() == want.response.tobytes()
+    _assert_same_outcome(got, want)
+
+
+@given(small_csvs(), st.integers(1, 3))
+def test_one_read_equals_the_two_step_load(case, block_rows):
+    # Blocks of 1 to 3 rows put kind-widening and bad cells after the block the kinds are sniffed from.
+    text, _, response = case
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with mock.patch.object(datasets, "_BLOCK_ROWS", block_rows):
+            want = _outcome(_two_step_load, path, None, response)
+            got = _outcome(_one_read_load, path, None, response)
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize(
+    "text, response",
+    [
+        ("a,b\n1,2\n", "Y"),  # no response column
+        ("a,b\n1,2\n3\n", "Y"),  # ... and a short row, which the two-step load reports first
+        ("Y\n1\n2\n", "Y"),  # no feature column
+        ("a,Y\n", "Y"),  # no rows
+        ("a,Y\n", None),
+        ("a,Y\n1,2\n", None),
+        ("a,Y\n0,1\n1,2\nx,3\n", "Y"),  # a binary-looking column turns categorical
+        ("a,Y\n0,1\n1,x\n", "Y"),  # a bad response in a later block
+    ],
+)
+def test_one_read_defers_to_the_two_step_load(tmp_path, text, response):
+    path = _write(tmp_path, text)
+    with mock.patch.object(datasets, "_BLOCK_ROWS", 1):
+        want = _outcome(_two_step_load, path, None, response)
+        _assert_same_outcome(_outcome(_one_read_load, path, None, response), want)
+
+
+def test_one_read_reads_a_well_formed_file_once(tmp_path):
+    path = str(tmp_path / "data.csv")
+    write_csv(generate_df(600, 4), path)
+    want = _two_step_load(path, None, "ClaimAmount")
+    with mock.patch.object(datasets, "infer_schema", side_effect=AssertionError("second read")):
+        _assert_same_outcome(_one_read_load(path, None, "ClaimAmount"), want)
 
 
 def test_block_loader_keeps_labels_first_seen_in_a_later_block(tmp_path):
@@ -285,6 +342,131 @@ def test_round_trip_write_load(tmp_path):
     assert np.array_equal(back.column("Mileage_km"), data.column("Mileage_km"))
 
 
+def test_loading_holds_one_block_of_text(tmp_path):
+    # README's memory limit: one block of rows as text, with an explicit schema and without.
+    path = str(tmp_path / "data.csv")
+    write_csv(generate_df(40, 4), path)
+    blocks, convert, live, counts = datasets._blocks, datasets._convert_block, [], []
+
+    class Rows(list):
+        pass  # a list that takes a weak reference
+
+    def tracked_blocks(reader, width):
+        for start, rows, columns in blocks(reader, width):
+            rows = Rows(rows)
+            live.append(weakref.ref(rows))
+            yield start, rows, columns
+
+    def counted_convert(*args):
+        counts.append(sum(ref() is not None for ref in live))
+        return convert(*args)
+
+    with mock.patch.object(datasets, "_BLOCK_ROWS", 4), mock.patch.object(datasets, "_blocks", tracked_blocks), \
+            mock.patch.object(datasets, "_convert_block", counted_convert):
+        for schema in (None, infer_schema(path, "ClaimAmount")):
+            load_csv(path, schema, "ClaimAmount")
+    assert counts == [1] * 20
+
+
+def row_wise_write_csv(data, path):
+    """The reference writer: ``csv.writer`` writing one decoded row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        columns = [(col, data.column(col.name)) for col in data.schema]
+        response = [] if data.response is None else [data.response_name]
+        writer.writerow([col.name for col, _ in columns] + response)
+        for i in range(data.n_rows):
+            row = []
+            for col, values in columns:
+                if col.kind == "categorical":
+                    row.append(col.categories[int(values[i])])
+                elif col.kind == "binary":
+                    row.append(str(int(values[i])))
+                else:
+                    row.append(repr(float(values[i])))
+            if data.response is not None:
+                row.append(repr(float(data.response[i])))
+            writer.writerow(row)
+
+
+# Label pieces: CSV's delimiter, quote and line ends, a leading space, non-ASCII text. A lone
+# "\r" is left to the round trip: csv.writer with a "\n" line end does not quote it.
+LABEL_PIECES = ["a", "b", " ", ",", '"', "\n", "\r\n", "\u00e9", "\u4e2d"]
+EXTREME_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def datasets_to_write(draw, pieces=LABEL_PIECES, min_rows=1, empty_label=False):
+    """A Dataset of 1 to 3 feature columns, with or without a response."""
+    kinds = draw(st.lists(st.sampled_from(datasets.KINDS), min_size=1, max_size=3))
+    n = draw(st.integers(min_rows, 12))
+    label = st.lists(st.sampled_from(pieces), min_size=0 if empty_label else 1, max_size=4).map("".join)
+    schema, columns = [], {}
+    for i, kind in enumerate(kinds):
+        name = f"c{i}"
+        if kind == "categorical":
+            labels = tuple(draw(st.lists(label, min_size=1, max_size=4, unique=True)))
+            codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+            schema.append(ColumnSchema(name, kind, labels))
+            # Whole-number float codes are valid codes too.
+            columns[name] = np.array(codes, dtype=draw(st.sampled_from([np.int64, np.float64])))
+            continue
+        cells = st.sampled_from([0.0, 1.0, -0.0]) if kind == "binary" else st.one_of(
+            st.sampled_from(EXTREME_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+        schema.append(ColumnSchema(name, kind))
+        columns[name] = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    response = None
+    if draw(st.booleans()):
+        # Bounded so that the response's sum of squares stays finite, as loading requires.
+        cells = st.one_of(st.sampled_from([-0.0, 5e-324]), st.floats(-1e100, 1e100))
+        response = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    return Dataset(tuple(schema), columns, response, "Y")
+
+
+@given(datasets_to_write(min_rows=0, empty_label=True))
+def test_write_csv_writes_what_csv_writer_writes(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        got, want = os.path.join(workdir, "got.csv"), os.path.join(workdir, "want.csv")
+        with mock.patch.object(datasets, "_WRITE_ROWS", 5):
+            write_csv(data, got)
+        row_wise_write_csv(data, want)
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
+
+
+def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
+    # csv.writer with a "\n" line end leaves "a\rb" bare, and csv.reader splits the row at the \r.
+    path = str(tmp_path / "data.csv")
+    data = Dataset((ColumnSchema("c", "categorical", ("a\rb",)),), {"c": np.zeros(2, dtype=np.int64)}, np.ones(2))
+    write_csv(data, path)
+    assert open(path, "rb").read() == b'c,y\n"a\rb",1.0\n"a\rb",1.0\n'
+
+
+@given(datasets_to_write(pieces=LABEL_PIECES + ["\r"]))
+def test_write_then_load_round_trips(data):
+    schema = [ColumnSchema(col.name, col.kind) for col in data.schema]
+    response = None if data.response is None else "Y"
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "data.csv")
+        with mock.patch.object(datasets, "_WRITE_ROWS", 5):
+            write_csv(data, path)
+        back = load_csv(path, schema, response)
+    assert back.n_rows == data.n_rows
+    for col in data.schema:
+        got, want = back.column(col.name), data.column(col.name)
+        if col.kind == "categorical":
+            labels = back.schema_for(col.name).categories
+            assert [labels[code] for code in got] == [col.categories[int(code)] for code in want]
+        elif col.kind == "binary":
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes()
+    if response is None:
+        assert back.response is None
+    else:
+        assert back.response.tobytes() == data.response.tobytes()
+
+
 def test_parse_and_infer_schema(tmp_path):
     cols = parse_schema("a:numeric,b:categorical,c:binary")
     assert [(c.name, c.kind) for c in cols] == [
@@ -310,9 +492,12 @@ def test_infer_schema_reads_every_cell(tmp_path, n):
     assert [(c.name, c.kind) for c in infer_schema(path, "Y")] == [("c", "categorical"), ("b", "binary")]
     data = load_csv(path, infer_schema(path, "Y"), "Y")
     assert data.schema[0].categories[-1] == "abc"
+    _assert_same_outcome(load_csv(path, None, "Y"), data)
     # A 2 after n binary-looking cells makes the column numeric.
     rows = "".join(f"{i % 2},{i}\n" for i in range(n)) + "2,1\n"
-    assert infer_schema(_write(tmp_path, "b,Y\n" + rows, "late.csv"), "Y") == [ColumnSchema("b", "numeric")]
+    late = _write(tmp_path, "b,Y\n" + rows, "late.csv")
+    assert infer_schema(late, "Y") == [ColumnSchema("b", "numeric")]
+    assert load_csv(late, None, "Y").schema == (ColumnSchema("b", "numeric"),)
 
 
 def test_infer_schema_reports_a_short_row_like_load_csv(tmp_path):
@@ -323,6 +508,8 @@ def test_infer_schema_reports_a_short_row_like_load_csv(tmp_path):
         infer_schema(path, "Y")
     with pytest.raises(DataError, match=message):
         load_csv(path, [ColumnSchema("a", "numeric"), ColumnSchema("b", "categorical")], "Y")
+    with pytest.raises(DataError, match=message):
+        load_csv(path, None, "Y")
 
 
 def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
@@ -346,6 +533,8 @@ def test_header_naming_a_column_twice_is_rejected(tmp_path):
         infer_schema(path, "Y")
     with pytest.raises(DataError, match="header names column 'a' more than once"):
         load_csv(path, [ColumnSchema("b", "numeric")], "Y")
+    with pytest.raises(DataError, match="header names column 'a' more than once"):
+        load_csv(path, None, "Y")
 
 
 @pytest.mark.parametrize(
