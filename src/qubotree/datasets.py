@@ -55,9 +55,9 @@ class ColumnSchema:
 class Dataset:
     """Immutable columnar dataset with a numeric response.
 
-    Numeric and binary columns hold float64 values; categorical columns hold
-    int64 codes indexing into their schema's ``categories``. ``response`` is
-    None only for prediction-only frames.
+    Numeric and binary columns hold float64 values, a binary one only 0s and
+    1s; categorical columns hold int64 codes indexing into their schema's
+    ``categories``. ``response`` is None only for prediction-only frames.
     """
 
     schema: tuple
@@ -73,6 +73,10 @@ class Dataset:
                 raise DataError(f"column {col.name!r}: length {len(arr)} != {n}")
             if col.kind == "categorical" and n and (arr.min() < 0 or arr.max() >= len(col.categories)):
                 raise DataError(f"column {col.name!r}: codes must lie in [0, {len(col.categories)})")
+            if col.kind == "binary":
+                bad = np.flatnonzero((arr != 0) & (arr != 1))
+                if len(bad):
+                    raise DataError(f"column {col.name!r}: binary values must be 0 or 1, got {arr[bad[0]].item()!r}")
             arr.flags.writeable = False
         if self.response is not None:
             if len(self.response) != n:

@@ -1,12 +1,13 @@
 """Best-split search per variable.
 
-``best_splits`` searches many nodes at once, each column for all of them in
-one pass, with each node's own arithmetic; ``best_split`` is its one-node
-case. Numeric and binary variables use the sorted threshold scan. For a
-categorical variable one ``stats.category_cells`` pass sums the category
-cells and totals of every node, and one sorted-means scan, optimal for
-squared error, splits and prices them all, under ``greedy`` and ``qubo``
-alike. The paper's ratio iteration over split QUBOs,
+``search_level`` searches many nodes at once, each column for all of them
+in one pass, with each node's own arithmetic, and answers in per-node
+arrays, which ``grow`` reads; ``best_splits`` reads them into candidates,
+and ``best_split`` is its one-node case. Numeric and binary variables use
+the sorted threshold scan. For a categorical variable one
+``stats.category_cells`` pass sums the category cells and totals of every
+node, and one sorted-means scan, optimal for squared error, splits and
+prices them all, under ``greedy`` and ``qubo`` alike. The paper's ratio iteration over split QUBOs,
 ``best_categorical_split_qubo``, searches one node at a time. An
 exhaustive-partition searcher is the other baseline. Subset rules put the
 category with the smallest mean response on the left.
@@ -15,7 +16,7 @@ category with the smallest mean response on the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -108,13 +109,13 @@ def _first_minima(costs: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return at_min[np.concatenate(([True], group[at_min[1:]] != group[at_min[:-1]]))]
 
 
-def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: int, variable: str):
+def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: int):
     """Threshold scan over midpoints between consecutive distinct values, per segment.
 
-    Returns ``(ids, cost, n_left, n_right, candidate)`` for the segments with
-    a threshold that leaves ``min_bucket`` rows on each side; ``candidate(k)``
-    builds the k-th one. Within a segment the first minimum, the smallest
-    threshold, wins. One stable sort orders every segment at once.
+    Returns ``(ids, cost, n_left, n_right, threshold)`` for the segments with
+    a threshold that leaves ``min_bucket`` rows on each side. Within a
+    segment the first minimum, the smallest threshold, wins. One stable sort
+    orders every segment at once.
     """
     order = np.lexsort((x, segs.seg))
     xs, ys = x[order], y[order]
@@ -123,7 +124,7 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     )
     if len(cuts) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros(0), empty, empty, None
+        return empty, np.zeros(0), empty, empty, np.zeros(0)
 
     owner = segs.seg[cuts]
     # Each running sum at every cut, then at its segment's last row: the total.
@@ -134,16 +135,8 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     costs = left.sse() + (total - left).sse()
     best = _first_minima(costs, owner)
     at = cuts[best]
-    threshold = 0.5 * (xs[at] + xs[at + 1])
-    cost = costs[best]
     n_left = segs.pos[at] + 1
-    n_right = segs.sizes[owner[best]] - n_left
-
-    def candidate(k: int) -> SplitCandidate:
-        rule = SplitRule(variable, "threshold", threshold=float(threshold[k]))
-        return SplitCandidate(rule, float(cost[k]), int(n_left[k]), int(n_right[k]))
-
-    return owner[best], cost, n_left, n_right, candidate
+    return owner[best], costs[best], n_left, segs.sizes[owner[best]] - n_left, 0.5 * (xs[at] + xs[at + 1])
 
 
 def _sorted_means_scan(segs: _Segments, cells: NodeStats, totals: NodeStats) -> tuple:
@@ -166,13 +159,17 @@ def _sorted_means_scan(segs: _Segments, cells: NodeStats, totals: NodeStats) -> 
     return costs[best], mask
 
 
+def _candidate(rule: tuple, cost, n_left, n_right, trace=None) -> SplitCandidate:
+    """A candidate of the rule fields ``(variable, kind, left_categories, right_categories, threshold)``."""
+    return SplitCandidate(SplitRule(*rule), float(cost), int(n_left), int(n_right), trace)
+
+
 def _subset_candidate(column: ColumnSchema, index, left_mask, n, cost, trace=None) -> SplitCandidate:
     """The subset rule of a node's observed category codes ``index``, with
     counts ``n``, split by ``left_mask``, which holds the smallest mean."""
     labels = (tuple(column.categories[i] for i in index[side].tolist()) for side in (left_mask, ~left_mask))
-    rule = SplitRule(column.name, "subset", *labels)
     n_left = int(n[left_mask].sum())
-    return SplitCandidate(rule, float(cost), n_left, int(n.sum()) - n_left, trace)
+    return _candidate((column.name, "subset", *labels, None), cost, n_left, int(n.sum()) - n_left, trace)
 
 
 def _smallest_mean_left(q, aggs: CategoryStats) -> np.ndarray:
@@ -199,9 +196,11 @@ def _subset_scan(y, codes, column, seg, method):
     categories (at most ``EXHAUSTIVE_MAX_CATEGORIES`` under ``exhaustive``).
 
     ``seg`` holds each row's segment id. Returns ``(ids, cost, n_left,
-    n_right, candidate)`` like ``_threshold_scan``. One sorted-means scan
-    splits and prices every segment, for ``greedy`` and ``qubo``;
-    ``exhaustive`` enumerates every partition instead.
+    n_right, (owner, cells, left))`` like ``_threshold_scan``, with each
+    split segment's observed category cells in code order: the position in
+    ``ids`` of each cell's segment, its CategoryStats and whether it goes
+    left. One sorted-means scan splits and prices every segment, for
+    ``greedy`` and ``qubo``; ``exhaustive`` enumerates every partition instead.
     """
     cell_seg, cells, totals = category_cells(y, codes, len(column.categories), seg)
     levels = np.bincount(cell_seg)
@@ -218,12 +217,7 @@ def _subset_scan(y, codes, column, seg, method):
             r = segs.rows(k, k)
             left[r], cost[k] = _exhaustive_one(cells[r], totals[k])
     n_left = np.add.reduceat(np.where(left, cells.n, 0.0), segs.starts).astype(np.int64)
-
-    def candidate(k: int) -> SplitCandidate:
-        r = segs.rows(k, k)
-        return _subset_candidate(column, cells.index[r], left[r], cells.n[r], cost[k])
-
-    return ids, cost, n_left, totals.n - n_left, candidate
+    return ids, cost, n_left, totals.n - n_left, (segs.seg, cells, left)
 
 
 def best_categorical_split_qubo(
@@ -246,9 +240,10 @@ def _one_node(y, codes, column: ColumnSchema, method: str) -> SplitCandidate:
     """The subset split of one node by ``_subset_scan``; ValueError without one."""
     codes = node_codes(codes)
     seg = np.zeros(len(codes), dtype=np.int64)
-    ids, _, _, _, candidate = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, seg, method)
+    ids, cost, _, _, found = _subset_scan(np.asarray(y, dtype=np.float64), codes, column, seg, method)
     if len(ids):
-        return candidate(0)
+        _, cells, left = found
+        return _subset_candidate(column, cells.index, left, cells.n, cost[0])
     if method == "exhaustive":
         m = np.count_nonzero(np.bincount(codes))
         raise ValueError(f"{column.name}: exhaustive search takes 2..{EXHAUSTIVE_MAX_CATEGORIES} categories, got {m}")
@@ -278,8 +273,102 @@ def best_numeric_split(
     y = np.asarray(y, dtype=np.float64)
     if x.min() == x.max():
         raise ValueError(f"{variable}: constant at this node")
-    ids, _, _, _, candidate = _threshold_scan(y, x, _Segments(np.array([len(x)])), min_bucket, variable)
-    return candidate(0) if len(ids) else None
+    ids, cost, n_left, n_right, threshold = _threshold_scan(y, x, _Segments(np.array([len(x)])), min_bucket)
+    if not len(ids):
+        return None
+    return _candidate((variable, "threshold", (), (), float(threshold[0])), cost[0], n_left[0], n_right[0])
+
+
+class LevelSplits(NamedTuple):
+    """The cheapest split of each node of a level, as per-node arrays.
+
+    ``column`` is the winning schema column, -1 where no column splits the
+    node; ``cost`` and ``n_left`` price and count its split, and
+    ``threshold`` is a threshold rule's cut, NaN elsewhere. The observed
+    category cells of the nodes a subset rule splits, by node and then code,
+    are ``cell_node``, ``cell_code`` and ``cell_left``, whether it goes left.
+    """
+
+    column: np.ndarray
+    cost: np.ndarray
+    n_left: np.ndarray
+    threshold: np.ndarray
+    cell_node: np.ndarray
+    cell_code: np.ndarray
+    cell_left: np.ndarray
+
+
+def search_level(data: Dataset, rows: np.ndarray, sizes: np.ndarray, method: str, min_bucket: int) -> LevelSplits:
+    """The cheapest split of each node of a level, under :func:`best_splits`'
+    rules: ``rows`` holds every node's row indices in turn and ``sizes``
+    their counts, none zero; the arguments are not checked."""
+    segs = _Segments(sizes)
+    y = data.response[rows]
+    n_seg = len(sizes)
+    best_cost = np.zeros(n_seg)
+    winner = np.full(n_seg, -1)
+    pick = np.zeros(n_seg, dtype=np.int64)
+    scans = []
+    for j, column in enumerate(data.schema):
+        values = data.column(column.name)[rows]
+        if column.kind == "categorical":
+            scan = _subset_scan(y, values, column, segs.seg, method)
+        else:
+            scan = _threshold_scan(y, values, segs, min_bucket)
+        ids, cost, n_left, n_right, _ = scan
+        scans.append(scan)
+        ok = (n_left >= min_bucket) & (n_right >= min_bucket)
+        k = np.flatnonzero(ok & ((winner[ids] < 0) | (cost < best_cost[ids])))
+        best_cost[ids[k]] = cost[k]
+        winner[ids[k]] = j
+        pick[ids[k]] = k
+    n_left = np.zeros(n_seg, dtype=np.int64)
+    threshold = np.full(n_seg, np.nan)
+    cells = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))]
+    for j, (ids, _, scan_n_left, _, found) in enumerate(scans):
+        won = np.flatnonzero(winner == j)
+        k = pick[won]
+        n_left[won] = scan_n_left[k]
+        if data.schema[j].kind != "categorical":
+            threshold[won] = found[k]
+        elif len(won):
+            owner, stats, left = found
+            node = np.full(len(ids), -1)
+            node[k] = won
+            node = node[owner]
+            cells.append((node, stats.index, left))
+    node, code, left = (np.concatenate(part) for part in zip(*cells))
+    kept = np.flatnonzero(node >= 0)
+    # One winning column per node: a stable sort keeps each node's code order.
+    kept = kept[np.argsort(node[kept], kind="stable")]
+    return LevelSplits(winner, best_cost, n_left, threshold, node[kept], code[kept], left[kept])
+
+
+def level_rules(schema: tuple, found: LevelSplits, nodes: np.ndarray) -> list:
+    """The rule fields ``(variable, kind, left_categories, right_categories,
+    threshold)`` of the splits of ``nodes``, increasing node positions in
+    ``found`` that each have one, in that order."""
+    rules = [None] * len(nodes)
+    columns = found.column[nodes]
+    for j in np.unique(columns).tolist():
+        at = np.flatnonzero(columns == j)
+        name, labels = schema[j].name, schema[j].categories
+        if schema[j].kind != "categorical":
+            for i, cut in zip(at.tolist(), found.threshold[nodes[at]].tolist()):
+                rules[i] = (name, "threshold", (), (), cut)
+            continue
+        # Each node's left labels, then its right ones, both in code order.
+        rank = np.full(len(found.column), -1)
+        rank[nodes[at]] = np.arange(len(at))
+        cell = np.flatnonzero(rank[found.cell_node] >= 0)
+        side = 2 * rank[found.cell_node[cell]] + ~found.cell_left[cell]
+        order = np.argsort(side, kind="stable")
+        names = [labels[c] for c in found.cell_code[cell[order]].tolist()]
+        edges = np.cumsum(np.bincount(side, minlength=2 * len(at))).tolist()
+        sides = [tuple(names[a:b]) for a, b in zip([0, *edges], edges)]
+        for m, i in enumerate(at.tolist()):
+            rules[i] = (name, "subset", sides[2 * m], sides[2 * m + 1], None)
+    return rules
 
 
 def best_splits(
@@ -293,9 +382,10 @@ def best_splits(
     ``segments`` is a sequence of non-empty index arrays into ``data``; the
     result holds one SplitCandidate, or None, per segment, each equal to
     searching that segment alone. Every column is searched for all segments
-    at once. Ties break toward the earlier schema column. Constant columns,
-    and for ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES`` levels,
-    are skipped. Categorical candidates that leave a child below
+    at once, by :func:`search_level`, whose per-node arrays are read into
+    candidates here. Ties break toward the earlier schema column. Constant
+    columns, and for ``exhaustive`` those above ``EXHAUSTIVE_MAX_CATEGORIES``
+    levels, are skipped. Categorical candidates that leave a child below
     ``min_bucket`` are dropped rather than re-searched, identically for
     every method, so method comparisons stay aligned. An unknown ``method``
     or a ``min_bucket`` below 1 raises ValueError.
@@ -309,28 +399,13 @@ def best_splits(
     sizes = np.array([len(s) for s in segments], dtype=np.int64)
     if sizes.min() == 0:
         raise ValueError("every segment needs at least one row")
-    segs = _Segments(sizes)
-    rows = np.concatenate(segments)
-    y = data.response[rows]
-    n_seg = len(sizes)
-    best_cost = np.zeros(n_seg)
-    winner = np.full(n_seg, -1)
-    pick = np.zeros(n_seg, dtype=np.int64)
-    builders = []
-    for j, column in enumerate(data.schema):
-        values = data.column(column.name)[rows]
-        if column.kind == "categorical":
-            scan = _subset_scan(y, values, column, segs.seg, method)
-        else:
-            scan = _threshold_scan(y, values, segs, min_bucket, column.name)
-        ids, cost, n_left, n_right, candidate = scan
-        builders.append(candidate)
-        ok = (n_left >= min_bucket) & (n_right >= min_bucket)
-        k = np.flatnonzero(ok & ((winner[ids] < 0) | (cost < best_cost[ids])))
-        best_cost[ids[k]] = cost[k]
-        winner[ids[k]] = j
-        pick[ids[k]] = k
-    return [None if j < 0 else builders[j](k) for j, k in zip(winner.tolist(), pick.tolist())]
+    found = search_level(data, np.concatenate(segments), sizes, method, min_bucket)
+    nodes = np.flatnonzero(found.column >= 0)
+    out = [None] * len(sizes)
+    picked = (a.tolist() for a in (nodes, found.cost[nodes], found.n_left[nodes], sizes[nodes]))
+    for rule, k, cost, n_left, size in zip(level_rules(data.schema, found, nodes), *picked):
+        out[k] = _candidate(rule, cost, n_left, size - n_left)
+    return out
 
 
 def best_split(

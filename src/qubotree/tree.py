@@ -25,7 +25,7 @@ import numpy as np
 
 from .datasets import ColumnSchema, DataError, Dataset
 # best_split is not called here; bench/tracing.py wraps it under this name.
-from .splitting import CATEGORICAL_METHODS, SplitRule, best_split, best_splits  # noqa: F401
+from .splitting import CATEGORICAL_METHODS, SplitRule, best_split, level_rules, search_level  # noqa: F401
 from .stats import NodeStats
 
 ROUTINGS = ("complement", "majority")
@@ -149,7 +149,7 @@ def _array(values, kind: type) -> np.ndarray:
             return np.array(values, dtype=np.int64 if kind is int else np.float64)
         except OverflowError:
             pass
-    return np.array(values, dtype=object)
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _rule_fields(rule: SplitRule) -> tuple:
@@ -266,80 +266,138 @@ def preorder(node: TreeNode):
             stack.append((cur.left, depth + 1))
 
 
-def _left_masker(data: Dataset):
-    """``left_mask(rule, idx)``: which rows ``idx`` of ``data`` go left under
-    a rule found on ``data`` itself, as growth applies each new split."""
-    codes = {c.name: {lab: k for k, lab in enumerate(c.categories)} for c in data.schema}
-
-    def left_mask(rule: SplitRule, idx: np.ndarray) -> np.ndarray:
-        values = data.column(rule.variable)[idx]
-        if rule.kind == "threshold":
-            return values < rule.threshold
-        code = codes[rule.variable]
-        table = np.zeros(len(code), dtype=bool)
-        table[[code[lab] for lab in rule.left_categories]] = True
-        return table[values]
-
-    return left_mask
-
-
 def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
     """Build a tree on the whole dataset, one depth level at a time.
 
     A node becomes a leaf at the depth cap, below ``min_split`` rows, at zero
     variance, when no variable admits a split leaving ``min_bucket`` rows per
     child, or when the best split's SSE reduction relative to the root SSE
-    falls below ``cp``. Accepted splits always strictly reduce SSE. The
-    splits of all open nodes of a level are searched by one
-    :func:`best_splits` call; node ids are then numbered in preorder.
+    falls below ``cp``. Accepted splits always strictly reduce SSE.
+
+    A level is arrays end to end: one :func:`search_level` call finds every
+    open node's cheapest split, the gates pick the splits kept for all nodes
+    at once, and :func:`_partition` sends the level's rows to the children;
+    each inner node's rule is built once. Node ids are then numbered in
+    preorder from the levels' subtree sizes.
     """
     cfg = cfg or GrowConfig()
     if data.response is None or data.n_rows == 0:
         raise DataError("cannot grow a tree without response values")
     response = data.response
     root_sse = NodeStats.from_values(response).sse()
-    left_mask = _left_masker(data)
 
-    # Each level's node counts, response sums and SSEs, in breadth-first
-    # order, and the splits of the inner nodes: each maps to its rule and the
-    # position of its left child; the right child comes next.
-    levels, splits = [], {}
-    level = [np.arange(data.n_rows)]
-    first = depth = 0
-    while level:
-        stats = NodeStats.of_runs(response[np.concatenate(level)], [len(rows) for rows in level])
+    # Each level's node counts, response sums and SSEs in breadth-first
+    # order, the positions of the nodes that split, whose children make up
+    # the next level in pairs, and their rules.
+    levels = []
+    rows, sizes = np.arange(data.n_rows), np.array([data.n_rows])
+    depth = 0
+    while len(sizes):
+        stats = NodeStats.of_runs(response[rows], sizes)
         sse = stats.sse()
-        levels.append((stats.n, stats.sum, sse))
-        searched = np.flatnonzero((stats.n >= cfg.min_split) & (sse > 0.0)).tolist() if depth < cfg.max_depth else []
-        candidates = best_splits(
-            data, [level[k] for k in searched], method=cfg.categorical_method, min_bucket=cfg.min_bucket
-        )
-        children = []
-        for k, candidate in zip(searched, candidates):
-            if candidate is None:
-                continue
-            reduction = sse[k] - candidate.cost
-            if reduction <= 0.0 or (root_sse > 0.0 and reduction / root_sse < cfg.cp):
-                continue
-            splits[first + k] = candidate.rule, first + len(level) + len(children)
-            mask = left_mask(candidate.rule, level[k])
-            children += [level[k][mask], level[k][~mask]]
-        first, level, depth = first + len(level), children, depth + 1
-    return RegressionTree(_preorder_table(levels, splits), data.schema, cfg, data.n_rows, data.response_name)
+        is_open = (stats.n >= cfg.min_split) & (sse > 0.0) & (depth < cfg.max_depth)
+        searched = np.flatnonzero(is_open)
+        split, rules = searched[:0], []
+        if len(searched):
+            if len(searched) < len(sizes):  # the rows of nodes that stay leaves drop out
+                rows = rows[np.repeat(is_open, sizes)]
+            found = search_level(data, rows, sizes[searched], cfg.categorical_method, cfg.min_bucket)
+            reduction = sse[searched] - found.cost
+            refused = (found.column < 0) | (reduction <= 0.0)  # a NaN reduction passes, as it always has
+            if root_sse > 0.0:
+                refused |= reduction / root_sse < cfg.cp
+            kept = np.flatnonzero(~refused)
+            split, rules = searched[kept], level_rules(data.schema, found, kept)
+            rows, sizes = _partition(data, rows, np.repeat(np.arange(len(searched)), sizes[searched]), found, kept)
+        else:
+            sizes = sizes[:0]
+        levels.append((stats.n, stats.sum, sse, split, rules))
+        depth += 1
+    return RegressionTree(_grown_table(levels), data.schema, cfg, data.n_rows, data.response_name)
 
 
-def _preorder_table(levels: list, splits: dict) -> NodeTable:
-    """``grow``'s levels of ``(n, sum, sse)`` arrays as a preorder table, ids numbered in preorder."""
-    order, stack = [], [0]
-    while stack:
-        k = stack.pop()
-        order.append(k)
-        if k in splits:
-            left = splits[k][1]
-            stack += [left + 1, left]
-    n, sums, sse = (np.concatenate(part)[order] for part in zip(*levels))
-    rules = [_rule_fields(splits[k][0]) if k in splits else None for k in order]
-    return NodeTable.of(np.arange(len(order), dtype=np.int64), n, sums / n, sse, rules)
+def _partition(data: Dataset, rows, seg, found, kept) -> tuple:
+    """The next level's rows and sizes. ``rows`` are the rows searched for
+    ``found`` and ``seg`` the node of each there; node ``kept[m]`` sends its
+    rows to children 2m (left) and 2m + 1, the other nodes none.
+
+    Each winning column decides all the rows at once, a threshold column by
+    one comparison with each row's threshold, a categorical one by one
+    lookup of each row's label code in a flat table of every subset rule's
+    sides; each row keeps its own column's decision. A stable sort then
+    keeps each child's rows in row order.
+    """
+    if not len(kept):
+        return rows[:0], np.zeros(0, dtype=np.int64)
+    rank = np.full(len(found.column), -1)
+    rank[kept] = np.arange(len(kept))
+    m = rank[seg]
+    if len(kept) < len(found.column):  # the rows of nodes that do not split drop out
+        split = m >= 0
+        rows, seg, m = rows[split], seg[split], m[split]
+    won = found.column[kept]
+    column = found.column[seg]
+    # A block per subset rule, one entry per label of its column: the side it sends the label to.
+    width = np.array([len(c.categories) for c in data.schema])[won]
+    start = np.zeros(len(found.column), dtype=np.int64)
+    start[kept] = np.cumsum(width) - width
+    cell = np.flatnonzero(rank[found.cell_node] >= 0)
+    side = np.zeros(int(width.sum()), dtype=bool)
+    side[start[found.cell_node[cell]] + found.cell_code[cell]] = found.cell_left[cell]
+    go_left = None
+    for j in np.unique(won).tolist():
+        values = data.column(data.schema[j].name)[rows]
+        if data.schema[j].kind == "categorical":  # another column's rows may index past the table
+            decided = side.take(start[seg] + values, mode="clip")
+        else:
+            decided = values < found.threshold[seg]
+        go_left = decided if go_left is None else np.where(column == j, decided, go_left)
+    # Nodes in turn, each one's left rows, then its right rows, in row order.
+    return rows[np.lexsort((~go_left, m))], np.bincount(2 * m + ~go_left, minlength=2 * len(kept))
+
+
+def _preorder(splits: list) -> tuple:
+    """Preorder numbering of a tree given level by level: ``splits[d]``
+    holds the positions, within breadth-first level d, of the nodes that
+    split, the last level's none; their children make up level d + 1 in
+    pairs, left then right.
+
+    Returns each node's preorder position and subtree size, in breadth-first
+    order. Sizes are summed up from the deepest level; a left child sits just
+    after its parent and a right child just after its sibling's subtree, so
+    each level's positions follow from the level above.
+    """
+    sizes, below = [], None
+    for count, split in zip([2 * len(split) for split in splits[-2::-1]] + [1], reversed(splits)):
+        size = np.ones(count, dtype=np.int64)
+        if len(split):
+            size[split] += below[0::2] + below[1::2]
+        sizes.append(size)
+        below = size
+    sizes.reverse()
+    places = [np.zeros(1, dtype=np.int64)]
+    for split, below in zip(splits, sizes[1:]):
+        parent = places[-1][split]
+        place = np.empty(2 * len(split), dtype=np.int64)
+        place[0::2] = parent + 1
+        place[1::2] = parent + 1 + below[0::2]
+        places.append(place)
+    return np.concatenate(places), np.concatenate(sizes)
+
+
+def _grown_table(levels: list) -> NodeTable:
+    """``grow``'s levels as a preorder table, ids numbered in preorder."""
+    splits = [level[3] for level in levels]
+    at, size = _preorder(splits)
+    order = np.empty_like(at)
+    order[at] = np.arange(len(at))  # the breadth-first index of each preorder position
+    n, sums, sse = (np.concatenate(part)[order] for part in zip(*[level[:3] for level in levels]))
+    starts = np.cumsum([0] + [len(level[0]) for level in levels])
+    inner = at[np.concatenate([start + split for start, split in zip(starts, splits)])]
+    rules = [None] * len(at)
+    for i, rule in zip(inner.tolist(), [rule for level in levels for rule in level[4]]):
+        rules[i] = rule
+    return NodeTable(np.arange(len(at), dtype=np.int64), n, sums / n, sse, size[order], tuple(rules))
 
 
 def _routing(tree: RegressionTree, routing: Optional[str]) -> str:
@@ -497,11 +555,28 @@ def _rule_to_dict(rule: Optional[tuple]):
     }
 
 
+def _header(tree: RegressionTree) -> dict:
+    """A model document without its nodes: an empty "nodes" list."""
+    return {
+        "format": "qubotree-model",
+        "version": 1,
+        "response": tree.response_name,
+        "n_train": tree.n_train,
+        "schema": [
+            {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
+            for c in tree.schema
+        ],
+        "config": asdict(tree.config),
+        "nodes": [],
+    }
+
+
 def tree_to_dict(tree: RegressionTree) -> dict:
     t = tree.table
     ids = t.ids.tolist()
     columns = zip(ids, t.n.tolist(), t.prediction.tolist(), t.sse.tolist(), t.rules, t.right.tolist())
-    nodes = [
+    doc = _header(tree)
+    doc["nodes"] = [
         {
             "id": node_id,
             "n": n,
@@ -513,23 +588,7 @@ def tree_to_dict(tree: RegressionTree) -> dict:
         }
         for i, (node_id, n, prediction, sse, rule, right) in enumerate(columns)
     ]
-    doc = {
-        "format": "qubotree-model",
-        "version": 1,
-        "response": tree.response_name,
-        "n_train": tree.n_train,
-        "schema": [
-            {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
-            for c in tree.schema
-        ],
-        "config": asdict(tree.config),
-        "nodes": nodes,
-    }
     return doc
-
-
-_NODE_FIELDS = itemgetter("id", "n", "prediction", "sse", "rule")
-_RULE_FIELDS = itemgetter("variable", "kind", "left_categories", "right_categories", "threshold")
 
 
 def _finite(x) -> bool:
@@ -538,62 +597,127 @@ def _finite(x) -> bool:
     return isinstance(x, float) and math.isfinite(x)
 
 
-def _rule_from_dict(node_id: int, raw: dict, columns: dict) -> tuple:
-    """A node's rule as the model file gives it, checked against the model's
-    schema, as ``SplitRule``'s fields: a caller that only checks builds no rule."""
-    variable, kind, left, right, threshold = _RULE_FIELDS(raw)
-    left, right = tuple(left), tuple(right)
+def _not_ints(values: np.ndarray) -> np.ndarray:
+    """Per entry of an array ``_array`` made: whether it is no int."""
+    if values.dtype != object:
+        return np.zeros(len(values), dtype=bool)
+    return np.array([type(v) is not int for v in values.tolist()], dtype=bool)
+
+
+def _not_finite(values: np.ndarray) -> np.ndarray:
+    """Per entry of an array ``_array`` made: whether it is no finite float."""
+    if values.dtype != object:
+        return ~np.isfinite(values)
+    return np.array([not _finite(v) for v in values.tolist()], dtype=bool)
+
+
+def _rule_fault(rule: tuple, columns: dict) -> Optional[str]:
+    """What is wrong with a rule's fields against the model's columns, or None."""
+    variable, kind, left, right, threshold = rule
     if kind not in ("threshold", "subset"):
-        raise DataError(f"node {node_id}: unknown rule kind {kind!r}")
+        return f"unknown rule kind {kind!r}"
     if variable not in columns:
-        raise DataError(f"node {node_id}: rule variable {variable!r} is not in the schema")
+        return f"rule variable {variable!r} is not in the schema"
     column_kind, labels = columns[variable]
     if (kind == "subset") != (column_kind == "categorical"):
-        raise DataError(f"node {node_id}: {kind} rule on {column_kind} column {variable!r}")
+        return f"{kind} rule on {column_kind} column {variable!r}"
     if kind == "threshold":
         if left or right or not _finite(threshold):
-            raise DataError(f"node {node_id}: a threshold rule takes a finite float threshold and no labels")
-    else:
-        sides = labels.intersection(left + right)
-        if not (left and right and len(sides) == len(left) + len(right)):
-            raise DataError(
-                f"node {node_id}: a subset rule takes two disjoint, non-empty lists of {variable!r} categories"
-            )
-        if threshold is not None:
-            raise DataError(f"node {node_id}: a subset rule takes no threshold")
-    return variable, kind, left, right, threshold
+            return "a threshold rule takes a finite float threshold and no labels"
+        return None
+    sides = labels.intersection(left + right)
+    if not (left and right and len(sides) == len(left) + len(right)):
+        return f"a subset rule takes two disjoint, non-empty lists of {variable!r} categories"
+    if threshold is not None:
+        return "a subset rule takes no threshold"
+    return None
 
 
-def _checked_nodes(doc: dict, schema: tuple):
-    """Check a model document's header and nodes as both ``save_model`` and
-    ``load_model`` require, yielding each node as ``(id, n, prediction, sse,
-    rule fields, left, right)`` in decreasing id order; a leaf's last three
-    are None. Whether the nodes form one tree is left to ``tree_from_dict``:
-    a tree's table always does.
+def _check_nodes(head: tuple, schema: tuple, ids, n, prediction, sse, inner, rules, left, right) -> None:
+    """Check a model's header and node columns as both ``save_model`` and
+    ``load_model`` require; the first fault raises DataError.
+
+    ``head`` is ``(version, n_train, response)``. ``ids``, ``n``,
+    ``prediction`` and ``sse`` are arrays as ``_array`` makes them, in one
+    node order; ``inner`` holds the increasing positions of the inner nodes
+    in it, and ``rules``, ``left`` and ``right`` their rule fields and child
+    ids. A fault is reported as a one-at-a-time check would find it: nodes
+    in decreasing id order (equal ids in node order), each node's fields,
+    children and rule before the nodes it links to. Child ids must exceed
+    their parent's, so there is no cycle, and every node but the first must
+    be the child of exactly one node: the nodes form one tree.
     """
-    got = version, n_train, response = doc["version"], doc["n_train"], doc["response"]
+    got = version, n_train, response = head
     if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:
         raise DataError(f"needs version 1, an int n_train >= 1 and a string as response, got {got!r}")
     columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
-    previous = None
-    for entry in sorted(doc["nodes"], key=itemgetter("id"), reverse=True):
-        node_id, n, prediction, sse, raw_rule = _NODE_FIELDS(entry)
-        if type(node_id) is not int:
-            raise DataError(f"node {node_id!r}: ids must be ints")
-        if node_id == previous:  # sorted, so equal ids are neighbours
-            raise DataError(f"node {node_id}: id appears more than once")
-        previous = node_id
-        if type(n) is not int or n < 1 or not (_finite(prediction) and _finite(sse)):
-            raise DataError(f"node {node_id}: needs an int n >= 1 and finite floats as prediction and sse")
-        if raw_rule is None:
-            yield node_id, n, prediction, sse, None, None, None
-            continue
-        left, right = entry["left"], entry["right"]
-        if type(left) is not int or type(right) is not int:
-            raise DataError(f"node {node_id}: child ids must be ints, got {left!r} and {right!r}")
-        if not node_id < min(left, right):
-            raise DataError(f"node {node_id}: child ids must be greater than the node's own id")
-        yield node_id, n, prediction, sse, _rule_from_dict(node_id, raw_rule, columns), left, right
+    id_list = ids.tolist()
+    order = np.array(sorted(range(len(ids)), key=id_list.__getitem__, reverse=True), dtype=np.int64)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    left, right = _array(left, int), _array(right, int)
+    # Each check's faulty nodes, in the order one node's checks run: the
+    # first three over every node, the others over the inner nodes. A check
+    # reads only nodes the checks before it passed.
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    counts = n < 1 if n.dtype != object else np.array([type(v) is not int or v < 1 for v in n.tolist()], dtype=bool)
+    kids = ~(_not_ints(left) | _not_ints(right))
+    at = np.flatnonzero(kids & ~_not_ints(ids[inner]))
+    above = np.zeros(len(inner), dtype=bool)
+    above[at] = ids[inner[at]] >= np.minimum(left[at], right[at])
+    rule_faults = [_rule_fault(rule, columns) for rule in rules]
+    faulty = [
+        _not_ints(ids), repeat, counts | _not_finite(prediction) | _not_finite(sse),
+        ~kids, above, np.array([fault is not None for fault in rule_faults], dtype=bool),
+    ]
+    first = (len(ids), 0)
+    for check, flagged in enumerate(faulty):
+        at = np.flatnonzero(flagged) if check < 3 else inner[flagged]
+        if len(at):
+            first = min(first, (int(rank[at].min()), check))
+    # Links: the nodes before the first fault claim their children in turn,
+    # left then right; a child must be among them and claimed only once.
+    before = np.flatnonzero(rank[inner] < first[0])
+    before = before[np.argsort(rank[inner[before]])]
+    claims = np.stack([left[before], right[before]], axis=1).ravel().tolist()
+    known = set(ids[order[: first[0]]].tolist())
+    missing = [child not in known for child in claims]
+    again = np.ones(len(claims), dtype=bool)
+    again[np.unique(claims, return_index=True)[1]] = False
+    bad = np.flatnonzero(np.array(missing, dtype=bool) | again)
+    if len(bad):
+        fault = "not in the node list" if missing[bad[0]] else "child of more than one node"
+        raise DataError(f"node {claims[bad[0]]}: {fault}")
+    if first[0] < len(ids):
+        position, check = int(order[first[0]]), first[1]
+        node_id = id_list[position]
+        if check < 3:
+            raise DataError(
+                (f"node {node_id!r}: ids must be ints", f"node {node_id}: id appears more than once",
+                 f"node {node_id}: needs an int n >= 1 and finite floats as prediction and sse")[check]
+            )
+        k = int(np.searchsorted(inner, position))
+        raise DataError(
+            (f"node {node_id}: child ids must be ints, got {left.tolist()[k]!r} and {right.tolist()[k]!r}",
+             f"node {node_id}: child ids must be greater than the node's own id",
+             f"node {node_id}: {rule_faults[k]}")[check - 3]
+        )
+    orphans = known.difference(claims, id_list[:1])
+    if orphans:
+        raise DataError(f"node {min(orphans)}: neither the root nor any node's child")
+
+
+def _column(entries: list, key: str) -> list:
+    """Each entry's value at ``key``."""
+    return list(map(itemgetter(key), entries))
+
+
+def _take(values, at: np.ndarray) -> list:
+    """``values[i]`` for each i of ``at``."""
+    if len(at) > 1:
+        return list(itemgetter(*at.tolist())(values))
+    return [values[i] for i in at.tolist()]
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
@@ -608,33 +732,38 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     nodes = doc["nodes"]
     if not nodes:
         raise DataError("the node list is empty")
-    # Nodes come in decreasing id order, and a child id must be greater than
-    # its parent's: no cycle and no recursion. With every other node the
-    # child of exactly one node, the nodes then form one tree under the first.
-    rows, children = {}, set()
-    for row in _checked_nodes(doc, schema):
-        node_id, _, _, _, rule, left, right = row
-        if rule is not None:
-            for child in (left, right):
-                if child not in rows:
-                    raise DataError(f"node {child}: not in the node list")
-                if child in children:
-                    raise DataError(f"node {child}: child of more than one node")
-                children.add(child)
-        rows[node_id] = row
-    root = nodes[0]["id"]
-    orphans = rows.keys() - children - {root}
-    if orphans:
-        raise DataError(f"node {min(orphans)}: neither the root nor any node's child")
-    # The rows in preorder, whatever order their ids were numbered in.
-    order, stack = [], [root]
-    while stack:
-        row = rows[stack.pop()]
-        order.append(row)
-        if row[4] is not None:
-            stack += row[6], row[5]
-    ids, n, prediction, sse, rules, _, _ = zip(*order)
-    table = NodeTable.of(_array(ids, int), _array(n, int), _array(prediction, float), _array(sse, float), rules)
+    head = doc["version"], doc["n_train"], doc["response"]
+    # Column by column, one key at a time: no per-node record is built.
+    ids, n, prediction, sse, raw = (_column(nodes, key) for key in ("id", "n", "prediction", "sse", "rule"))
+    inner = np.flatnonzero([rule is not None for rule in raw])
+    raw, kids = _take(raw, inner), _take(nodes, inner)
+    variable, kind, left, right, threshold = (
+        _column(raw, key) for key in ("variable", "kind", "left_categories", "right_categories", "threshold")
+    )
+    rules = list(zip(variable, kind, map(tuple, left), map(tuple, right), threshold))
+    left, right = _column(kids, "left"), _column(kids, "right")
+    ids, n, prediction, sse = _array(ids, int), _array(n, int), _array(prediction, float), _array(sse, float)
+    _check_nodes(head, schema, ids, n, prediction, sse, inner, rules, left, right)
+    # Breadth-first levels from the root, then the preorder of the nodes,
+    # whatever order their ids were numbered in.
+    position = dict(zip(ids.tolist(), range(len(ids)))).__getitem__
+    children = np.zeros((len(ids), 2), dtype=np.int64)
+    children[inner, 0], children[inner, 1] = list(map(position, left)), list(map(position, right))
+    has_rule = np.zeros(len(ids), dtype=bool)
+    has_rule[inner] = True
+    levels, splits = [np.zeros(1, dtype=np.int64)], []
+    while True:
+        splits.append(np.flatnonzero(has_rule[levels[-1]]))
+        if not len(splits[-1]):
+            break
+        levels.append(children[levels[-1][splits[-1]]].ravel())
+    at, size = _preorder(splits)
+    order = np.empty_like(at)
+    order[at] = np.concatenate(levels)  # the node of each preorder position
+    preorder_rules = [None] * len(ids)
+    for i, rule in zip(np.argsort(order)[inner].tolist(), rules):
+        preorder_rules[i] = rule
+    table = NodeTable(ids[order], n[order], prediction[order], sse[order], size[np.argsort(at)], tuple(preorder_rules))
     return RegressionTree(table, schema, cfg, doc["n_train"], doc["response"])
 
 
@@ -666,49 +795,60 @@ _INNER = """  {
   }"""
 
 
-def _labels_json(labels: list) -> str:
+def _labels_json(labels: tuple) -> str:
     """A rule's label list as json writes it at its depth in a node."""
     if not labels:
         return "[]"
     return "[\n     " + ",\n     ".join(map(encode_basestring_ascii, labels)) + "\n    ]"
 
 
-def _node_json(entry: dict) -> str:
-    # Checked nodes hold finite floats, which float.__repr__ writes as json does.
-    rule = entry["rule"]
-    if rule is None:
-        return _LEAF % (entry["id"], entry["n"], float.__repr__(entry["prediction"]), float.__repr__(entry["sse"]))
-    threshold = rule["threshold"]
-    return _INNER % (
-        entry["id"], entry["left"], entry["n"], float.__repr__(entry["prediction"]), entry["right"],
-        encode_basestring_ascii(rule["kind"]),
-        _labels_json(rule["left_categories"]),
-        _labels_json(rule["right_categories"]),
-        "null" if threshold is None else float.__repr__(threshold),
-        encode_basestring_ascii(rule["variable"]),
-        float.__repr__(entry["sse"]),
+# Nodes formatted at once by save_model: the text of one chunk is held at a time.
+_WRITE_NODES = 4096
+
+
+def _nodes_json(t: NodeTable, lo: int, hi: int) -> list:
+    """The entries of the "nodes" list at table positions ``lo`` to ``hi``,
+    formatted from the table's columns. Checked nodes hold finite floats,
+    which float.__repr__ writes as json does."""
+    size = t.size[lo:hi]
+    leaf, inner = np.flatnonzero(size == 1), np.flatnonzero(size > 1)
+    ids, n = t.ids[lo:hi].tolist(), t.n[lo:hi].tolist()
+    prediction, sse = (list(map(float.__repr__, v[lo:hi].tolist())) for v in (t.prediction, t.sse))
+    leaves = zip(*(_take(v, leaf) for v in (ids, n, prediction, sse)))
+    variable, kind, left, right, threshold = zip(*_take(t.rules[lo:hi], inner)) if len(inner) else ((),) * 5
+    text = {v: encode_basestring_ascii(v) for v in {*variable, *kind}}
+    labels = {v: _labels_json(v) for v in {*left, *right}}
+    splits = zip(
+        _take(ids, inner), t.ids[lo + inner + 1].tolist(), _take(n, inner), _take(prediction, inner),
+        t.ids[t.right[lo + inner]].tolist(), map(text.__getitem__, kind), map(labels.__getitem__, left),
+        map(labels.__getitem__, right), ["null" if x is None else float.__repr__(x) for x in threshold],
+        map(text.__getitem__, variable), _take(sse, inner),
     )
+    entries = [*map(_LEAF.__mod__, leaves), *map(_INNER.__mod__, splits)]
+    return _take(entries, np.argsort(np.concatenate([leaf, inner])))
 
 
 def save_model(tree: RegressionTree, path: str) -> None:
     """Write ``tree_to_dict(tree)`` as ``json.dump(..., indent=1, sort_keys=True)`` would.
 
     A tree that ``load_model`` would reject raises DataError before the file
-    is opened. json's pure-Python indenting encoder is slow on large trees,
-    so only the header goes through json; the nodes are formatted from fixed
-    templates and streamed.
+    is opened: the table's columns go through the checker ``load_model``
+    uses. json's pure-Python indenting encoder is slow on large trees, so
+    only the header goes through json; the nodes are formatted from the
+    table's columns with fixed templates, a chunk of positions at a time.
     """
-    doc = tree_to_dict(tree)
-    for _ in _checked_nodes(doc, tree.schema):
-        pass
-    nodes = doc["nodes"]
-    doc["nodes"] = []
+    t = tree.table
+    inner = np.flatnonzero(t.size > 1)
+    children = t.ids[inner + 1].tolist(), t.ids[t.right[inner]].tolist()
+    head = (1, tree.n_train, tree.response_name)
+    _check_nodes(head, tree.schema, t.ids, t.n, t.prediction, t.sse, inner, _take(t.rules, inner), *children)
     # At indent 1 a raw newline and one space start only top-level keys.
-    head, _, tail = json.dumps(doc, indent=1, sort_keys=True).partition('\n "nodes": []')
-    chunks = map(_node_json, nodes)
+    text = json.dumps(_header(tree), indent=1, sort_keys=True)
+    head, _, tail = text.partition('\n "nodes": []')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '\n "nodes": [\n' + next(chunks))
-        fh.writelines(",\n" + chunk for chunk in chunks)
+        fh.write(head + '\n "nodes": [\n')
+        for lo in range(0, len(t.ids), _WRITE_NODES):
+            fh.write(",\n" * (lo > 0) + ",\n".join(_nodes_json(t, lo, lo + _WRITE_NODES)))
         fh.write("\n ]" + tail + "\n")
 
 

@@ -319,6 +319,18 @@ def test_load_csv_binary_validation(tmp_path):
         load_csv(path, [ColumnSchema("A", "binary")], "Y")
 
 
+def test_dataset_rejects_a_binary_value_other_than_0_or_1(tmp_path):
+    # write_csv would write 0.5 as "0", which reads back changed without an error.
+    with pytest.raises(DataError, match=r"column 'b': binary values must be 0 or 1, got 0.5"):
+        Dataset((ColumnSchema("b", "binary"),), {"b": np.array([0.5, 1.0])}, np.ones(2))
+    for bad in (2.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="column 'b'"):
+            Dataset((ColumnSchema("b", "binary"),), {"b": np.array([1.0, bad])}, np.ones(2))
+    ok = Dataset((ColumnSchema("b", "binary"),), {"b": np.array([0.0, 1.0, -0.0])}, np.ones(3))
+    write_csv(ok, str(tmp_path / "ok.csv"))
+    assert (tmp_path / "ok.csv").read_text(encoding="utf-8") == "b,y\n0,1.0\n1,1.0\n0,1.0\n"
+
+
 def test_load_csv_precomputed_ratio_response(tmp_path):
     # Response supplied as a precomputed per-exposure column.
     path = _write(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +187,51 @@ def test_record_arrays_equal_the_per_node_numbers_bit_for_bit(sizes, base, noise
     if all(size > 1 for size in sizes):
         assert hexes(right.sse()) == [e.sse().hex() for e in expected]
     assert not right.n.flags.writeable
+
+
+# Runs of one and two values: signed zeros, cancellation, subnormals, the
+# largest finite values, pairs whose sum or sum of squares overflows, and
+# infinities.
+SHORT_RUNS = [
+    (-0.0,), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (3.5, -3.5), (-1e300, 1e300), (0.1, 0.2),
+    (5e-324,), (5e-324, 5e-324), (-5e-324, 5e-324), (2.2250738585072014e-308, -5e-324),
+    (1.7976931348623157e308,), (1.7976931348623157e308, -1.7976931348623157e308), (1e154, 1e154), (1e308, 1e308),
+    (math.inf,), (math.inf, 1.0), (math.inf, -math.inf),
+]
+
+
+def _sums(fn):
+    """``fn()``'s sum and sum of squares as float.hex, or the error it raises:
+    fsum's OverflowError, or its ValueError for inf + -inf."""
+    try:
+        with np.errstate(over="ignore"):  # squares may overflow to inf
+            total, squares = fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return total.hex(), squares.hex()
+
+
+def _fsums(values):
+    values = np.asarray(values, dtype=np.float64)
+    return math.fsum(values.tolist()), math.fsum((values * values).tolist())
+
+
+def _of_runs(values, sizes, k):
+    runs = NodeStats.of_runs(values, sizes)
+    return runs.sum[k], runs.sum_sq[k]
+
+
+@pytest.mark.parametrize("run", SHORT_RUNS, ids=[repr(run) for run in SHORT_RUNS])
+def test_short_runs_sum_as_fsum_does(run):
+    assert _sums(lambda: _of_runs(run, [len(run)], 0)) == _sums(lambda: _fsums(run))
+    # As one run among runs of every length, which are summed apart.
+    values = [1.0, 2.0, 3.0, *run, -0.0, 4.0, 4.0]
+    assert _sums(lambda: _of_runs(values, [3, len(run), 1, 2], 1)) == _sums(lambda: _fsums(run))
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=2))
+def test_drawn_short_runs_sum_as_fsum_does(run):
+    assert _sums(lambda: _of_runs(run, [len(run)], 0)) == _sums(lambda: _fsums(run))
 
 
 def test_category_stats_is_the_per_category_record(worked_node):

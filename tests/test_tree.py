@@ -573,7 +573,8 @@ def test_predict_many_equals_the_row_walk_bit_for_bit(tree, draw):
             columns[col.name] = np.array(draw.draw(st.permutations(list(range(len(labels))) + extra)), dtype=np.int64)
         else:
             schema.append(col)
-            columns[col.name] = np.array(draw.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+            cells = st.sampled_from([0.0, 1.0, -0.0]) if col.kind == "binary" else values
+            columns[col.name] = np.array(draw.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
     data = Dataset(tuple(schema), columns)
     for routing in ("complement", "majority"):
         rows = np.array([predict(tree, data.row(i), routing) for i in range(n)], dtype=np.float64)
