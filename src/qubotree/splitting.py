@@ -115,7 +115,10 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     Returns ``(ids, cost, n_left, n_right, threshold)`` for the segments with
     a threshold that leaves ``min_bucket`` rows on each side. Within a
     segment the first minimum, the smallest threshold, wins. One stable sort
-    orders every segment at once.
+    orders every segment at once. The cut between values ``lo < hi`` is
+    their midpoint where ``lo < mid <= hi``, and ``hi`` where the midpoint
+    rounds down to ``lo`` (adjacent floats) or overflows (near the float
+    limits), so ``x < threshold`` always sends exactly the rows up to ``lo`` left.
     """
     order = np.lexsort((x, segs.seg))
     xs, ys = x[order], y[order]
@@ -136,7 +139,11 @@ def _threshold_scan(y: np.ndarray, x: np.ndarray, segs: _Segments, min_bucket: i
     best = _first_minima(costs, owner)
     at = cuts[best]
     n_left = segs.pos[at] + 1
-    return owner[best], costs[best], n_left, segs.sizes[owner[best]] - n_left, 0.5 * (xs[at] + xs[at + 1])
+    lo, hi = xs[at], xs[at + 1]
+    with np.errstate(over="ignore"):  # an overflowed midpoint is inf, and hi cuts instead
+        mid = 0.5 * (lo + hi)
+    threshold = np.where((lo < mid) & (mid <= hi), mid, hi)
+    return owner[best], costs[best], n_left, segs.sizes[owner[best]] - n_left, threshold
 
 
 def _sorted_means_scan(segs: _Segments, cells: NodeStats, totals: NodeStats) -> tuple:

@@ -3,9 +3,9 @@
 Growth proceeds one depth level at a time: every variable of every open node
 of a level is searched in one batched call, with its kind-appropriate
 splitter, and each node's cheapest candidate wins.
-A tree is stored as one preorder table of per-node arrays; rows are routed
-through it a depth level at a time, and ``TreeNode`` objects are built only
-when ``RegressionTree.root`` is read.
+A tree is stored as one preorder table of per-node arrays. ``predict_many``
+routes rows through it a depth level at a time and ``predict`` one row at a
+time; ``RegressionTree.root`` is a read-only ``TreeNode`` view of the table.
 Categories a subset rule never saw at training are routed either to the
 complement (right) child or to the larger child, two semantics that only
 diverge on such unseen labels.
@@ -105,16 +105,6 @@ class NodeTable:
     size: np.ndarray
     rules: tuple
 
-    @classmethod
-    def of(cls, ids, n, prediction, sse, rules) -> "NodeTable":
-        """The table of per-node columns in preorder; the sizes follow from the rules."""
-        size = [1] * len(rules)
-        # Reversed preorder visits both children of a node before the node.
-        for i in reversed(range(len(rules))):
-            if rules[i] is not None:
-                size[i] = 1 + size[i + 1] + size[i + 1 + size[i + 1]]
-        return cls(ids, n, prediction, sse, np.array(size, dtype=np.int64), tuple(rules))
-
     @cached_property
     def right(self) -> np.ndarray:
         """Each inner node's right-child position; 0 at a leaf."""
@@ -142,7 +132,7 @@ class NodeTable:
 
 def _array(values, kind: type) -> np.ndarray:
     """``values`` as an int64 or float64 array. Where one is not of ``kind``
-    or does not fit, as in a hand-built tree that ``save_model`` refuses, an
+    or does not fit, as in a model document that ``load_model`` refuses, an
     object array holds them as given."""
     if set(map(type, values)) <= {kind}:
         try:
@@ -150,10 +140,6 @@ def _array(values, kind: type) -> np.ndarray:
         except OverflowError:
             pass
     return np.fromiter(values, dtype=object, count=len(values))
-
-
-def _rule_fields(rule: SplitRule) -> tuple:
-    return rule.variable, rule.kind, rule.left_categories, rule.right_categories, rule.threshold
 
 
 class _Routes(NamedTuple):
@@ -174,22 +160,11 @@ class RegressionTree:
     n_train: int
     response_name: str = "y"
 
-    @classmethod
-    def from_root(cls, root: TreeNode, schema: tuple, config: GrowConfig, n_train: int, response_name: str = "y"):
-        """The tree of hand-built nodes, their fields kept as given."""
-        nodes = [node for node, _ in preorder(root)]
-        table = NodeTable.of(
-            _array([node.id for node in nodes], int),
-            _array([node.n for node in nodes], int),
-            _array([node.prediction for node in nodes], float),
-            _array([node.sse for node in nodes], float),
-            [None if node.is_leaf else _rule_fields(node.rule) for node in nodes],
-        )
-        return cls(table, schema, config, n_train, response_name)
-
     @cached_property
     def root(self) -> TreeNode:
-        """The root of a ``TreeNode`` view of the table, built on first read."""
+        """The root of a read-only ``TreeNode`` view of the table, built on
+        first read. The library neither builds nor routes through it; its
+        readers are the benchmark's traced tree count and the tests."""
         t = self.table
         ids, n, prediction, sse, right = (a.tolist() for a in (t.ids, t.n, t.prediction, t.sse, t.right))
         built = [None] * len(ids)
@@ -249,21 +224,6 @@ class RegressionTree:
 
     def depth(self) -> int:
         return int(self.table.depth.max())
-
-
-def preorder(node: TreeNode):
-    """Yield ``(node, depth)`` for the subtree at ``node``, depth counted from it.
-
-    Parents come before their children and each left subtree before its
-    right one. This is the one read-only walk over ``TreeNode``s.
-    """
-    stack = [(node, 0)]
-    while stack:
-        cur, depth = stack.pop()
-        yield cur, depth
-        if not cur.is_leaf:
-            stack.append((cur.right, depth + 1))
-            stack.append((cur.left, depth + 1))
 
 
 def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
@@ -407,23 +367,11 @@ def _routing(tree: RegressionTree, routing: Optional[str]) -> str:
     return routing
 
 
-def _route_row(node: TreeNode, value, routing: str) -> TreeNode:
-    rule = node.rule
-    if rule.kind == "threshold":
-        return node.left if value < rule.threshold else node.right
-    if value in rule.left_categories:
-        return node.left
-    if routing == "complement" or value in rule.right_categories:
-        return node.right
-    # Label unseen at this node: send it with the larger training child.
-    return node.left if node.left.n >= node.right.n else node.right
-
-
 def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> float:
     """Predict one row given as a column -> value mapping.
 
-    The row-at-a-time walk over ``tree.root``: the reference the vectorized
-    :func:`leaf_positions` is held to.
+    The row-at-a-time walk over the node table, reading each rule as stored:
+    the reference the vectorized :func:`leaf_positions` is held to.
     """
     routing = _routing(tree, routing)
     for col in tree.schema:
@@ -431,10 +379,20 @@ def predict(tree: RegressionTree, row: dict, routing: Optional[str] = None) -> f
             raise DataError(f"row is missing column {col.name!r}")
         if col.kind == "categorical" and row[col.name] not in col.categories:
             raise DataError(f"column {col.name!r}: unknown category {row[col.name]!r}")
-    node = tree.root
-    while not node.is_leaf:
-        node = _route_row(node, row[node.rule.variable], routing)
-    return node.prediction
+    t, i = tree.table, 0
+    while (rule := t.rules[i]) is not None:
+        variable, kind, left, right, threshold = rule
+        value, to_right = row[variable], t.right.item(i)
+        if kind == "threshold":
+            go_left = value < threshold
+        elif value in left:
+            go_left = True
+        elif routing == "complement" or value in right:
+            go_left = False
+        else:  # a label unseen at this node goes with the larger training child
+            go_left = t.n.item(i + 1) >= t.n.item(to_right)
+        i = i + 1 if go_left else to_right
+    return t.prediction.item(i)
 
 
 def _model_columns(schema: tuple, data: Dataset, used: frozenset) -> np.ndarray:

@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from qubotree import ColumnSchema, Dataset, GrowConfig, generate_datagen, generate_df
 from qubotree.splitting import SplitRule
-from qubotree.tree import RegressionTree, TreeNode
+from qubotree.tree import RegressionTree, tree_from_dict
 
 # Property tests draw the same examples on every run, with a bounded count
 # and no per-example deadline, so tier-1 stays deterministic and its wall
@@ -45,13 +47,30 @@ def datagen_10k():
     return generate_datagen(10000, 123)
 
 
+def node_entry(node_id, n, prediction, sse, rule=None, left=None, right=None) -> dict:
+    """One entry of a model document's node list; ``rule`` is a SplitRule or None."""
+    rule = None if rule is None else asdict(rule)
+    return dict(id=node_id, n=n, prediction=prediction, sse=sse, rule=rule, left=left, right=right)
+
+
+def hand_tree(nodes: list, schema: tuple, config: GrowConfig, n_train: int) -> RegressionTree:
+    """The tree of a model document that holds ``nodes``, a list of ``node_entry``s, the root first."""
+    return tree_from_dict({
+        "format": "qubotree-model", "version": 1, "response": "y", "n_train": n_train,
+        "schema": [{"name": c.name, "kind": c.kind, "categories": list(c.categories)} for c in schema],
+        "config": asdict(config), "nodes": nodes,
+    })
+
+
 def chain_tree(inner: int) -> RegressionTree:
     """A tree of ``inner`` inner nodes in one chain: node 2k splits into leaf 2k+1 and node 2k+2."""
-    node = TreeNode(2 * inner, 1, 0.0, 0.0)
-    for k in reversed(range(inner)):
+    nodes = []
+    for k in range(inner):
         rule = SplitRule("x", "threshold", threshold=float(k))
-        node = TreeNode(2 * k, inner - k + 1, 1.0, 1.0, rule, TreeNode(2 * k + 1, 1, 2.0, 0.0), node)
-    return RegressionTree.from_root(node, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
+        nodes.append(node_entry(2 * k, inner - k + 1, 1.0, 1.0, rule, 2 * k + 1, 2 * k + 2))
+        nodes.append(node_entry(2 * k + 1, 1, 2.0, 0.0))
+    nodes.append(node_entry(2 * inner, 1, 0.0, 0.0))
+    return hand_tree(nodes, (ColumnSchema("x", "numeric"),), GrowConfig.max_tree(), inner + 1)
 
 
 def random_category_instance(rng, max_m=12, max_n=200):

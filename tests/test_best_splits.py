@@ -99,7 +99,9 @@ def numeric_split_loop(y, x, variable, min_bucket=1):
     left = NodeStats((cuts + 1).astype(np.float64), sl[cuts], ql[cuts])
     costs = left.sse() + (NodeStats(n, sl[-1], ql[-1]) - left).sse()
     best = int(np.argmin(costs))
-    rule = SplitRule(variable, "threshold", threshold=float(0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])))
+    lo, hi = float(xs[cuts[best]]), float(xs[cuts[best] + 1])
+    mid = 0.5 * (lo + hi)  # Python float addition overflows to inf without a warning
+    rule = SplitRule(variable, "threshold", threshold=mid if lo < mid <= hi else hi)
     n_left = int(left.n[best])
     return SplitCandidate(rule, float(costs[best]), n_left, n - n_left)
 

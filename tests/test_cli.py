@@ -4,13 +4,14 @@ import io
 import json
 import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from qubotree import datasets
+from qubotree import Dataset, datasets, load_csv, load_model, parse_schema, predict, predict_many
 from qubotree.cli import build_parser, main
-from qubotree.tree import TreeNode
+from qubotree.tree import ROUTINGS, TreeNode
 
 SCHEMA = "Brand:categorical,Color:categorical,Mileage_km:numeric,HasClaim:binary"
 
@@ -35,8 +36,8 @@ def test_generate_writes_deterministic_csv(tmp_path):
     b = str(tmp_path / "b.csv")
     assert main(["generate", "--kind", "datagen", "--n", "50", "--seed", "5", "--out", a]) == 0
     assert main(["generate", "--kind", "datagen", "--n", "50", "--seed", "5", "--out", b]) == 0
-    text = open(a).read()
-    assert text == open(b).read()
+    text = Path(a).read_text()
+    assert text == Path(b).read_text()
     assert text.splitlines()[0] == "Brand,Color,Mileage_km,HasClaim,ClaimAmount"
     assert len(text.splitlines()) == 51
 
@@ -65,7 +66,7 @@ def test_train_predict_eval_round_trip(tmp_path, small_csv, capsys):
     preds = str(tmp_path / "preds.csv")
     code, _, _ = _run(["predict", "--model", model, "--data", small_csv, "--out", preds], capsys)
     assert code == 0
-    lines = open(preds).read().splitlines()
+    lines = Path(preds).read_text().splitlines()
     assert lines[0] == "prediction"
     assert len(lines) == 301
 
@@ -78,7 +79,7 @@ def test_train_predict_eval_round_trip(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["relative_mse_pct"] == 0.0
     assert "relative_mse=0.000%" in out
 
@@ -93,7 +94,7 @@ def test_train_method_variants_agree(tmp_path, small_csv, capsys):
             capsys,
         )
         assert code == 0
-        models[method] = json.loads(open(path).read())["nodes"]
+        models[method] = json.loads(Path(path).read_text())["nodes"]
     assert models["qubo"] == models["greedy"] == models["exhaustive"]
 
 
@@ -109,7 +110,7 @@ def test_train_auto_schema(tmp_path, small_csv, capsys):
                 capsys,
             )
         assert code == 0
-    assert open(models["auto"], "rb").read() == open(models[SCHEMA], "rb").read()
+    assert Path(models["auto"]).read_bytes() == Path(models[SCHEMA]).read_bytes()
 
 
 def test_train_malformed_schema(tmp_path, small_csv, capsys):
@@ -156,14 +157,14 @@ def test_trace_command(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0] == "iteration,lambda_initial,binary_vector,score,lambda_final"
     assert "converged=True" in out
     code, stdout_table, _ = _run(
         ["trace", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount", "--column", "Brand"],
         capsys,
     )
-    assert code == 0 and stdout_table == open(out_path).read() + out  # the file, then the summary
+    assert code == 0 and stdout_table == Path(out_path).read_text() + out  # the file, then the summary
     # Zero-init trace starts from the all-zeros row.
     code, out, _ = _run(
         ["trace", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount",
@@ -199,7 +200,7 @@ def test_compare_on_worked_node(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0] == "method,left_partition,cost,iterations"
     rows = {line.split(",", 1)[0]: line for line in lines[1:]}
     assert set(rows) == {"qubo", "exhaustive", "greedy"}
@@ -210,7 +211,7 @@ def test_compare_on_worked_node(tmp_path, capsys):
         ["compare", "--data", str(path), "--schema", "c:categorical", "--response", "Y", "--column", "c"],
         capsys,
     )
-    assert code == 0 and out == open(out_path).read()
+    assert code == 0 and out == Path(out_path).read_text()
 
 
 def test_compare_exhaustive_row_ignores_the_solver_threshold(tmp_path, capsys):
@@ -281,7 +282,7 @@ def test_protocol_command(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0].startswith("tree_type,method,leaves,depth,alpha,train_mse")
     assert [l.split(",")[0] for l in lines[1:]] == ["root", "validation_best", "test_best", "max"]
     assert "test_best" in err  # diagnostic notice
@@ -327,7 +328,7 @@ def test_config_file_defaults_and_unknown_key(tmp_path, small_csv, capsys):
     )
     assert code == 0
     assert "max_depth=2" in err  # resolved config is logged
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     assert doc["config"]["max_depth"] == 2
 
     bad = tmp_path / "bad.cfg"
@@ -363,7 +364,7 @@ def test_cli_flag_overrides_config(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(open(model).read())["config"]["max_depth"] == 1
+    assert json.loads(Path(model).read_text())["config"]["max_depth"] == 1
 
 
 def test_config_equals_form(tmp_path, small_csv, capsys):
@@ -378,7 +379,7 @@ def test_config_equals_form(tmp_path, small_csv, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(open(model).read())["config"]["max_depth"] == 3
+    assert json.loads(Path(model).read_text())["config"]["max_depth"] == 3
 
 
 def test_threads_validation(tmp_path, small_csv, capsys):
@@ -797,24 +798,51 @@ def test_removed_option_exits_2_as_flag_and_as_config_key(tmp_path, capsys, comm
     assert (code, out, err.splitlines()[-1]) == (2, "", f"error: unknown config key {key!r}")
 
 
-def test_predict_and_eval_build_no_tree_nodes(tmp_path, small_csv, capsys, monkeypatch):
-    """predict and eval route rows through the node table: no TreeNode is built."""
+def _max_tree_model(tmp_path, small_csv, capsys) -> str:
+    """The path of a max tree trained on ``small_csv``."""
     model = str(tmp_path / "model.json")
     train = ["train", "--data", small_csv, "--schema", SCHEMA, "--response", "ClaimAmount", "--max-depth", "64",
              "--min-split", "2", "--min-bucket", "1", "--cp", "0", "--out", model]
     assert _run(train, capsys)[0] == 0
-    commands = [
-        ["predict", "--model", model, "--data", small_csv],
-        ["predict", "--model", model, "--data", small_csv, "--routing", "majority"],
-        ["eval", "--model", model, "--data", small_csv],
-    ]
-    before = [_run(argv, capsys)[:2] for argv in commands]
+    return model
 
+
+def _refuse_tree_nodes(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError("a TreeNode was built")
 
     monkeypatch.setattr(TreeNode, "__init__", refuse)
     with pytest.raises(AssertionError, match="a TreeNode was built"):
         TreeNode(0, 1, 0.0, 0.0)
+
+
+def test_predict_and_eval_build_no_tree_nodes(tmp_path, small_csv, capsys, monkeypatch):
+    """predict and eval route rows through the node table: no TreeNode is built."""
+    model = _max_tree_model(tmp_path, small_csv, capsys)
+    commands = [
+        ["predict", "--model", model, "--data", small_csv],
+        ["predict", "--model", model, "--data", small_csv, "--routing", "majority"],
+        ["eval", "--model", model, "--data", small_csv],
+    ]
+    before = [_run(argv, capsys)[:2] for argv in commands]
+    _refuse_tree_nodes(monkeypatch)
     assert [_run(argv, capsys)[:2] for argv in commands] == before
     assert all(code == 0 for code, _ in before)
+
+
+def test_row_predict_builds_no_tree_nodes(tmp_path, small_csv, capsys, monkeypatch):
+    """qubotree.predict walks the node table under both routings: no TreeNode is built."""
+    model = _max_tree_model(tmp_path, small_csv, capsys)
+    data = load_csv(small_csv, parse_schema(SCHEMA), "ClaimAmount")
+    # Each label moved to the next one, so rows reach subset rules that never saw their label.
+    columns = {
+        c.name: (data.column(c.name) + 1) % len(c.categories) if c.kind == "categorical" else data.column(c.name)
+        for c in data.schema
+    }
+    moved = Dataset(data.schema, columns)
+    _refuse_tree_nodes(monkeypatch)
+    tree = load_model(model)
+    expected = {routing: predict_many(tree, moved, routing).tolist() for routing in ROUTINGS}
+    assert expected["complement"] != expected["majority"]
+    for routing in ROUTINGS:
+        assert [predict(tree, moved.row(i), routing) for i in range(moved.n_rows)] == expected[routing]

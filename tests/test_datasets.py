@@ -2,6 +2,7 @@ import csv
 import os
 import tempfile
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -451,7 +452,7 @@ def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
     path = str(tmp_path / "data.csv")
     data = Dataset((ColumnSchema("c", "categorical", ("a\rb",)),), {"c": np.zeros(2, dtype=np.int64)}, np.ones(2))
     write_csv(data, path)
-    assert open(path, "rb").read() == b'c,y\n"a\rb",1.0\n"a\rb",1.0\n'
+    assert Path(path).read_bytes() == b'c,y\n"a\rb",1.0\n"a\rb",1.0\n'
 
 
 @given(datasets_to_write(pieces=LABEL_PIECES + ["\r"]))

@@ -19,6 +19,12 @@ from qubotree.stats import NodeStats
 # and a node of -0.0 responses must sum to 0.0, as math.fsum does.
 RESPONSES = np.array([-0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 2.5, 3.0, 1e-300, 7.0, 250.0, 0.1, -12.75])
 NUMBERS = np.array([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, -3.0, 10.0])
+# Neighbouring floats, whose midpoint rounds to one of them, and values near
+# the float limits, whose midpoint overflows.
+EDGES = np.array([
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 0.0, 5e-324,
+    -5e-324, 1e-323, 1.7e308, 1.79e308, np.finfo(np.float64).max, -1.7e308, -1.79e308, -np.finfo(np.float64).max,
+])
 
 
 def _fsum_stats(values: np.ndarray) -> NodeStats:
@@ -129,3 +135,15 @@ def test_grow_equals_the_per_node_reference(data, cfg):
     assert t.n.tolist() == n
     assert hexes(t.prediction) == hexes(prediction)
     assert hexes(t.sse) == hexes(sse)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([120, 30, 7, 2]), st.integers(1, 2), st.integers(1, 3))
+def test_every_split_sends_min_bucket_rows_each_way(seed, rows, columns, min_bucket):
+    rng = np.random.default_rng(seed)
+    schema = tuple(ColumnSchema(f"x{j}", "numeric") for j in range(columns))
+    data = Dataset(schema, {c.name: rng.choice(EDGES, rows) for c in schema}, rng.choice(RESPONSES, rows))
+    t = grow(data, GrowConfig.max_tree(min_split=2 * min_bucket, min_bucket=min_bucket)).table
+    inner = np.flatnonzero(t.size > 1)
+    left, right = t.n[inner + 1], t.n[t.right[inner]]
+    assert (left >= min_bucket).all() and (right >= min_bucket).all()
+    assert (left + right == t.n[inner]).all()

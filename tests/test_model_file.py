@@ -6,15 +6,16 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qubotree import ColumnSchema, DataError, GrowConfig, describe, generate_df, grow, load_model, save_model
 from qubotree.splitting import SplitRule
-from qubotree.tree import CATEGORICAL_METHODS, ROUTINGS, RegressionTree, TreeNode, tree_from_dict, tree_to_dict
+from qubotree.tree import CATEGORICAL_METHODS, ROUTINGS, NodeTable, RegressionTree, _array, tree_from_dict, tree_to_dict
 
 from conftest import chain_tree
 
@@ -64,20 +65,27 @@ def _rule(draw, schema):
     return SplitRule(col.name, "subset", tuple(labels[:cut]), tuple(labels[cut:end]))
 
 
-def _node(draw, schema, ids, depth, faults) -> TreeNode:
+def _node(draw, schema, ids, depth, faults, columns) -> int:
+    """Append a subtree's node fields to ``columns`` in preorder; returns its size."""
     node_id = next(ids)
-    fields = dict(id=node_id, n=draw(st.integers(1, 10**9)), prediction=draw(FINITE), sse=draw(FINITE))
+    fields = dict(id=node_id, n=draw(st.integers(1, 10**9)), prediction=draw(FINITE), sse=draw(FINITE), rule=None)
     if depth == 0 or depth < 3 and draw(st.booleans()):
         fields["rule"] = _rule(draw, schema)
     for name, where in faults:
         if where == node_id and name in NODE_FAULTS:
             fields[name] = draw(NODE_FAULTS[name])
-        if where == node_id and name in RULE_FAULTS and fields.get("rule") is not None:
+        if where == node_id and name in RULE_FAULTS and fields["rule"] is not None:
             fields["rule"] = replace(fields["rule"], **{name: draw(RULE_FAULTS[name])})
-    if fields.get("rule") is None:
-        return TreeNode(**fields)
-    kids = _node(draw, schema, ids, depth + 1, faults), _node(draw, schema, ids, depth + 1, faults)
-    return TreeNode(**fields, left=kids[0], right=kids[1])
+    if fields["rule"] is not None:
+        fields["rule"] = astuple(fields["rule"])
+    at = len(columns["size"])
+    for name, value in fields.items():
+        columns[name].append(value)
+    columns["size"].append(1)
+    if fields["rule"] is not None:
+        columns["size"][at] += _node(draw, schema, ids, depth + 1, faults, columns)
+        columns["size"][at] += _node(draw, schema, ids, depth + 1, faults, columns)
+    return columns["size"][at]
 
 
 @st.composite
@@ -95,12 +103,17 @@ def trees(draw, faults: int = 1) -> RegressionTree:
     )
     fault = st.tuples(st.none() | st.sampled_from(FAULT_NAMES), st.integers(0, 4))  # name, node id
     drawn = draw(st.lists(fault, min_size=1, max_size=faults))
-    root = _node(draw, schema, itertools.count(), 0, drawn)
+    columns = {name: [] for name in ("id", "n", "prediction", "sse", "rule", "size")}
+    _node(draw, schema, itertools.count(), 0, drawn, columns)
     head = {"n_train": draw(st.integers(1, 10**9)), "response": draw(LABELS)}
     for name, _ in drawn:
         if name in TREE_FAULTS:
             head[name] = draw(TREE_FAULTS[name])
-    return RegressionTree.from_root(root, schema, cfg, head["n_train"], head["response"])
+    table = NodeTable(
+        _array(columns["id"], int), _array(columns["n"], int), _array(columns["prediction"], float),
+        _array(columns["sse"], float), np.array(columns["size"], dtype=np.int64), tuple(columns["rule"]),
+    )
+    return RegressionTree(table, schema, cfg, head["n_train"], head["response"])
 
 
 def _loads(text: str) -> bool:
@@ -233,19 +246,19 @@ def test_a_document_that_is_not_one_tree_reports_the_first_broken_link(tree, edi
 
 
 def test_failed_save_leaves_the_existing_file(tmp_path):
-    # A NaN leaf prediction and a rule on a column the schema lacks, as a
-    # hand-built tree may have them.
-    rule = SplitRule("absent", "threshold", threshold=1.0)
-    root = TreeNode(0, 3, 1.0, 2.0, rule, TreeNode(1, 1, math.nan, 0.0), TreeNode(2, 2, 1.0, 0.5))
-    tree = RegressionTree.from_root(root, (ColumnSchema("x", "numeric"),), GrowConfig(), 3)
+    # A NaN leaf prediction and a rule on a column the schema lacks, set in
+    # the table of a tree that saves.
+    tree = chain_tree(1)
+    prediction = tree.table.prediction.copy()
+    prediction[1] = math.nan
+    rules = (("absent",) + tree.table.rules[0][1:],) + tree.table.rules[1:]
     path = tmp_path / "model.json"
     save_model(chain_tree(2), str(path))
     before = path.read_bytes()
     with pytest.raises(DataError, match="node 1: needs an int n >= 1 and finite floats"):
-        save_model(tree, str(path))
-    tree = RegressionTree.from_root(replace(root, left=replace(root.left, prediction=1.0)), tree.schema, tree.config, 3)
+        save_model(replace(tree, table=replace(tree.table, prediction=prediction, rules=rules)), str(path))
     with pytest.raises(DataError, match="node 0: rule variable 'absent' is not in the schema"):
-        save_model(tree, str(path))
+        save_model(replace(tree, table=replace(tree.table, rules=rules)), str(path))
     assert path.read_bytes() == before
 
 

@@ -23,7 +23,7 @@ from qubotree import (
 )
 from qubotree import describe, load_model, predict_many, save_model
 from qubotree.datasets import ColumnSchema, Dataset
-from qubotree.tree import RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
+from qubotree.tree import prune_to_leaf, tree_from_dict, tree_to_dict
 
 from conftest import chain_tree
 
@@ -291,6 +291,18 @@ def test_protocol_report_structure_and_ordering():
     assert test_best.test_mse <= best.test_mse
 
 
+def preorder(node):
+    """Yield ``(node, depth)`` for the ``TreeNode`` subtree at ``node``, parents
+    first and each left subtree before its right one."""
+    stack = [(node, 0)]
+    while stack:
+        cur, depth = stack.pop()
+        yield cur, depth
+        if not cur.is_leaf:
+            stack.append((cur.right, depth + 1))
+            stack.append((cur.left, depth + 1))
+
+
 # The dict-and-set ladder that preceded the preorder table, kept verbatim as
 # the reference the table-based prune_sequence must match bit for bit.
 class _Work:
@@ -382,7 +394,8 @@ def _reference_ladder(tree):
 
 
 def _reference_prune_to_leaf(tree, collapse_ids):
-    """The recursive walk that preceded ``prune_to_leaf``'s explicit stack."""
+    """The root of the pruned ``TreeNode`` view: the recursive walk that
+    preceded ``prune_to_leaf``'s explicit stack."""
     targets = frozenset(collapse_ids)
 
     def walk(node):
@@ -396,7 +409,7 @@ def _reference_prune_to_leaf(tree, collapse_ids):
             return node
         return replace(node, left=left, right=right)
 
-    return RegressionTree.from_root(walk(tree.root), tree.schema, tree.config, tree.n_train, tree.response_name)
+    return walk(tree.root)
 
 
 def _renumbered(tree):
@@ -423,7 +436,7 @@ def _assert_ladder_matches_reference(tree):
     assert got == [(a.hex(), leaves, r.hex(), c) for a, leaves, r, c in reference]
     for k in sorted({0, len(steps) // 2, len(steps) - 1}):
         collapsed = [t for _, _, _, ids in reference[: k + 1] for t in ids]
-        assert steps[k].tree.root == _reference_prune_to_leaf(tree, collapsed).root
+        assert steps[k].tree.root == _reference_prune_to_leaf(tree, collapsed)
 
 
 @st.composite

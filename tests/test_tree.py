@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from qubotree import (
     save_model,
 )
 from qubotree.splitting import SplitRule
-from qubotree.tree import TreeNode, RegressionTree, preorder, prune_to_leaf, tree_from_dict, tree_to_dict
+from qubotree.tree import prune_to_leaf, tree_from_dict, tree_to_dict
 
+from conftest import hand_tree, node_entry
 from test_model_file import FINITE, _loads, trees
 
 
@@ -293,6 +295,25 @@ def test_predict_threshold_boundary():
     assert predict(tree, {"x": 0.5}) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize(
+    "x, threshold",
+    [([1.0, np.nextafter(1.0, 2.0)], np.nextafter(1.0, 2.0)), ([1.7e308, 1.79e308], 1.79e308)],
+    ids=("adjacent-floats", "near-float-max"),
+)
+def test_threshold_between_close_or_huge_values_splits_the_rows(tmp_path, x, threshold):
+    # Their midpoint rounds down to the lower value or overflows to inf;
+    # either would send both rows one way, so the upper value is the cut.
+    data = _dataset([("x", "numeric", x)], [0.0, 1.0])
+    tree = grow(data, GrowConfig.max_tree())
+    assert (tree.leaf_count(), tree.depth(), tree.table.n.tolist()) == (2, 1, [2, 1, 1])
+    assert tree.table.rules[0] == ("x", "threshold", (), (), threshold)
+    path = str(tmp_path / "model.json")
+    save_model(tree, path)
+    back = load_model(path)
+    assert describe(back) == describe(tree)
+    assert predict_many(back, data).tolist() == [0.0, 1.0]
+
+
 def test_predict_unknown_column_and_category():
     data = _dataset([("c", "categorical", ["a", "a", "b", "b"])], [0.0, 0.0, 5.0, 5.0])
     tree = grow(data, FULL)
@@ -336,23 +357,19 @@ def test_routing_divergence_on_unseen_category():
         assert predict(tree, covered, "complement") == predict(tree, covered, "majority")
 
 
-def _hand_tree(shape, ids):
-    """A tree of the nested-pair ``shape`` (a leaf is None), node ids from ``ids`` in preorder."""
-    node_id = next(ids)
-    if shape is None:
-        return TreeNode(node_id, 1, 0.0, 0.0)
-    left, right = _hand_tree(shape[0], ids), _hand_tree(shape[1], ids)
-    rule = SplitRule("x", "threshold", (), (), float(node_id))
-    return TreeNode(node_id, left.n + right.n, 0.0, 0.0, rule, left, right)
-
-
-def test_preorder_yields_parents_first_and_left_before_right():
-    # 0 -> (1 leaf, 2 -> (3 leaf, 4 -> (5 leaf, 6 leaf))): deeper on the right.
-    root = _hand_tree((None, (None, (None, None))), iter(range(7)))
-    walk = [(node.id, depth) for node, depth in preorder(root)]
-    assert walk == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)]
-    sub = root.right.right
-    assert [(node.id, depth) for node, depth in preorder(sub)] == [(4, 0), (5, 1), (6, 1)]
+def _hand_nodes(shape, nodes: list) -> int:
+    """Append the node entries of the nested-pair ``shape`` (a leaf is None)
+    to ``nodes``, ids numbered in preorder; returns the subtree's row count."""
+    node_id = len(nodes)
+    nodes.append(node_entry(node_id, 1, 0.0, 0.0))
+    if shape is not None:
+        left = len(nodes)
+        n = _hand_nodes(shape[0], nodes)
+        right = len(nodes)
+        n += _hand_nodes(shape[1], nodes)
+        rule = SplitRule("x", "threshold", (), (), float(node_id))
+        nodes[node_id] = node_entry(node_id, n, 0.0, 0.0, rule, left, right)
+    return nodes[node_id]["n"]
 
 
 @pytest.mark.parametrize(
@@ -365,7 +382,9 @@ def test_preorder_yields_parents_first_and_left_before_right():
     ],
 )
 def test_depth_and_leaf_count_on_hand_built_trees(shape, depth, leaves):
-    tree = RegressionTree.from_root(_hand_tree(shape, iter(range(100))), (ColumnSchema("x", "numeric"),), GrowConfig(), 1)
+    nodes = []
+    _hand_nodes(shape, nodes)
+    tree = hand_tree(nodes, (ColumnSchema("x", "numeric"),), GrowConfig(), 1)
     assert tree.depth() == depth
     assert tree.leaf_count() == leaves
 
@@ -375,13 +394,13 @@ def test_unseen_label_routing_on_handmade_branch():
     # {Blue} on the right (1 row): a Black row goes right under complement
     # routing but joins the larger left child under majority routing.
     rule = SplitRule("Color", "subset", ("Gray", "Green", "Red"), ("Blue",))
-    node = TreeNode(
-        0, 7, 11713.0, 0.0, rule,
-        TreeNode(1, 6, 3584.67, 0.0),
-        TreeNode(2, 1, 60488.0, 0.0),
-    )
+    nodes = [
+        node_entry(0, 7, 11713.0, 0.0, rule, 1, 2),
+        node_entry(1, 6, 3584.67, 0.0),
+        node_entry(2, 1, 60488.0, 0.0),
+    ]
     schema = (ColumnSchema("Color", "categorical", ("Black", "Blue", "Gray", "Green", "Red")),)
-    tree = RegressionTree.from_root(node, schema, GrowConfig(), 7)
+    tree = hand_tree(nodes, schema, GrowConfig(), 7)
     assert predict(tree, {"Color": "Black"}, "complement") == pytest.approx(60488.0)
     assert predict(tree, {"Color": "Black"}, "majority") == pytest.approx(3584.67)
     for label in ("Gray", "Green", "Red", "Blue"):
@@ -464,7 +483,7 @@ def test_model_round_trip(tmp_path):
     # Serialization is stable: saving again produces identical bytes.
     path2 = str(tmp_path / "model2.json")
     save_model(back, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
 
 
 @pytest.mark.parametrize(
@@ -555,7 +574,7 @@ def test_prune_to_leaf():
 
 @given(trees(), st.data())
 def test_predict_many_equals_the_row_walk_bit_for_bit(tree, draw):
-    """predict_many equals predict over tree.root under both routings, on data
+    """predict_many equals predict's row walk under both routings, on data
     with its own column and category code order that holds every label of the
     schema, so also the labels a subset rule never saw."""
     assume(_loads(json.dumps(tree_to_dict(tree))))
