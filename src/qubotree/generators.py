@@ -44,8 +44,8 @@ _SCHEMA = (
 def _common_draws(n: int, rng: Rng):
     brand_codes = rng.integers(len(BRANDS), n)
     color_codes = rng.integers(len(COLORS), n)
-    base = np.array([BRAND_BASE_PRICE[BRANDS[c]] for c in brand_codes])
-    factor = np.array([COLOR_FACTOR[COLORS[c]] for c in color_codes])
+    base = np.array([BRAND_BASE_PRICE[b] for b in BRANDS])[brand_codes]
+    factor = np.array([COLOR_FACTOR[c] for c in COLORS])[color_codes]
     return brand_codes, color_codes, base, factor
 
 
@@ -77,8 +77,8 @@ def generate_df(n: int, seed: int) -> Dataset:
     has_claim = rng.bernoulli(p)
     noise = rng.normal(0.0, 2000.0, n)
 
-    luxury = np.array([1.0 if BRANDS[c] in LUXURY_BRANDS else 0.0 for c in brand_codes])
-    red = np.array([1.0 if COLORS[c] == "Red" else 0.0 for c in color_codes])
+    luxury = np.array([1.0 if b in LUXURY_BRANDS else 0.0 for b in BRANDS])[brand_codes]
+    red = np.array([1.0 if c == "Red" else 0.0 for c in COLORS])[color_codes]
     severity = 0.15 * base + 0.002 * mileage + 5000.0 * luxury + 3000.0 * red
     amount = np.where(has_claim == 1, np.maximum(100.0, severity * factor + noise), 0.0)
     return _assemble(brand_codes, color_codes, mileage, has_claim, amount)
@@ -100,7 +100,7 @@ def generate_datagen(n: int, seed: int) -> Dataset:
     p = np.clip(0.15 + 0.000002 * mileage, 0.01, 0.9)
     has_claim = rng.bernoulli(p)
 
-    sigma = np.array([BRAND_SEVERITY_SIGMA[BRANDS[c]] for c in brand_codes])
+    sigma = np.array([BRAND_SEVERITY_SIGMA[b] for b in BRANDS])[brand_codes]
     basic = np.exp(rng.normal(0.0, 1.0, n) * sigma + np.log(0.1 * base))
     km = 0.001 * mileage * rng.uniform(0.5, 1.5, n)
     tail_hit = rng.uniform01(n) < 0.02

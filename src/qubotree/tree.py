@@ -48,8 +48,10 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class GrowConfig:
-    """Stopping controls, the categorical split method and the routing of
-    labels a subset rule never saw: every setting growth reads.
+    """Stopping controls and the categorical split method, the settings
+    growth reads, and ``routing``: how labels a subset rule never saw are
+    routed, the model's default for prediction and for the pruning ladder's
+    MSE. Growth never reads it.
 
     ``cp`` gates a split on its risk reduction relative to the root SSE.
     ``max_tree()`` is the preset that disables every early stop except depth.
@@ -572,6 +574,8 @@ def _not_finite(values: np.ndarray) -> np.ndarray:
 def _rule_fault(rule: tuple, columns: dict) -> Optional[str]:
     """What is wrong with a rule's fields against the model's columns, or None."""
     variable, kind, left, right, threshold = rule
+    if type(left) is not tuple or type(right) is not tuple:
+        return "left_categories and right_categories must be arrays"
     if kind not in ("threshold", "subset"):
         return f"unknown rule kind {kind!r}"
     if variable not in columns:
@@ -591,79 +595,62 @@ def _rule_fault(rule: tuple, columns: dict) -> Optional[str]:
     return None
 
 
+def _refuse(ids: np.ndarray, flagged: np.ndarray, fault) -> None:
+    """Raise DataError(fault(i)) at the flagged index i with the largest id,
+    the first of equal ones, if any is flagged."""
+    at = np.flatnonzero(flagged)
+    if len(at):
+        raise DataError(fault(int(at[np.argmax(ids[at])])))
+
+
 def _check_nodes(head: tuple, schema: tuple, ids, n, prediction, sse, inner, rules, left, right) -> None:
     """Check a model's header and node columns as both ``save_model`` and
-    ``load_model`` require; the first fault raises DataError.
+    ``load_model`` require; a fault raises DataError.
 
     ``head`` is ``(version, n_train, response)``. ``ids``, ``n``,
     ``prediction`` and ``sse`` are arrays as ``_array`` makes them, in one
     node order; ``inner`` holds the increasing positions of the inner nodes
     in it, and ``rules``, ``left`` and ``right`` their rule fields and child
-    ids. A fault is reported as a one-at-a-time check would find it: nodes
-    in decreasing id order (equal ids in node order), each node's fields,
-    children and rule before the nodes it links to. Child ids must exceed
-    their parent's, so there is no cycle, and every node but the first must
-    be the child of exactly one node: the nodes form one tree.
+    ids. The header is checked first, then one check at a time over all
+    nodes, each reported at the failing node with the largest id: ids are
+    ints, ids are unique, ``n``, ``prediction`` and ``sse`` are valid, child
+    ids are ints, child ids exceed their parent's (so there is no cycle),
+    and rules fit the schema. Then the parents, in decreasing id order,
+    claim their left and right children: each must be a node and claimed
+    once. Last, every node but the first must be claimed, at the smallest
+    orphan id: the nodes form one tree.
     """
     got = version, n_train, response = head
     if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:
         raise DataError(f"needs version 1, an int n_train >= 1 and a string as response, got {got!r}")
-    columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
     id_list = ids.tolist()
-    order = np.array(sorted(range(len(ids)), key=id_list.__getitem__, reverse=True), dtype=np.int64)
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[order] = np.arange(len(ids))
-    left, right = _array(left, int), _array(right, int)
-    # Each check's faulty nodes, in the order one node's checks run: the
-    # first three over every node, the others over the inner nodes. A check
-    # reads only nodes the checks before it passed.
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    _refuse(ids, _not_ints(ids), lambda i: f"node {id_list[i]!r}: ids must be ints")
+    _, inverse, count = np.unique(ids, return_inverse=True, return_counts=True)
+    _refuse(ids, count[inverse] > 1, lambda i: f"node {id_list[i]}: id appears more than once")
     counts = n < 1 if n.dtype != object else np.array([type(v) is not int or v < 1 for v in n.tolist()], dtype=bool)
-    kids = ~(_not_ints(left) | _not_ints(right))
-    at = np.flatnonzero(kids & ~_not_ints(ids[inner]))
-    above = np.zeros(len(inner), dtype=bool)
-    above[at] = ids[inner[at]] >= np.minimum(left[at], right[at])
+    fields_fault = "needs an int n >= 1 and finite floats as prediction and sse"
+    _refuse(ids, counts | _not_finite(prediction) | _not_finite(sse), lambda i: f"node {id_list[i]}: {fields_fault}")
+    parents, left, right = ids[inner], _array(left, int), _array(right, int)
+    _refuse(parents, _not_ints(left) | _not_ints(right), lambda k: (
+        f"node {parents[k]}: child ids must be ints, got {left.tolist()[k]!r} and {right.tolist()[k]!r}"))
+    _refuse(parents, parents >= np.minimum(left, right),
+            lambda k: f"node {parents[k]}: child ids must be greater than the node's own id")
+    columns = {c.name: (c.kind, frozenset(c.categories)) for c in schema}
     rule_faults = [_rule_fault(rule, columns) for rule in rules]
-    faulty = [
-        _not_ints(ids), repeat, counts | _not_finite(prediction) | _not_finite(sse),
-        ~kids, above, np.array([fault is not None for fault in rule_faults], dtype=bool),
-    ]
-    first = (len(ids), 0)
-    for check, flagged in enumerate(faulty):
-        at = np.flatnonzero(flagged) if check < 3 else inner[flagged]
-        if len(at):
-            first = min(first, (int(rank[at].min()), check))
-    # Links: the nodes before the first fault claim their children in turn,
-    # left then right; a child must be among them and claimed only once.
-    before = np.flatnonzero(rank[inner] < first[0])
-    before = before[np.argsort(rank[inner[before]])]
-    claims = np.stack([left[before], right[before]], axis=1).ravel().tolist()
-    known = set(ids[order[: first[0]]].tolist())
-    missing = [child not in known for child in claims]
+    _refuse(parents, np.array([fault is not None for fault in rule_faults], dtype=bool),
+            lambda k: f"node {parents[k]}: {rule_faults[k]}")
+    order = np.argsort(parents)[::-1]
+    claims = np.stack([left[order], right[order]], axis=1).ravel()
+    missing = ~np.isin(claims, ids)
     again = np.ones(len(claims), dtype=bool)
     again[np.unique(claims, return_index=True)[1]] = False
-    bad = np.flatnonzero(np.array(missing, dtype=bool) | again)
+    bad = np.flatnonzero(missing | again)
     if len(bad):
         fault = "not in the node list" if missing[bad[0]] else "child of more than one node"
         raise DataError(f"node {claims[bad[0]]}: {fault}")
-    if first[0] < len(ids):
-        position, check = int(order[first[0]]), first[1]
-        node_id = id_list[position]
-        if check < 3:
-            raise DataError(
-                (f"node {node_id!r}: ids must be ints", f"node {node_id}: id appears more than once",
-                 f"node {node_id}: needs an int n >= 1 and finite floats as prediction and sse")[check]
-            )
-        k = int(np.searchsorted(inner, position))
-        raise DataError(
-            (f"node {node_id}: child ids must be ints, got {left.tolist()[k]!r} and {right.tolist()[k]!r}",
-             f"node {node_id}: child ids must be greater than the node's own id",
-             f"node {node_id}: {rule_faults[k]}")[check - 3]
-        )
-    orphans = known.difference(claims, id_list[:1])
-    if orphans:
-        raise DataError(f"node {min(orphans)}: neither the root nor any node's child")
+    orphans = ids[1:][~np.isin(ids[1:], claims)]
+    if len(orphans):
+        raise DataError(f"node {orphans.min()}: neither the root nor any node's child")
 
 
 def _column(entries: list, key: str) -> list:
@@ -681,9 +668,10 @@ def _take(values, at: np.ndarray) -> list:
 def tree_from_dict(doc: dict) -> RegressionTree:
     if not isinstance(doc, dict) or doc.get("format") != "qubotree-model":
         raise DataError("not a qubotree model document")
-    schema = tuple(
-        ColumnSchema(c["name"], c["kind"], tuple(c["categories"])) for c in doc["schema"]
-    )
+    for c in doc["schema"]:
+        if type(c["categories"]) is not list:  # json text is no list of labels
+            raise DataError(f"column {c['name']!r}: categories must be an array")
+    schema = tuple(ColumnSchema(c["name"], c["kind"], tuple(c["categories"])) for c in doc["schema"])
     # Other keys, such as the solver settings ("exact_threshold", "anneal_seed",
     # ...) that older files hold and growth does not read, are ignored.
     cfg = GrowConfig(**{f.name: doc["config"][f.name] for f in fields(GrowConfig)})
@@ -698,7 +686,9 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     variable, kind, left, right, threshold = (
         _column(raw, key) for key in ("variable", "kind", "left_categories", "right_categories", "threshold")
     )
-    rules = list(zip(variable, kind, map(tuple, left), map(tuple, right), threshold))
+    # A label list that is no json array stays as read, for _rule_fault to refuse.
+    left, right = ([tuple(v) if type(v) is list else v for v in side] for side in (left, right))
+    rules = list(zip(variable, kind, left, right, threshold))
     left, right = _column(kids, "left"), _column(kids, "right")
     ids, n, prediction, sse = _array(ids, int), _array(n, int), _array(prediction, float), _array(sse, float)
     _check_nodes(head, schema, ids, n, prediction, sse, inner, rules, left, right)

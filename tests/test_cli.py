@@ -544,6 +544,12 @@ def _half_ids(nodes):
                 node[key] += 0.5
 
 
+def _half_id_and_zero_n(nodes):
+    # Ids are checked over every node before n is: node 54's larger id does not come first.
+    nodes[1]["id"] = 1.5
+    nodes[54]["n"] = 0
+
+
 def _empty(nodes):
     nodes.clear()
 
@@ -561,8 +567,17 @@ def _dangling_child(nodes):
     nodes[0]["right"] = 99
 
 
+def _two_dangling_children(nodes):
+    # Parents claim left then right, larger ids first: node 5's right before node 2's left.
+    nodes[5]["right"], nodes[2]["left"] = 99, 98
+
+
 def _orphan(nodes):
     nodes.append(dict(nodes[1], id=55))
+
+
+def _two_orphans(nodes):
+    nodes.extend([dict(nodes[1], id=56), dict(nodes[1], id=55)])
 
 
 @pytest.mark.parametrize(
@@ -570,12 +585,16 @@ def _orphan(nodes):
     [
         (_empty, "the node list is empty"),
         (_half_ids, "node 54.5: ids must be ints"),
+        (_half_id_and_zero_n, "node 1.5: ids must be ints"),
         (_duplicate_id, "node 54: id appears more than once"),
         (_two_parents, "node 32: child of more than one node"),
         (_dangling_child, "node 99: not in the node list"),
+        (_two_dangling_children, "node 99: not in the node list"),
         (_orphan, "node 55: neither the root nor any node's child"),
+        (_two_orphans, "node 55: neither the root nor any node's child"),
     ],
-    ids=("empty", "half-ids", "duplicate-id", "two-parents", "dangling-child", "orphan"),
+    ids=("empty", "half-ids", "half-id-and-zero-n", "duplicate-id", "two-parents", "dangling-child",
+         "two-dangling-children", "orphan", "two-orphans"),
 )
 def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message):
     assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (

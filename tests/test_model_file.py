@@ -1,9 +1,11 @@
 """Model files: the streamed writer against json, and what the loader rejects."""
 
+import collections
 import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import astuple, replace
@@ -17,7 +19,7 @@ from qubotree import ColumnSchema, DataError, GrowConfig, describe, generate_df,
 from qubotree.splitting import SplitRule
 from qubotree.tree import CATEGORICAL_METHODS, ROUTINGS, NodeTable, RegressionTree, _array, tree_from_dict, tree_to_dict
 
-from conftest import chain_tree
+from conftest import chain_tree, hand_tree, node_entry
 
 # Labels json has to escape: non-ASCII, quotes, backslashes, control
 # characters, and the text that marks where the header's node list goes.
@@ -147,47 +149,58 @@ def test_save_model_writes_what_json_dump_writes(tree):
 
 
 def reference_fault(doc: dict):
-    """The first fault of a model document as a reading one node at a time
-    finds it, or None: nodes in decreasing id order, each node's fields,
-    children and rule, then its links, then orphans at the end."""
+    """The fault a model document is refused for, or None, read check by
+    check: the header; then each node check over all nodes, reported at the
+    failing node with the largest id (the first of equal ones); then the
+    links, parents in decreasing id order claiming left then right children;
+    then orphans, at the smallest orphan id."""
     got = version, n_train, response = doc["version"], doc["n_train"], doc["response"]
     if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:
         return f"needs version 1, an int n_train >= 1 and a string as response, got {got!r}"
     columns = {c["name"]: (c["kind"], frozenset(c["categories"])) for c in doc["schema"]}
-    seen, children, previous = set(), set(), None
-    for entry in sorted(doc["nodes"], key=lambda e: e["id"], reverse=True):
-        node_id, n, prediction, sse, rule = (entry[k] for k in ("id", "n", "prediction", "sse", "rule"))
-        if type(node_id) is not int:
-            return f"node {node_id!r}: ids must be ints"
-        if node_id == previous:
-            return f"node {node_id}: id appears more than once"
-        previous = node_id
+    nodes = doc["nodes"]
+    inner = [entry for entry in nodes if entry["rule"] is not None]
+    ids = collections.Counter(entry["id"] for entry in nodes)
+
+    def fields_fault(entry):
+        n, prediction, sse = entry["n"], entry["prediction"], entry["sse"]
         finite = all(isinstance(v, float) and math.isfinite(v) for v in (prediction, sse))
-        if type(n) is not int or n < 1 or not finite:
-            return f"node {node_id}: needs an int n >= 1 and finite floats as prediction and sse"
-        if rule is not None:
-            left, right = entry["left"], entry["right"]
-            if type(left) is not int or type(right) is not int:
-                return f"node {node_id}: child ids must be ints, got {left!r} and {right!r}"
-            if not node_id < min(left, right):
-                return f"node {node_id}: child ids must be greater than the node's own id"
-            fault = _reference_rule_fault(rule, columns)
-            if fault:
-                return f"node {node_id}: {fault}"
-            for child in (left, right):
-                if child not in seen:
-                    return f"node {child}: not in the node list"
-                if child in children:
-                    return f"node {child}: child of more than one node"
-                children.add(child)
-        seen.add(node_id)
-    orphans = seen - children - {doc["nodes"][0]["id"]}
+        return type(n) is not int or n < 1 or not finite
+
+    checks = [
+        (nodes, lambda e: type(e["id"]) is not int, lambda e: f"node {e['id']!r}: ids must be ints"),
+        (nodes, lambda e: ids[e["id"]] > 1, lambda e: f"node {e['id']}: id appears more than once"),
+        (nodes, fields_fault,
+         lambda e: f"node {e['id']}: needs an int n >= 1 and finite floats as prediction and sse"),
+        (inner, lambda e: type(e["left"]) is not int or type(e["right"]) is not int,
+         lambda e: f"node {e['id']}: child ids must be ints, got {e['left']!r} and {e['right']!r}"),
+        (inner, lambda e: not e["id"] < min(e["left"], e["right"]),
+         lambda e: f"node {e['id']}: child ids must be greater than the node's own id"),
+        (inner, lambda e: _reference_rule_fault(e["rule"], columns),
+         lambda e: f"node {e['id']}: {_reference_rule_fault(e['rule'], columns)}"),
+    ]
+    for entries, fails, message in checks:
+        failing = [entry for entry in entries if fails(entry)]
+        if failing:
+            return message(max(failing, key=lambda e: e["id"]))
+    claimed = set()
+    for entry in sorted(inner, key=lambda e: e["id"], reverse=True):
+        for child in (entry["left"], entry["right"]):
+            if child not in ids:
+                return f"node {child}: not in the node list"
+            if child in claimed:
+                return f"node {child}: child of more than one node"
+            claimed.add(child)
+    orphans = ids.keys() - claimed - {nodes[0]["id"]}
     return f"node {min(orphans)}: neither the root nor any node's child" if orphans else None
 
 
 def _reference_rule_fault(rule: dict, columns: dict):
     variable, kind, threshold = rule["variable"], rule["kind"], rule["threshold"]
-    left, right = tuple(rule["left_categories"]), tuple(rule["right_categories"])
+    left, right = rule["left_categories"], rule["right_categories"]
+    if type(left) is not list or type(right) is not list:
+        return "left_categories and right_categories must be arrays"
+    left, right = tuple(left), tuple(right)
     if kind not in ("threshold", "subset"):
         return f"unknown rule kind {kind!r}"
     if variable not in columns:
@@ -260,6 +273,32 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
     with pytest.raises(DataError, match="node 0: rule variable 'absent' is not in the schema"):
         save_model(replace(tree, table=replace(tree.table, rules=rules)), str(path))
     assert path.read_bytes() == before
+
+
+def _set_categories(doc):
+    doc["schema"][0]["categories"] = "abc"
+
+
+def _set_sides(doc):
+    doc["nodes"][0]["rule"].update(left_categories="ab", right_categories="c")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_set_categories, "column 'c': categories must be an array"),
+     (_set_sides, "node 0: left_categories and right_categories must be arrays")],
+    ids=("categories", "rule-sides"),
+)
+def test_label_lists_that_are_no_json_arrays_are_refused(tmp_path, edit, message):
+    # A string is no list of labels, not even one label per character.
+    rule = SplitRule("c", "subset", ("a", "b"), ("c",))
+    nodes = [node_entry(0, 3, 1.0, 2.0, rule, 1, 2), node_entry(1, 2, 0.5, 0.5), node_entry(2, 1, 2.0, 0.0)]
+    doc = tree_to_dict(hand_tree(nodes, (ColumnSchema("c", "categorical", ("a", "b", "c")),), GrowConfig(), 3))
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: malformed model file: {message}")):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 4096])

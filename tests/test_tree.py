@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from qubotree import (
     save_model,
 )
 from qubotree.splitting import SplitRule
-from qubotree.tree import prune_to_leaf, tree_from_dict, tree_to_dict
+from qubotree.tree import ROUTINGS, prune_to_leaf, tree_from_dict, tree_to_dict
 
 from conftest import hand_tree, node_entry
 from test_model_file import FINITE, _loads, trees
@@ -185,6 +186,16 @@ def test_grow_deterministic():
     t1 = grow(data, FULL)
     t2 = grow(data, FULL)
     assert tree_to_dict(t1) == tree_to_dict(t2)
+
+
+@pytest.mark.parametrize("cfg", [GrowConfig(cp=0.0), GrowConfig.max_tree()], ids=("default", "max-tree"))
+def test_grow_does_not_read_routing(cfg):
+    # routing is the model's default for prediction and the ladder's MSE, not a growth setting.
+    a, b = (grow(_highcard(300, 1), replace(cfg, routing=routing)) for routing in ROUTINGS)
+    assert describe(a) == describe(b)
+    columns = ("ids", "n", "prediction", "sse", "size")
+    assert all(np.array_equal(getattr(a.table, k), getattr(b.table, k)) for k in columns)
+    assert a.table.rules == b.table.rules
 
 
 def _highcard(n, seed):
