@@ -3,11 +3,14 @@
 ``search_level`` searches many nodes at once, each column for all of them
 in one pass, with each node's own arithmetic, and answers in per-node
 arrays, which ``grow`` reads; ``best_splits`` reads them into candidates,
-and ``best_split`` is its one-node case. Numeric and binary variables use
-the sorted threshold scan. For a categorical variable one
-``stats.category_cells`` pass sums the category cells and totals of every
-node, and one sorted-means scan, optimal for squared error, splits and
-prices them all, under ``greedy`` and ``qubo`` alike. The paper's ratio iteration over split QUBOs,
+and ``best_split`` is its one-node case. A subset split is answered as a
+block of one flat ``side`` table, an entry per label code of its column:
+1 sends the label left, 0 right, -1 marks a label the node never saw.
+Numeric and binary variables use the sorted threshold scan. For a
+categorical variable one ``stats.category_cells`` pass sums the category
+cells and totals of every node, and one sorted-means scan, optimal for
+squared error, splits and prices them all, under ``greedy`` and ``qubo``
+alike. The paper's ratio iteration over split QUBOs,
 ``best_categorical_split_qubo``, searches one node at a time. An
 exhaustive-partition searcher is the other baseline. Subset rules put the
 category with the smallest mean response on the left.
@@ -16,6 +19,7 @@ category with the smallest mean response on the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -291,24 +295,26 @@ class LevelSplits(NamedTuple):
 
     ``column`` is the winning schema column, -1 where no column splits the
     node; ``cost`` and ``n_left`` price and count its split, and
-    ``threshold`` is a threshold rule's cut, NaN elsewhere. The observed
-    category cells of the nodes a subset rule splits, by node and then code,
-    are ``cell_node``, ``cell_code`` and ``cell_left``, whether it goes left.
+    ``threshold`` is a threshold rule's cut, NaN elsewhere. ``side`` holds a
+    block per node, one int8 entry per label code of its winning column at
+    a subset rule and none elsewhere, starting at ``offset``: 1 sends the
+    label left, 0 right, and -1 marks a label not observed at the node.
     """
 
     column: np.ndarray
     cost: np.ndarray
     n_left: np.ndarray
     threshold: np.ndarray
-    cell_node: np.ndarray
-    cell_code: np.ndarray
-    cell_left: np.ndarray
+    offset: np.ndarray
+    side: np.ndarray
 
 
 def search_level(data: Dataset, rows: np.ndarray, sizes: np.ndarray, method: str, min_bucket: int) -> LevelSplits:
     """The cheapest split of each node of a level, under :func:`best_splits`'
     rules: ``rows`` holds every node's row indices in turn and ``sizes``
-    their counts, none zero; the arguments are not checked."""
+    their counts, none zero; the arguments are not checked. Each subset
+    rule's sides are written from its scan's category cells straight into
+    the node's ``side`` block."""
     segs = _Segments(sizes)
     y = data.response[rows]
     n_seg = len(sizes)
@@ -331,7 +337,11 @@ def search_level(data: Dataset, rows: np.ndarray, sizes: np.ndarray, method: str
         pick[ids[k]] = k
     n_left = np.zeros(n_seg, dtype=np.int64)
     threshold = np.full(n_seg, np.nan)
-    cells = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))]
+    # A block per node, as wide as its winning column's labels at a subset
+    # rule and empty elsewhere; the trailing 0 is the width at winner -1.
+    width = np.array([len(c.categories) if c.kind == "categorical" else 0 for c in data.schema] + [0])[winner]
+    offset = np.cumsum(width) - width
+    side = np.full(int(width.sum()), -1, dtype=np.int8)
     for j, (ids, _, scan_n_left, _, found) in enumerate(scans):
         won = np.flatnonzero(winner == j)
         k = pick[won]
@@ -339,42 +349,30 @@ def search_level(data: Dataset, rows: np.ndarray, sizes: np.ndarray, method: str
         if data.schema[j].kind != "categorical":
             threshold[won] = found[k]
         elif len(won):
-            owner, stats, left = found
-            node = np.full(len(ids), -1)
-            node[k] = won
-            node = node[owner]
-            cells.append((node, stats.index, left))
-    node, code, left = (np.concatenate(part) for part in zip(*cells))
-    kept = np.flatnonzero(node >= 0)
-    # One winning column per node: a stable sort keeps each node's code order.
-    kept = kept[np.argsort(node[kept], kind="stable")]
-    return LevelSplits(winner, best_cost, n_left, threshold, node[kept], code[kept], left[kept])
+            owner, cells, left = found
+            start = np.full(len(ids), -1)
+            start[k] = offset[won]
+            at = start[owner]
+            cell = np.flatnonzero(at >= 0)  # the cells of the nodes this column wins
+            side[at[cell] + cells.index[cell]] = left[cell]
+    return LevelSplits(winner, best_cost, n_left, threshold, offset, side)
 
 
 def level_rules(schema: tuple, found: LevelSplits, nodes: np.ndarray) -> list:
     """The rule fields ``(variable, kind, left_categories, right_categories,
-    threshold)`` of the splits of ``nodes``, increasing node positions in
-    ``found`` that each have one, in that order."""
-    rules = [None] * len(nodes)
-    columns = found.column[nodes]
-    for j in np.unique(columns).tolist():
-        at = np.flatnonzero(columns == j)
+    threshold)`` of the splits of ``nodes``, node positions in ``found``
+    that each have one, in that order. A subset rule's sides are the labels
+    its ``side`` block sends left and right, in code order."""
+    on_left, on_right = ((found.side == s).tolist() for s in (1, 0))
+    rules = []
+    for j, a, cut in zip(*(v[nodes].tolist() for v in (found.column, found.offset, found.threshold))):
         name, labels = schema[j].name, schema[j].categories
         if schema[j].kind != "categorical":
-            for i, cut in zip(at.tolist(), found.threshold[nodes[at]].tolist()):
-                rules[i] = (name, "threshold", (), (), cut)
+            rules.append((name, "threshold", (), (), cut))
             continue
-        # Each node's left labels, then its right ones, both in code order.
-        rank = np.full(len(found.column), -1)
-        rank[nodes[at]] = np.arange(len(at))
-        cell = np.flatnonzero(rank[found.cell_node] >= 0)
-        side = 2 * rank[found.cell_node[cell]] + ~found.cell_left[cell]
-        order = np.argsort(side, kind="stable")
-        names = [labels[c] for c in found.cell_code[cell[order]].tolist()]
-        edges = np.cumsum(np.bincount(side, minlength=2 * len(at))).tolist()
-        sides = [tuple(names[a:b]) for a, b in zip([0, *edges], edges)]
-        for m, i in enumerate(at.tolist()):
-            rules[i] = (name, "subset", sides[2 * m], sides[2 * m + 1], None)
+        b = a + len(labels)
+        left, right = compress(labels, on_left[a:b]), compress(labels, on_right[a:b])
+        rules.append((name, "subset", tuple(left), tuple(right), None))
     return rules
 
 

@@ -6,8 +6,9 @@ cells; its ``sse()`` is the one SSE formula, and a split costs
 ``left.sse() + (total - left).sse()``. ``CategoryStats`` is its per-category
 case. One cell pass, ``category_cells``, forms the category sums and exact
 totals of every node of a level; ``aggregate_categories`` is its one-node
-case. ``build_v_matrix`` forms the M x M matrix of half pairwise squared
-response differences between categories.
+case. Each exact total, of a node's rows or of its cells, is a
+``fsum_runs`` sum. ``build_v_matrix`` forms the M x M matrix of half
+pairwise squared response differences between categories.
 """
 
 from __future__ import annotations
@@ -36,39 +37,14 @@ class NodeStats:
 
     @classmethod
     def from_values(cls, values) -> "NodeStats":
-        return cls.of_runs(values, [len(values)])[0]
+        return cls.of_runs(values, [len(values)])[0] if len(values) else cls(0, 0.0, 0.0)
 
     @classmethod
     def of_runs(cls, values, sizes) -> "NodeStats":
-        """The stats of each consecutive run of ``sizes`` values, in order,
-        each sum equal to math.fsum's.
-
-        A run of one or two values is summed as ``x + 0.0`` or ``(a + b) +
-        0.0``: correctly rounded, as fsum is, with fsum's 0.0 for -0.0. A
-        longer run, and a non-finite sum, are summed by math.fsum itself,
-        so a sum fsum rejects raises its OverflowError or ValueError.
-        """
+        """The stats of each consecutive run of ``sizes`` values, none
+        empty, in order, their sums by :func:`fsum_runs`."""
         values = np.asarray(values, dtype=np.float64)
-        n = np.array(sizes, dtype=np.int64)
-        ends = np.cumsum(n)
-        starts = ends - n
-        short, long = np.flatnonzero((n == 1) | (n == 2)), np.flatnonzero(n > 2)
-        long_ends = np.cumsum(n[long]).tolist()
-        in_long = slice(None) if len(long) == len(n) else np.repeat(n > 2, n)
-        sums = []
-        for v in (values, values * values):
-            total = np.zeros(len(n))
-            # math.fsum reads a list about 3x faster than an array.
-            runs = v[in_long].tolist()
-            total[long] = [math.fsum(runs[a:b]) for a, b in zip([0, *long_ends], long_ends)]
-            if len(short):
-                first, last = v[starts[short]], v[ends[short] - 1]
-                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is summed again below
-                    total[short] = np.where(n[short] == 2, first + last, first) + 0.0
-            for k in np.flatnonzero(~np.isfinite(total)).tolist():
-                total[k] = math.fsum(v[starts[k] : ends[k]].tolist())
-            sums.append(total)
-        return cls(n, *sums)
+        return cls(np.array(sizes, dtype=np.int64), *fsum_runs((values, values * values), sizes))
 
     def __len__(self) -> int:
         return len(self.n)
@@ -115,6 +91,30 @@ class VMatrix:
         return self.values.sum(axis=1)
 
 
+def fsum_runs(values: tuple, sizes) -> list:
+    """The sum of each consecutive run of ``sizes`` entries, none zero, of
+    each float64 array of ``values``, in order, each equal to math.fsum's.
+
+    A run of one or two values is summed as ``x + 0.0`` or ``(a + b) +
+    0.0``: correctly rounded, as fsum is, with fsum's 0.0 for -0.0. A longer
+    run, and a non-finite sum, are summed by math.fsum itself, so a sum fsum
+    rejects raises its OverflowError or ValueError.
+    """
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    long = np.flatnonzero(np.asarray(sizes) > 2)
+    long_starts, long_ends = starts[long].tolist(), ends[long].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is summed again below
+        sums = [np.add.reduceat(v, starts) + 0.0 for v in values]
+    for v, total in zip(values, sums):
+        if long_starts:
+            listed = v.tolist()  # math.fsum reads a list about 3x faster than an array
+            total[long] = [math.fsum(listed[a:b]) for a, b in zip(long_starts, long_ends)]
+        for k in np.flatnonzero(~np.isfinite(total)).tolist():
+            total[k] = math.fsum(v[starts[k] : ends[k]].tolist())
+    return sums
+
+
 def node_variance(stats: NodeStats) -> float:
     """Biased sample variance from moments, clamped at zero."""
     if stats.n < 1:
@@ -155,10 +155,10 @@ def node_codes(codes) -> np.ndarray:
 def category_cells(y, codes, m: int, seg):
     """``(cell_seg, cells, totals)``: the segment of every (segment, observed
     category) cell, the cells' CategoryStats by segment, then code, each sum
-    in its segment's row order, and each segment's NodeStats with int counts:
-    its cells' sums, by math.fsum over more than two (a sum of two is
-    correctly rounded). ``seg`` groups the rows by ascending id, none empty.
-    A code outside ``[0, m)`` would fold into another cell: ValueError."""
+    in its segment's row order, and each segment's NodeStats with int
+    counts, its cells' sums by :func:`fsum_runs`. ``seg`` groups the rows
+    by ascending id, none empty. A code outside ``[0, m)`` would fold into
+    another cell: ValueError."""
     if codes.min() < 0 or codes.max() >= m:
         raise ValueError(f"category codes must lie in [0, {m})")
     n_seg = int(seg[-1]) + 1
@@ -172,14 +172,8 @@ def category_cells(y, codes, m: int, seg):
         sums = (np.bincount(key, weights=v)[seen] for v in (w, w * w))
         parts.append((seen // m + lo, count[seen].astype(np.float64), *sums, seen % m))
     cell_seg, n, s, q, code = (np.concatenate(part) for part in zip(*parts))
-    sizes = np.bincount(cell_seg)
-    starts = np.cumsum(sizes) - sizes
-    tn, ts, tq = (np.add.reduceat(v, starts) for v in (n, s, q))
-    big = np.flatnonzero(sizes > 2)
-    sl, ql = s.tolist(), q.tolist()  # math.fsum reads a list about 3x faster than an array
-    for k, a, b in zip(big.tolist(), starts[big].tolist(), (starts + sizes)[big].tolist()):
-        ts[k], tq[k] = math.fsum(sl[a:b]), math.fsum(ql[a:b])
-    return cell_seg, CategoryStats(n, s, q, code), NodeStats(tn.astype(np.int64), ts, tq)
+    counts = np.bincount(cell_seg, weights=n).astype(np.int64)
+    return cell_seg, CategoryStats(n, s, q, code), NodeStats(counts, *fsum_runs((s, q), np.bincount(cell_seg)))
 
 
 def aggregate_categories(codes, y, n_categories: int):

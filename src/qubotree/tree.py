@@ -207,17 +207,16 @@ class RegressionTree:
         threshold[numeric] = cuts
         offset = np.full(len(t.rules), -1, dtype=np.intp)
         offset[subset] = starts
-        left = np.zeros(end, dtype=bool)
-        left[seen_left] = True
-        unseen = ~left
-        unseen[seen_right] = False
+        side = np.full(end, -1, dtype=np.int8)  # as growth's sides: 1 left, 0 right, -1 unseen
+        side[seen_left] = 1
+        side[seen_right] = 0
         subset = np.asarray(subset, dtype=np.intp)
         width = np.diff(starts + [end])
         larger_left = np.repeat(t.n[subset + 1] >= t.n[t.right[subset]], width)
         left_child, right_child = np.repeat(subset + 1, width), np.repeat(t.right[subset], width)
         child = {
-            "complement": np.where(left, left_child, right_child),
-            "majority": np.where(left | unseen & larger_left, left_child, right_child),
+            "complement": np.where(side == 1, left_child, right_child),
+            "majority": np.where((side == 1) | (side < 0) & larger_left, left_child, right_child),
         }
         return _Routes(column, frozenset(columns), threshold, offset, child)
 
@@ -270,7 +269,7 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
                 refused |= reduction / root_sse < cfg.cp
             kept = np.flatnonzero(~refused)
             split, rules = searched[kept], level_rules(data.schema, found, kept)
-            rows, sizes = _partition(data, rows, np.repeat(np.arange(len(searched)), sizes[searched]), found, kept)
+            rows, sizes = _partition(data, rows, sizes[searched], found, kept)
         else:
             sizes = sizes[:0]
         levels.append((stats.n, stats.sum, sse, split, rules))
@@ -278,44 +277,36 @@ def grow(data: Dataset, cfg: Optional[GrowConfig] = None) -> RegressionTree:
     return RegressionTree(_grown_table(levels), data.schema, cfg, data.n_rows, data.response_name)
 
 
-def _partition(data: Dataset, rows, seg, found, kept) -> tuple:
+def _partition(data: Dataset, rows, sizes, found, kept) -> tuple:
     """The next level's rows and sizes. ``rows`` are the rows searched for
-    ``found`` and ``seg`` the node of each there; node ``kept[m]`` sends its
-    rows to children 2m (left) and 2m + 1, the other nodes none.
+    ``found``, ``sizes[i]`` of them at node i in turn; node ``kept[m]``, in
+    increasing order, sends its rows to children 2m (left) and 2m + 1, the
+    other nodes none.
 
     Each winning column decides all the rows at once, a threshold column by
     one comparison with each row's threshold, a categorical one by one
-    lookup of each row's label code in a flat table of every subset rule's
-    sides; each row keeps its own column's decision. A stable sort then
-    keeps each child's rows in row order.
+    lookup of each row's label code in its node's block of ``found.side``;
+    each row keeps its own column's decision. A stable sort then keeps each
+    child's rows in row order, and the children hold the ``n_left`` rows
+    and the rest that the search priced.
     """
-    if not len(kept):
-        return rows[:0], np.zeros(0, dtype=np.int64)
-    rank = np.full(len(found.column), -1)
-    rank[kept] = np.arange(len(kept))
-    m = rank[seg]
-    if len(kept) < len(found.column):  # the rows of nodes that do not split drop out
-        split = m >= 0
-        rows, seg, m = rows[split], seg[split], m[split]
-    won = found.column[kept]
+    seg = np.repeat(kept, sizes[kept])
+    if len(kept) < len(sizes):  # the rows of nodes that do not split drop out
+        split = np.zeros(len(sizes), dtype=bool)
+        split[kept] = True
+        rows = rows[np.repeat(split, sizes)]
     column = found.column[seg]
-    # A block per subset rule, one entry per label of its column: the side it sends the label to.
-    width = np.array([len(c.categories) for c in data.schema])[won]
-    start = np.zeros(len(found.column), dtype=np.int64)
-    start[kept] = np.cumsum(width) - width
-    cell = np.flatnonzero(rank[found.cell_node] >= 0)
-    side = np.zeros(int(width.sum()), dtype=bool)
-    side[start[found.cell_node[cell]] + found.cell_code[cell]] = found.cell_left[cell]
-    go_left = None
-    for j in np.unique(won).tolist():
+    go_left = np.zeros(len(rows), dtype=bool)
+    for j in np.unique(found.column[kept]).tolist():
         values = data.column(data.schema[j].name)[rows]
         if data.schema[j].kind == "categorical":  # another column's rows may index past the table
-            decided = side.take(start[seg] + values, mode="clip")
+            decided = found.side.take(found.offset[seg] + values, mode="clip") == 1
         else:
             decided = values < found.threshold[seg]
-        go_left = decided if go_left is None else np.where(column == j, decided, go_left)
+        go_left = np.where(column == j, decided, go_left)
     # Nodes in turn, each one's left rows, then its right rows, in row order.
-    return rows[np.lexsort((~go_left, m))], np.bincount(2 * m + ~go_left, minlength=2 * len(kept))
+    n_left = found.n_left[kept]
+    return rows[np.lexsort((~go_left, seg))], np.stack([n_left, sizes[kept] - n_left], axis=1).ravel()
 
 
 def _preorder(splits: list) -> tuple:
@@ -595,12 +586,21 @@ def _rule_fault(rule: tuple, columns: dict) -> Optional[str]:
     return None
 
 
+def _json_order(value) -> tuple:
+    """A sort key that orders any JSON values: numbers but NaN by value, and
+    every other value (NaN, a string, true, false, null, an array, an
+    object) above them by its JSON text."""
+    number = type(value) in (int, float) and value == value
+    return (0, value) if number else (1, json.dumps(value, sort_keys=True))
+
+
 def _refuse(ids: np.ndarray, flagged: np.ndarray, fault) -> None:
-    """Raise DataError(fault(i)) at the flagged index i with the largest id,
-    the first of equal ones, if any is flagged."""
+    """Raise DataError(fault(i)) at the flagged index i with the largest id
+    by ``_json_order``, the first of equal ones, if any is flagged."""
     at = np.flatnonzero(flagged)
     if len(at):
-        raise DataError(fault(int(at[np.argmax(ids[at])])))
+        keys = list(map(_json_order, ids[at].tolist()))
+        raise DataError(fault(int(at[keys.index(max(keys))])))
 
 
 def _check_nodes(head: tuple, schema: tuple, ids, n, prediction, sse, inner, rules, left, right) -> None:
@@ -612,13 +612,15 @@ def _check_nodes(head: tuple, schema: tuple, ids, n, prediction, sse, inner, rul
     node order; ``inner`` holds the increasing positions of the inner nodes
     in it, and ``rules``, ``left`` and ``right`` their rule fields and child
     ids. The header is checked first, then one check at a time over all
-    nodes, each reported at the failing node with the largest id: ids are
-    ints, ids are unique, ``n``, ``prediction`` and ``sse`` are valid, child
-    ids are ints, child ids exceed their parent's (so there is no cycle),
-    and rules fit the schema. Then the parents, in decreasing id order,
-    claim their left and right children: each must be a node and claimed
-    once. Last, every node but the first must be claimed, at the smallest
-    orphan id: the nodes form one tree.
+    nodes: ids are ints, ids are unique, ``n``, ``prediction`` and ``sse``
+    are valid, child ids are ints, child ids exceed their parent's (so there
+    is no cycle), and rules fit the schema. Each check reports the failing
+    node with the largest id, the first of equal ones, by an order of any
+    JSON values: numbers but NaN by value, then any other value by its JSON
+    text. Then the parents, in decreasing id order, claim their left and
+    right children: each must be a node and claimed once. Last, every node
+    but the first must be claimed, at the smallest orphan id: the nodes form
+    one tree.
     """
     got = version, n_train, response = head
     if (type(version), version) != (int, 1) or type(n_train) is not int or n_train < 1 or type(response) is not str:

@@ -550,6 +550,11 @@ def _half_id_and_zero_n(nodes):
     nodes[54]["n"] = 0
 
 
+def _string_and_half_id(nodes):
+    # Ids of kinds that do not compare: the check still names a node, strings above numbers.
+    nodes[1]["id"], nodes[54]["id"] = "x", 1.5
+
+
 def _empty(nodes):
     nodes.clear()
 
@@ -586,6 +591,7 @@ def _two_orphans(nodes):
         (_empty, "the node list is empty"),
         (_half_ids, "node 54.5: ids must be ints"),
         (_half_id_and_zero_n, "node 1.5: ids must be ints"),
+        (_string_and_half_id, "node 'x': ids must be ints"),
         (_duplicate_id, "node 54: id appears more than once"),
         (_two_parents, "node 32: child of more than one node"),
         (_dangling_child, "node 99: not in the node list"),
@@ -593,8 +599,8 @@ def _two_orphans(nodes):
         (_orphan, "node 55: neither the root nor any node's child"),
         (_two_orphans, "node 55: neither the root nor any node's child"),
     ],
-    ids=("empty", "half-ids", "half-id-and-zero-n", "duplicate-id", "two-parents", "dangling-child",
-         "two-dangling-children", "orphan", "two-orphans"),
+    ids=("empty", "half-ids", "half-id-and-zero-n", "string-and-half-id", "duplicate-id", "two-parents",
+         "dangling-child", "two-dangling-children", "orphan", "two-orphans"),
 )
 def test_model_file_that_is_not_one_tree_exits_2(tmp_path, capsys, edit, message):
     assert _predict_with_edited_golden_model(tmp_path, capsys, edit) == (

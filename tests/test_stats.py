@@ -65,6 +65,9 @@ def test_variance_identity_random():
 def test_variance_errors_on_empty():
     with pytest.raises(ValueError):
         node_variance(NodeStats(0, 0.0, 0.0))
+    assert NodeStats.from_values([]) == NodeStats(0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        node_variance(NodeStats.from_values([]))
     with pytest.raises(ValueError):
         pairwise_variance([])
 

@@ -177,6 +177,13 @@ def test_cp_gate_blocks_weak_splits():
     assert tight.leaf_count() == 1  # noise never explains 90% of root SSE
 
 
+@pytest.mark.parametrize("cp, leaves", [(1.0, 2), (np.nextafter(1.0, 2.0), 1)], ids=("at-cp", "above-cp"))
+def test_cp_gate_keeps_a_split_whose_ratio_equals_cp(cp, leaves):
+    # The split explains all of the root SSE: its reduction ratio is exactly 1.
+    data = _dataset([("x", "numeric", np.array([0.0, 0.0, 1.0, 1.0]))], np.array([0.0, 0.0, 2.0, 2.0]))
+    assert grow(data, GrowConfig(max_depth=3, min_split=2, min_bucket=1, cp=float(cp))).leaf_count() == leaves
+
+
 def test_grow_deterministic():
     rng = np.random.default_rng(64)
     data = _dataset(
